@@ -6,9 +6,11 @@ K, and whether aggregation is learned.  The four shipped instantiations:
 
 * ``flat``      — concatenate the model's own card signals into one text,
                   then encode it.  No graph structure, K = 0.
-* ``text:K``    — message passing in text space: each round rewrites every
+* ``text:K``    — message passing in text space: round k rewrites a
                   non-query node's text from a kind-specific prompt over
-                  its neighbors' previous texts, via a summarizer.
+                  its neighbors' previous texts, via a summarizer, for the
+                  nodes within distance K − k of the profiled models (the
+                  only texts the profiles depend on).
 * ``emb:K``     — parameter-free propagation of node embeddings with
                   symmetric normalization and edge-score weighting.
 * ``train:K``   — the same propagation interleaved with trained affine
@@ -325,16 +327,53 @@ def textgnn_step(
     summarizer: Summarizer,
     templates: dict[NodeKind, PromptTemplate] | None = None,
 ) -> str:
-    prompt = render_prompt(graph, node_id, texts, hop, templates)
+    return _summarize_round(graph, [node_id], texts, hop, summarizer, templates)[0]
+
+
+def _summarize_round(
+    graph: EvidenceGraph,
+    node_ids: list[str],
+    texts: dict[str, str],
+    hop: int,
+    summarizer: Summarizer,
+    templates: dict[NodeKind, PromptTemplate] | None,
+) -> list[str]:
+    """New texts of ``node_ids`` for one round, through one batch call."""
+    prompts = [render_prompt(graph, nid, texts, hop, templates) for nid in node_ids]
     try:
-        out = summarizer.summarize(prompt)
+        outs = summarizer.summarize_batch(prompts)
     except SummarizerFailure:
         raise
     except Exception as exc:  # noqa: BLE001 - boundary translation
-        raise SummarizerFailure(node_id, exc) from exc
-    if not isinstance(out, str) or not out:
-        raise SummarizerFailure(node_id, "summarizer returned empty output")
-    return out
+        label = node_ids[0] if len(node_ids) == 1 else f"{len(node_ids)} nodes of round {hop}"
+        raise SummarizerFailure(label, exc) from exc
+    if len(outs) != len(node_ids):
+        raise SummarizerFailure(f"round {hop}", f"{len(outs)} outputs for {len(node_ids)} prompts")
+    for nid, out in zip(node_ids, outs):
+        if not isinstance(out, str) or not out:
+            raise SummarizerFailure(nid, "summarizer returned empty output")
+    return outs
+
+
+def _distances(graph: EvidenceGraph, sources: list[str], radius: int) -> dict[str, int]:
+    """Graph distance from the nearest source, for nodes within ``radius``.
+
+    Query nodes are never expanded: their text is fixed, so nothing behind
+    them feeds a source.
+    """
+    dist = {nid: 0 for nid in sources}
+    frontier = list(dist)
+    for d in range(1, radius + 1):
+        nxt = []
+        for v in frontier:
+            if graph.node(v).kind is NodeKind.QUERY:
+                continue
+            for u in graph.neighbors(v):
+                if u not in dist:
+                    dist[u] = d
+                    nxt.append(u)
+        frontier = nxt
+    return dist
 
 
 def textgnn_run(
@@ -342,20 +381,38 @@ def textgnn_run(
     depth: int,
     summarizer: Summarizer,
     templates: dict[NodeKind, PromptTemplate] | None = None,
+    targets: list[str] | None = None,
 ) -> dict[str, str]:
-    """K synchronous text rounds; query nodes keep their raw text throughout."""
+    """K synchronous text rounds; query nodes keep their raw text throughout.
+
+    Only the final texts of ``targets`` are computed (every node when
+    None).  Round k rewrites the non-query nodes within distance K − k of
+    a target, the only ones whose round-k text a target's final text
+    depends on.  Prompts still list every neighbor from the full graph, so
+    each text equals the one a run over every node gives.  A round's
+    prompts go to the summarizer as one batch.  Returns the final texts
+    of ``targets``, or of every node.
+    """
     if not (1 <= depth <= MAX_DEPTH):
         raise InvalidSpec(f"text propagation depth must be in [1, {MAX_DEPTH}], got {depth}")
     texts = {nid: graph.node(nid).text for nid in graph.node_ids}
+    if targets is None:
+        dist = dict.fromkeys(texts, 0)
+    else:
+        for nid in targets:
+            graph.node(nid)
+        dist = _distances(graph, list(targets), depth - 1)
     for hop in range(1, depth + 1):
-        nxt: dict[str, str] = {}
-        for nid in graph.node_ids:
-            if graph.node(nid).kind is NodeKind.QUERY:
-                nxt[nid] = texts[nid]
-            else:
-                nxt[nid] = textgnn_step(graph, nid, texts, hop, summarizer, templates)
-        texts = nxt
-    return texts
+        rewrite = [
+            nid
+            for nid in graph.node_ids
+            if dist.get(nid, depth) <= depth - hop and graph.node(nid).kind is not NodeKind.QUERY
+        ]
+        outs = _summarize_round(graph, rewrite, texts, hop, summarizer, templates)
+        texts = {**texts, **dict(zip(rewrite, outs))}
+    if targets is None:
+        return texts
+    return {nid: texts[nid] for nid in targets}
 
 
 def textgnn_profile(
@@ -368,7 +425,7 @@ def textgnn_profile(
 ) -> Profile:
     if graph.node(model_id).kind is not NodeKind.MODEL:
         raise UnknownNode(model_id)
-    texts = textgnn_run(graph, depth, summarizer, templates)
+    texts = textgnn_run(graph, depth, summarizer, templates, targets=[model_id])
     spec = ProfileSpec("structured", "text", depth, "training_free")
     return Profile(model_id, spec, encoder.encode(texts[model_id]), texts[model_id])
 
@@ -668,11 +725,10 @@ def make_profiles(
         return {m: flat_profile(graph, m, providers.encoder) for m in sorted(pool)}
 
     if spec.representation == "text":
-        texts = textgnn_run(graph, spec.depth, providers.summarizer, templates)
-        return {
-            m: Profile(m, spec, providers.encoder.encode(texts[m]), texts[m])
-            for m in sorted(pool)
-        }
+        ids = sorted(pool)
+        texts = textgnn_run(graph, spec.depth, providers.summarizer, templates, targets=ids)
+        vectors = providers.encoder.encode_batch([texts[m] for m in ids])
+        return {m: Profile(m, spec, vec, texts[m]) for m, vec in zip(ids, vectors)}
 
     if spec.learning == "training_free":
         states = embgnn_propagate(graph, spec.depth)

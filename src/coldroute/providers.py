@@ -8,7 +8,9 @@ Two families of backends share each contract:
 * ``RemoteEmbedder`` / ``RemoteSummarizer`` speak the common JSON-over-HTTP
   embeddings / chat shapes (``POST /v1/embeddings``, ``POST
   /v1/chat/completions`` at temperature 0) with retry, backoff, an
-  in-flight cap, and an optional on-disk response cache.
+  in-flight cap, and an optional on-disk response cache.  The embedder
+  sends ``batch_size`` texts per request; the summarizer's batch call
+  keeps up to ``max_in_flight`` requests open at once.
 
 Every encoder returns unit-norm vectors (zero vector for empty text) so
 cosine scores and linear propagation mix features on a common scale.
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -93,6 +97,9 @@ class Summarizer:
     def summarize(self, prompt: str) -> str:
         raise NotImplementedError
 
+    def summarize_batch(self, prompts: list[str]) -> list[str]:
+        return [self.summarize(p) for p in prompts]
+
 
 # --- offline backends ------------------------------------------------------
 
@@ -143,7 +150,9 @@ class EchoSummarizer(Summarizer):
     Useful because the rendered prompt already contains the self id, every
     neighbor id exactly once, and the neighbors' previous-hop texts — so
     repeated hops accumulate exactly the reachable ids, which the
-    reachability checks inspect.
+    reachability checks inspect.  The output grows hop over hop (each
+    text embeds its neighbors' whole previous texts), so it is a test
+    double, not a model of what a real summarizer costs.
     """
 
     def summarize(self, prompt: str) -> str:
@@ -177,8 +186,10 @@ class _HttpJson:
 
     def post(self, url: str, payload: dict) -> dict:
         cache = self._cache_path(url, payload)
-        if cache is not None and cache.exists():
-            return json.loads(cache.read_text())
+        if cache is not None:
+            cached = _read_cache(cache)
+            if cached is not None:
+                return cached
 
         import requests
 
@@ -205,13 +216,39 @@ class _HttpJson:
                 continue
             if resp.status_code != 200:
                 raise TransportError(f"status {resp.status_code}", resp.status_code)
-            body = resp.json()
+            try:
+                body = resp.json()
+            except ValueError as exc:
+                raise TransportError(f"provider reply is not JSON: {exc}", 200) from exc
+            if not isinstance(body, dict):
+                raise TransportError("provider reply is not a JSON object", 200)
             if cache is not None:
-                cache.parent.mkdir(parents=True, exist_ok=True)
-                cache.write_text(json.dumps(body, sort_keys=True))
+                _write_cache(cache, body)
             return body
         assert last is not None
         raise last
+
+
+def _read_cache(path: Path) -> dict | None:
+    """A cached reply, or None when the entry is missing or unreadable."""
+    try:
+        body = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    return body if isinstance(body, dict) else None
+
+
+def _write_cache(path: Path, body: dict) -> None:
+    """Write through a temporary file so readers never see a torn entry."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(body, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 class RemoteEmbedder(TextEncoder):
@@ -287,6 +324,43 @@ class RemoteSummarizer(Summarizer):
             raise SummarizerFailure("<remote>", "chat response content is not text")
         return text
 
+    def summarize_batch(self, prompts: list[str]) -> list[str]:
+        """Up to ``max_in_flight`` requests at once; replies in prompt order.
+
+        Each worker thread sends the next unsent prompt until none is left
+        or one has failed; the first failure in prompt order is then raised
+        as is.  Plain threads rather than ``concurrent.futures``, whose
+        import (and ``logging``) every process would pay.
+        """
+        width = min(self._http.max_in_flight, len(prompts))
+        if width < 2:
+            return super().summarize_batch(prompts)
+        replies = [""] * len(prompts)
+        failures: dict[int, Exception] = {}
+        pending = iter(enumerate(prompts))
+        lock = threading.Lock()
+
+        def work() -> None:
+            while not failures:
+                with lock:
+                    item = next(pending, None)
+                if item is None:
+                    return
+                index, prompt = item
+                try:
+                    replies[index] = self.summarize(prompt)
+                except Exception as exc:  # noqa: BLE001 - raised below, in prompt order
+                    failures[index] = exc
+
+        workers = [threading.Thread(target=work) for _ in range(width)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        if failures:
+            raise failures[min(failures)]
+        return replies
+
 
 # --- bundle and graph encoding --------------------------------------------
 
@@ -305,28 +379,39 @@ class Providers:
 def encode_all(
     graph: EvidenceGraph, encoder: TextEncoder, only_missing: bool = False
 ) -> EvidenceGraph:
-    """Set every node's embedding to ``encoder.encode(node.text)`` in place.
+    """Set every node's embedding to its text's ``encoder`` vector in place.
 
     Non-query nodes must carry text; query nodes use their raw query text
-    as-is.  With ``only_missing`` nodes that already have an embedding are
-    left alone (used when a node is added to an encoded graph).  Returns
-    the same graph for chaining.
+    as-is.  Every node is checked before the first request, then all texts
+    go through one ``encoder.encode_batch`` call, and embeddings are set
+    only once every vector has the graph's dimension.  With
+    ``only_missing`` nodes that already have an embedding are left alone
+    (used when a node is added to an encoded graph).  Returns the same
+    graph for chaining.
     """
-    for node_id in graph.node_ids:
-        node = graph.node(node_id)
-        if only_missing and node.embedding is not None:
-            continue
+    nodes = [
+        graph.node(nid)
+        for nid in graph.node_ids
+        if not (only_missing and graph.node(nid).embedding is not None)
+    ]
+    for node in nodes:
         if node.kind is not NodeKind.QUERY and not node.text.strip():
-            raise EmptyText(node_id)
+            raise EmptyText(node.id)
+    if nodes:
+        label = nodes[0].id if len(nodes) == 1 else f"{len(nodes)} nodes"
         try:
-            vec = encoder.encode(node.text)
+            vectors = encoder.encode_batch([node.text for node in nodes])
         except Exception as exc:  # noqa: BLE001 - boundary translation
-            raise EncoderFailure(node_id, exc) from exc
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (graph.dim,):
-            raise EncoderFailure(
-                node_id, DimensionMismatch(graph.dim, int(vec.shape[0]), "encode_all")
-            )
-        node.embedding = vec
+            raise EncoderFailure(label, exc) from exc
+        if len(vectors) != len(nodes):
+            raise EncoderFailure(label, f"{len(vectors)} vectors for {len(nodes)} texts")
+        vectors = [np.asarray(vec, dtype=np.float64) for vec in vectors]
+        for node, vec in zip(nodes, vectors):
+            if vec.shape != (graph.dim,):
+                raise EncoderFailure(
+                    node.id, DimensionMismatch(graph.dim, int(vec.shape[0]), "encode_all")
+                )
+        for node, vec in zip(nodes, vectors):
+            node.embedding = vec
     graph.validate()
     return graph

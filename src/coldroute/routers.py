@@ -705,19 +705,25 @@ def integrate_new_model(
 
     The new profile is computed on the expanded graph; existing pool
     profiles are never recomputed.  Trainable specs must pass the frozen
-    aggregator that produced the existing profiles.
+    aggregator that produced the existing profiles.  If encoding or
+    profiling fails, the new node is removed again, so the graph and the
+    pool are left as they were.
     """
     if card.id in pool:
         raise DuplicateId(card.id)
     if spec.learning == "trainable" and trained is None:
         raise InvalidSpec("integration under a trainable spec requires the frozen aggregator")
-    from .graph import add_model_node
+    from .graph import add_model_node, remove_node
     from .providers import encode_all
 
     add_model_node(graph, card)
-    encode_all(graph, providers.encoder, only_missing=True)
-    profile = make_profiles(
-        graph, spec, [card.id], providers, templates=templates, trained=trained
-    )[card.id]
-    pool.add(profile)
+    try:
+        encode_all(graph, providers.encoder, only_missing=True)
+        profile = make_profiles(
+            graph, spec, [card.id], providers, templates=templates, trained=trained
+        )[card.id]
+        pool.add(profile)
+    except BaseException:
+        remove_node(graph, card.id)
+        raise
     return profile

@@ -11,7 +11,9 @@ Endpoints:
 
 Routing is side-effect free; registration is serialized behind a lock and
 persists the pool (plus the registered cards) to a JSON snapshot, which is
-reloaded on startup for crash recovery.
+reloaded on startup for crash recovery.  A card is validated before it
+touches the graph, and a registration that fails later leaves the graph
+and the pool as they were.
 """
 
 from __future__ import annotations
@@ -48,6 +50,30 @@ from .routers import (
 )
 
 __all__ = ["RoutingService", "make_server", "serve"]
+
+
+def _parse_card(entry: dict) -> ModelCard:
+    """A model card from a JSON object; malformed fields raise ``ConfigError``."""
+    for key in ("id", "family_id", "description"):
+        if key not in entry:
+            raise ConfigError(f"model card is missing {key!r}")
+        if not isinstance(entry[key], str) or not entry[key].strip():
+            raise ConfigError(f"model card field {key!r} must be a nonempty string")
+    scores = entry.get("scores", {})
+    if not isinstance(scores, dict):
+        raise ConfigError("model card scores must be an object of benchmark id -> number")
+    parsed: dict[str, float] = {}
+    for bench_id, value in scores.items():
+        try:
+            parsed[bench_id] = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"score for {bench_id!r} is not a number: {value!r}") from None
+    return ModelCard(
+        id=entry["id"],
+        family_id=entry["family_id"],
+        description=entry["description"],
+        scores=parsed,
+    )
 
 
 class RoutingService:
@@ -116,12 +142,7 @@ class RoutingService:
             return
         state = json.loads(Path(path).read_text())
         for entry in state.get("registered_cards", []):
-            card = ModelCard(
-                id=entry["id"],
-                family_id=entry["family_id"],
-                description=entry["description"],
-                scores={k: float(v) for k, v in entry.get("scores", {}).items()},
-            )
+            card = _parse_card(entry)
             if card.id not in self.graph:
                 add_model_node(self.graph, card)
         encode_all(self.graph, self.providers.encoder, only_missing=True)
@@ -155,15 +176,7 @@ class RoutingService:
         return {"model_id": decision.chosen, "scores": decision.to_dict()["scores"]}
 
     def register(self, entry: dict) -> dict:
-        for key in ("id", "family_id", "description"):
-            if key not in entry:
-                raise ConfigError(f"model card is missing {key!r}")
-        card = ModelCard(
-            id=entry["id"],
-            family_id=entry["family_id"],
-            description=entry["description"],
-            scores={k: float(v) for k, v in entry.get("scores", {}).items()},
-        )
+        card = _parse_card(entry)
         with self._write_lock:
             if card.id in self.pool:
                 raise DuplicateId(card.id)

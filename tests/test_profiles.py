@@ -13,7 +13,8 @@ from coldroute.errors import (
     UninitializedEmbedding,
     UnknownNode,
 )
-from coldroute.graph import NodeKind, build_graph
+from coldroute.evaluation import SynthWorldConfig, synth_world
+from coldroute.graph import EvidenceGraph, NodeKind, build_graph
 from coldroute.profiles import (
     Profile,
     ProfileSpec,
@@ -160,6 +161,75 @@ def test_textgnn_queries_are_never_rewritten(fixture_graph):
     for nid in fixture_graph.node_ids:
         if fixture_graph.node(nid).kind is NodeKind.QUERY:
             assert texts[nid] == fixture_graph.node(nid).text
+
+
+class _CountingEcho(EchoSummarizer):
+    def __init__(self):
+        self.prompts: list[str] = []
+
+    def summarize(self, prompt: str) -> str:
+        self.prompts.append(prompt)
+        return prompt
+
+
+def _synth_graph() -> EvidenceGraph:
+    world = synth_world(
+        SynthWorldConfig(seed=3, num_domains=8, models_per_specialty=3, queries_per_domain=20)
+    )
+    graph = build_graph(
+        world.cards.families, world.cards.models, world.cards.benchmarks,
+        world.cards.domains, world.cards.queries, dim=16,
+    )
+    return encode_all(graph, DeterministicEmbedder(dim=16, seed=0))
+
+
+@pytest.fixture(params=["fixture", "synth"])
+def text_graph(request, fixture_graph):
+    return fixture_graph if request.param == "fixture" else _synth_graph()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_restricted_text_run_matches_full_run(text_graph, depth):
+    graph = text_graph
+    encoder = DeterministicEmbedder(dim=graph.dim, seed=0)
+    providers = Providers(encoder, EchoSummarizer())
+    full = textgnn_run(graph, depth, EchoSummarizer())
+    models = [n.id for n in graph.nodes_of_kind(NodeKind.MODEL)]
+    spec = ProfileSpec.parse(f"text:{depth}")
+    for targets in (models[-1:], models):
+        restricted = textgnn_run(graph, depth, EchoSummarizer(), targets=targets)
+        assert restricted == {m: full[m] for m in targets}
+        profiles = make_profiles(graph, spec, targets, providers)
+        for m in targets:
+            assert profiles[m].text == full[m]
+            assert np.array_equal(profiles[m].vector, encoder.encode(full[m]))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_text_run_summarizes_exactly_the_receptive_field(fixture_graph, depth):
+    graph = fixture_graph
+    queries = {n.id for n in graph.nodes_of_kind(NodeKind.QUERY)}
+    models = [n.id for n in graph.nodes_of_kind(NodeKind.MODEL)]
+    for targets in (["model_01_01"], models):
+        # round k rewrites the non-query nodes within distance depth - k
+        expected = sum(
+            len(set().union(*(bfs_ball(graph, t, depth - hop) for t in targets)) - queries)
+            for hop in range(1, depth + 1)
+        )
+        counting = _CountingEcho()
+        textgnn_run(graph, depth, counting, targets=targets)
+        assert len(counting.prompts) == expected, (targets, depth)
+    counting = _CountingEcho()
+    textgnn_run(graph, depth, counting)
+    assert len(counting.prompts) == depth * (len(graph) - len(queries))
+
+
+def test_one_new_model_under_text2_needs_its_hop1_ball_plus_itself(fixture_graph):
+    counting = _CountingEcho()
+    textgnn_run(fixture_graph, 2, counting, targets=["model_00_00"])
+    hop1 = sorted(fixture_graph.neighbors("model_00_00"))
+    heads = [p.split(" (kind")[0].rsplit(" ", 1)[-1] for p in counting.prompts]
+    assert heads == sorted(["model_00_00", *hop1]) + ["model_00_00"]
 
 
 def test_render_prompt_neighbors_sorted_with_three_decimal_scores(fixture_graph):

@@ -1,7 +1,10 @@
 """Encoders and summarizers: deterministic local doubles and remote clients."""
 
 import json
+import math
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -10,10 +13,12 @@ import pytest
 from coldroute.errors import (
     DimensionMismatch,
     EmptyText,
+    EncoderFailure,
     SummarizerFailure,
     TransportError,
 )
 from coldroute.graph import build_graph
+from coldroute.profiles import textgnn_run
 from coldroute.providers import (
     DeterministicEmbedder,
     EchoSummarizer,
@@ -23,6 +28,8 @@ from coldroute.providers import (
     encode_all,
     tokenize,
 )
+
+from coldroute.service import _status_for
 
 from conftest import tiny_cards
 
@@ -130,16 +137,26 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         cfg = self.server.stub  # type: ignore[attr-defined]
-        cfg["calls"] += 1
-        length = int(self.headers.get("Content-Length") or 0)
-        body = json.loads(self.rfile.read(length))
+        with cfg["lock"]:
+            cfg["calls"] += 1
+            cfg["in_flight"] += 1
+            cfg["peak"] = max(cfg["peak"], cfg["in_flight"])
+        try:
+            time.sleep(cfg["delay"])
+            length = int(self.headers.get("Content-Length") or 0)
+            body = json.loads(self.rfile.read(length))
+        finally:
+            with cfg["lock"]:
+                cfg["in_flight"] -= 1
         cfg["last_body"] = body
         if cfg["fail_first"] > 0:
             cfg["fail_first"] -= 1
             self.send_response(500)
             self.end_headers()
             return
-        if self.path == "/v1/embeddings":
+        if cfg["raw"] is not None:
+            raw = cfg["raw"]
+        elif self.path == "/v1/embeddings":
             dim = cfg["dim"]
             data = [
                 {"index": i, "embedding": [float(i + 1)] * dim}
@@ -147,10 +164,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             ]
             # deliberately shuffled to prove the client re-sorts by index
             data = list(reversed(data))
-            payload = {"data": data}
+            raw = json.dumps({"data": data}).encode()
         else:
-            payload = {"choices": [{"message": {"content": cfg["reply"]}}]}
-        raw = json.dumps(payload).encode()
+            reply = body["messages"][-1]["content"] if cfg["echo"] else cfg["reply"]
+            raw = json.dumps({"choices": [{"message": {"content": reply}}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
@@ -161,8 +178,12 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.stub = {"calls": 0, "fail_first": 0, "dim": 4, "reply": "a short summary", "last_body": None}
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.stub = {
+        "calls": 0, "fail_first": 0, "dim": 4, "reply": "a short summary", "last_body": None,
+        "echo": False, "raw": None, "delay": 0.0, "in_flight": 0, "peak": 0,
+        "lock": threading.Lock(),
+    }
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield server
     server.shutdown()
@@ -234,3 +255,124 @@ def test_remote_summarizer_malformed_payload(stub_server):
     summ = RemoteSummarizer(_url(stub_server, "/v1/chat/completions"), retries=1)
     with pytest.raises(SummarizerFailure):
         summ.summarize("prompt body")
+
+
+# --- batching, overlap and hardening ---------------------------------------
+
+def _tiny_graph(dim: int = 4):
+    cards = tiny_cards()
+    return build_graph(
+        cards.families, cards.models, cards.benchmarks, cards.domains, cards.queries, dim
+    )
+
+
+@pytest.mark.parametrize("batch_size", [1, 4, 64])
+def test_encode_all_sends_one_request_per_batch(stub_server, batch_size):
+    graph = _tiny_graph()
+    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=0,
+                         batch_size=batch_size)
+    encode_all(graph, enc)
+    assert stub_server.stub["calls"] == math.ceil(len(graph) / batch_size)
+    for nid in graph.node_ids:
+        assert np.linalg.norm(graph.node(nid).embedding) == pytest.approx(1.0)
+
+
+def test_encode_all_checks_every_text_before_any_request(stub_server):
+    from coldroute.graph import ModelCard
+
+    cards = tiny_cards()
+    cards.models[1] = ModelCard("model_01", "fam_00", "  ", {})
+    graph = build_graph(
+        cards.families, cards.models, cards.benchmarks, cards.domains, cards.queries, 4
+    )
+    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=0)
+    with pytest.raises(EmptyText):
+        encode_all(graph, enc)
+    assert stub_server.stub["calls"] == 0
+    assert all(graph.node(nid).embedding is None for nid in graph.node_ids)
+
+
+def test_encode_all_failure_is_encoder_failure_and_sets_nothing(stub_server):
+    stub_server.stub["fail_first"] = 99
+    graph = _tiny_graph()
+    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=0)
+    with pytest.raises(EncoderFailure) as info:
+        encode_all(graph, enc)
+    assert isinstance(info.value.__cause__, TransportError)
+    assert _status_for(info.value) == 503
+    assert all(graph.node(nid).embedding is None for nid in graph.node_ids)
+
+
+def test_summarize_batch_keeps_order_and_caps_in_flight(stub_server):
+    stub_server.stub.update(echo=True, delay=0.01)
+    summ = RemoteSummarizer(_url(stub_server, "/v1/chat/completions"), retries=0,
+                            max_in_flight=3, timeout=10.0)
+    prompts = [f"prompt number {i}" for i in range(24)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches, so a lost reply would show
+    try:
+        replies = summ.summarize_batch(prompts)
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == prompts
+    assert stub_server.stub["calls"] == 24
+    assert 1 < stub_server.stub["peak"] <= 3
+
+
+def test_summarize_batch_default_is_sequential():
+    assert EchoSummarizer().summarize_batch(["b", "a", "c"]) == ["b", "a", "c"]
+    assert EchoSummarizer().summarize_batch([]) == []
+
+
+def test_summarize_batch_failure_reaches_text_run_as_503(stub_server):
+    stub_server.stub["fail_first"] = 99
+    summ = RemoteSummarizer(_url(stub_server, "/v1/chat/completions"), retries=0)
+    with pytest.raises(TransportError):
+        summ.summarize_batch(["one", "two", "three"])
+    graph = _tiny_graph()
+    with pytest.raises(SummarizerFailure) as info:
+        textgnn_run(graph, 1, summ)
+    assert isinstance(info.value.__cause__, TransportError)
+    assert _status_for(info.value) == 503
+
+
+def test_non_json_200_is_transport_error(stub_server):
+    stub_server.stub["raw"] = b"<html>gateway says hello</html>"
+    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=2, backoff=0.01)
+    with pytest.raises(TransportError):
+        enc.encode("anything")
+    assert stub_server.stub["calls"] == 1
+    stub_server.stub["raw"] = b"[1, 2, 3]"
+    summ = RemoteSummarizer(_url(stub_server, "/v1/chat/completions"), retries=0)
+    with pytest.raises(TransportError):
+        summ.summarize("anything")
+
+
+def test_corrupt_cache_entry_is_a_miss(stub_server, tmp_path):
+    enc = RemoteEmbedder(
+        _url(stub_server, "/v1/embeddings"), dim=4, retries=0, cache_dir=tmp_path
+    )
+    first = enc.encode("cache me")
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text('{"data": [{"index": 0, "embe')  # torn write
+    again = enc.encode("cache me")
+    assert np.array_equal(first, again)
+    assert stub_server.stub["calls"] == 2
+    assert json.loads(entry.read_text())["data"][0]["index"] == 0  # rewritten whole
+    third = enc.encode("cache me")
+    assert np.array_equal(first, third) and stub_server.stub["calls"] == 2
+
+
+def test_cache_write_is_atomic(stub_server, tmp_path, monkeypatch):
+    import coldroute.providers as providers_module
+
+    def crash(src, dst):
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(providers_module.os, "replace", crash)
+    enc = RemoteEmbedder(
+        _url(stub_server, "/v1/embeddings"), dim=4, retries=0, cache_dir=tmp_path
+    )
+    with pytest.raises(OSError):
+        enc.encode("cache me")
+    assert list(tmp_path.iterdir()) == []  # no torn entry, no stray temp file

@@ -9,6 +9,8 @@ import requests
 
 import coldroute
 from coldroute.config import AppConfig
+from coldroute.errors import TransportError
+from coldroute.providers import Summarizer, TextEncoder
 from coldroute.service import RoutingService, make_server
 
 from conftest import FIXTURE_DIR
@@ -23,12 +25,12 @@ NEW_CARD = {
 }
 
 
-def _config(router: str = "mlp", state_path=None) -> AppConfig:
+def _config(router: str = "mlp", state_path=None, spec: str = "emb:2") -> AppConfig:
     return AppConfig(
         base_dir=FIXTURE_DIR,
         cards_dir=FIXTURE_DIR / "cards",
         dim=64,
-        spec="emb:2",
+        spec=spec,
         router=router,
         interactions=FIXTURE_DIR / "interactions.jsonl",
         tasks=FIXTURE_DIR / "tasks.jsonl",
@@ -42,8 +44,10 @@ def _config(router: str = "mlp", state_path=None) -> AppConfig:
 def server():
     started = []
 
-    def start(cfg: AppConfig) -> str:
+    def start(cfg: AppConfig, patch=None) -> str:
         httpd = make_server(cfg)
+        if patch is not None:
+            patch(httpd.service)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
         started.append((httpd, thread))
@@ -147,3 +151,88 @@ def test_state_file_recovers_registered_models(server, tmp_path):
     assert revived.pool.ids == CATALOG + ["model_01_02"]
     decision = revived.route("Patch the build pipeline.", None)
     assert sorted(decision["scores"]) == sorted(CATALOG + ["model_01_02"])
+
+
+# --- failed registrations leave no trace ------------------------------------
+
+class _DownOnceEncoder(TextEncoder):
+    """Delegates to ``inner`` except for one batch call that fails like an outage."""
+
+    def __init__(self, inner: TextEncoder):
+        self.inner, self.dim, self.failures = inner, inner.dim, 1
+
+    def encode(self, text):
+        return self.inner.encode(text)
+
+    def encode_batch(self, texts):
+        if self.failures:
+            self.failures -= 1
+            raise TransportError("embedder is down", 503)
+        return self.inner.encode_batch(texts)
+
+
+class _DownOnceSummarizer(Summarizer):
+    def __init__(self, inner: Summarizer):
+        self.inner, self.failures = inner, 1
+
+    def summarize(self, prompt):
+        if self.failures:
+            self.failures -= 1
+            raise TransportError("summarizer is down", 503)
+        return self.inner.summarize(prompt)
+
+
+@pytest.mark.parametrize(
+    "spec, router, part",
+    [("emb:2", "mlp", "encoder"), ("text:2", "sim", "encoder"), ("text:2", "sim", "summarizer")],
+)
+def test_provider_outage_during_register_is_503_and_rolled_back(server, spec, router, part):
+    services = []
+
+    def break_provider(service):
+        services.append(service)
+        wrap = _DownOnceEncoder if part == "encoder" else _DownOnceSummarizer
+        setattr(service.providers, part, wrap(getattr(service.providers, part)))
+
+    base = server(_config(router=router, spec=spec), patch=break_provider)
+    (service,) = services
+    nodes_before = sorted(service.graph.node_ids)
+    edges_before = len(service.graph.edges)
+
+    failed = requests.post(f"{base}/models", json=NEW_CARD)
+    assert failed.status_code == 503
+    assert sorted(service.graph.node_ids) == nodes_before
+    assert len(service.graph.edges) == edges_before
+    assert requests.get(f"{base}/pool").json()["models"] == CATALOG
+
+    retried = requests.post(f"{base}/models", json=NEW_CARD)
+    assert retried.status_code == 200
+    assert retried.json()["models"] == CATALOG + ["model_01_02"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("description", 5), ("description", "   "), ("description", None), ("id", ["x"])],
+)
+def test_malformed_card_field_is_400_before_touching_graph(server, field, value):
+    base = server(_config())
+    bad = requests.post(f"{base}/models", json=dict(NEW_CARD, **{field: value}))
+    assert bad.status_code == 400
+    assert requests.post(f"{base}/models", json=NEW_CARD).status_code == 200
+    other = dict(NEW_CARD, id="model_01_03")
+    assert requests.post(f"{base}/models", json=other).status_code == 200
+
+
+def test_non_numeric_score_is_400(server):
+    base = server(_config())
+    bad = requests.post(f"{base}/models", json=dict(NEW_CARD, scores={"bench_00_a": "high"}))
+    assert bad.status_code == 400
+    assert "not a number" in bad.json()["error"]
+    assert requests.post(f"{base}/models", json=NEW_CARD).status_code == 200
+
+
+def test_non_object_scores_is_400(server):
+    base = server(_config())
+    bad = requests.post(f"{base}/models", json=dict(NEW_CARD, scores=[1, 2]))
+    assert bad.status_code == 400
+    assert requests.post(f"{base}/models", json=NEW_CARD).status_code == 200
