@@ -585,7 +585,8 @@ class TrainGnnModel:
         for k in range(self.depth - 1, -1, -1):
             d_a = d_h if k == self.depth - 1 else d_h * nn.relu_grad(caches[k])
             d_p = self.hop_layers[k].backward(d_a)
-            d_h = s @ d_p  # s is symmetric, so this is the adjoint
+            if k:  # the input gradient of hop 0 is never read
+                d_h = s @ d_p  # s is symmetric, so this is the adjoint
         return loss, [g.copy() for g in self.grads()]
 
     # -- checkpointing --

@@ -223,7 +223,10 @@ class _HttpJson:
             if not isinstance(body, dict):
                 raise TransportError("provider reply is not a JSON object", 200)
             if cache is not None:
-                _write_cache(cache, body)
+                try:
+                    _write_cache(cache, body)
+                except OSError:
+                    pass  # the reply has arrived; an entry not written is a later miss
             return body
         assert last is not None
         raise last
@@ -239,12 +242,24 @@ def _read_cache(path: Path) -> dict | None:
 
 
 def _write_cache(path: Path, body: dict) -> None:
-    """Write through a temporary file so readers never see a torn entry."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, json.dumps(body, sort_keys=True), durable=False)
+
+
+def write_atomic(path: Path, text: str, *, durable: bool) -> None:
+    """Write through a temporary file so readers never see a torn file.
+
+    With ``durable`` the data reach the disk before the file takes its
+    name, so a crash leaves the old file or the new one, never a torn one.
+    A cache entry needs no such care: a lost entry is only a miss.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(body, sort_keys=True))
+            fh.write(text)
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)

@@ -154,6 +154,12 @@ class CandidatePool:
             raise EmptyPool()
         return self._profiles[0].vector.shape[0]
 
+    def remove(self, model_id: str) -> None:
+        """Drop a model; the order of the others is kept."""
+        del self._by_id[model_id]
+        # a new list, so a concurrent ``profiles()`` reads the old one or this one
+        self._profiles = [p for p in self._profiles if p.model_id != model_id]
+
     def __len__(self) -> int:
         return len(self._profiles)
 
@@ -396,6 +402,32 @@ def mlp_fit(
 
 # --- graph router ----------------------------------------------------------
 
+def _affine(layer: nn.AffineLayer, x: np.ndarray) -> np.ndarray:
+    """``layer`` applied to a batch of rows, leaving its backward cache alone."""
+    return x @ layer.W.T + layer.b
+
+
+@dataclass(frozen=True)
+class _FrozenGraph:
+    """A graph router's routing graph for one pool snapshot, without a query.
+
+    ``ids`` and ``vectors`` are the snapshot it was compiled from and the
+    key it is reused under.  ``h1`` holds the layer-1 states of the frozen
+    router; ``s_models`` are the rows of ``s`` that belong to pool models.
+    """
+
+    ids: list[str]
+    vectors: np.ndarray
+    index: dict[tuple[str, str], int]
+    members: dict[str, tuple[np.ndarray, np.ndarray]]  # task id -> member rows, edge counts
+    x: np.ndarray
+    s: np.ndarray
+    degree: np.ndarray
+    p1: np.ndarray
+    h1: np.ndarray
+    s_models: np.ndarray
+
+
 @dataclass
 class GraphRouterLite:
     """Frozen routing graph (tasks, training queries, reward edges) + GNN.
@@ -410,6 +442,10 @@ class GraphRouterLite:
     — because post-ReLU states are elementwise non-negative — 0 is the
     global floor of the score.  A model that brings no evidence can
     therefore never out-rank one that does.
+
+    Everything but the routed query is compiled once per pool snapshot
+    (its ids and profile vectors) and reused while the snapshot holds;
+    each request then updates only the rows its query edge changes.
     """
 
     dim: int
@@ -421,6 +457,8 @@ class GraphRouterLite:
     query_vecs: dict[str, np.ndarray]  # training query features
     interactions: list[InteractionRecord]
     loss_trace: list[float] = field(default_factory=list)
+    # routing graph of the last pool snapshot routed over; never checkpointed
+    _compiled: _FrozenGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -458,69 +496,132 @@ class GraphRouterLite:
         for layer in self.layers():
             layer.zero_grad()
 
-    # -- routing-graph assembly --
+    # -- routing graph: compiled once per pool snapshot, query attached locally --
 
-    def _assemble(
-        self,
-        pool: CandidatePool,
-        extra_query: tuple[str, np.ndarray, str] | None = None,
-    ):
-        """Node order: tasks, training queries, pool models, then the routed query."""
-        keys: list[tuple[str, str]] = []
+    def _compile(self, profiles: list[Profile]) -> _FrozenGraph:
+        """The routing graph of one pool snapshot, before any query is attached.
+
+        Node order: tasks, training queries, then the pool models.  Edges
+        join each training query to its task (weight 1) and to every pool
+        model it has a reward for (weight = reward); ``s`` is their
+        symmetric normalization over closed neighbourhoods.
+        """
+        ids = [p.model_id for p in profiles]
+        keys = [("t", tid) for tid in sorted(self.tasks)]
         feats: list[np.ndarray] = []
-        for tid in sorted(self.tasks):
+        for _, tid in keys:
             member_vecs = [self.query_vecs[q] for q in self.tasks[tid]]
-            task_feat = np.mean(member_vecs, axis=0) if member_vecs else np.zeros(self.dim)
-            keys.append(("t", tid))
-            feats.append(task_feat)
+            feats.append(np.mean(member_vecs, axis=0) if member_vecs else np.zeros(self.dim))
         for qid in sorted(self.query_vecs):
             keys.append(("q", qid))
             feats.append(np.asarray(self.query_vecs[qid], dtype=np.float64))
-        for profile in pool.profiles():
-            keys.append(("m", profile.model_id))
-            feats.append(profile.vector)
-        edges: list[tuple[int, int, float]] = []
+        keys.extend(("m", mid) for mid in ids)
+        feats.extend(p.vector for p in profiles)
         index = {k: i for i, k in enumerate(keys)}
-        for tid, members in self.tasks.items():
-            for qid in members:
-                edges.append((index[("q", qid)], index[("t", tid)], 1.0))
-        for rec in self.interactions:
-            if ("m", rec.model_id) in index:
-                edges.append((index[("q", rec.query_id)], index[("m", rec.model_id)], rec.reward))
-        if extra_query is not None:
-            qid, vec, tid = extra_query
-            if ("t", tid) not in index:
-                raise UnknownTask(tid)
-            keys.append(("x", qid))
-            index[("x", qid)] = len(feats)
-            feats.append(np.asarray(vec, dtype=np.float64))
-            edges.append((index[("x", qid)], index[("t", tid)], 1.0))
-
-        n = len(keys)
         x = np.stack(feats)
         if x.shape[1] != self.dim:
             raise DimensionMismatch(self.dim, x.shape[1], "routing graph features")
-        degree = np.ones(n)  # closed-neighborhood counts start at the self term
-        for i, j, _ in edges:
-            degree[i] += 1
-            degree[j] += 1
+
+        pairs = [
+            (index[("q", q)], index[("t", tid)], 1.0) for tid, qs in self.tasks.items() for q in qs
+        ]
+        pairs.extend(
+            (index[("q", r.query_id)], index[("m", r.model_id)], r.reward)
+            for r in self.interactions
+            if ("m", r.model_id) in index
+        )
+        edges = np.asarray(pairs, dtype=np.float64).reshape(-1, 3)
+        rows_i, rows_j = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
+        weights = edges[:, 2]
+        n = len(keys)
+        degree = np.ones(n)  # closed-neighbourhood counts start at the self term
+        np.add.at(degree, rows_i, 1.0)
+        np.add.at(degree, rows_j, 1.0)
         inv_sqrt = 1.0 / np.sqrt(degree)
         s = np.zeros((n, n))
         s[np.arange(n), np.arange(n)] = inv_sqrt * inv_sqrt
-        for i, j, w in edges:
-            coeff = w * inv_sqrt[i] * inv_sqrt[j]
-            s[i, j] += coeff
-            s[j, i] += coeff
-        return index, x, s
+        coeff = weights * inv_sqrt[rows_i] * inv_sqrt[rows_j]
+        np.add.at(s, (rows_i, rows_j), coeff)
+        np.add.at(s, (rows_j, rows_i), coeff)
+        p1 = s @ x
+        first_model = n - len(ids)
+        return _FrozenGraph(
+            ids=ids,
+            vectors=x[first_model:],
+            index=index,
+            members={
+                tid: np.unique(
+                    np.asarray([index[("q", q)] for q in qs], dtype=np.intp), return_counts=True
+                )
+                for tid, qs in self.tasks.items()
+            },
+            x=x,
+            s=s,
+            degree=degree,
+            p1=p1,
+            h1=nn.relu(_affine(self.prop1, p1)),
+            s_models=s[first_model:],
+        )
 
-    def _forward(self, x: np.ndarray, s: np.ndarray):
-        a1 = self.prop1.forward(s @ x)
+    def _frozen(self, profiles: list[Profile]) -> _FrozenGraph:
+        """The compiled graph for this snapshot, compiled again if the pool moved."""
+        graph = self._compiled
+        if (
+            graph is None
+            or graph.ids != [p.model_id for p in profiles]
+            or not np.array_equal(graph.vectors, np.stack([p.vector for p in profiles]))
+        ):
+            graph = self._compile(profiles)
+            self._compiled = graph
+        return graph
+
+    def _attach(
+        self, graph: _FrozenGraph, vec: np.ndarray, task_id: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Final states of the routed query and of the pool models.
+
+        Attaching the query ``x`` to task ``t`` adds one edge, which changes
+        the degree of ``t`` alone.  Layer 1 therefore changes only in the
+        rows of ``t``, of ``t``'s member queries and of ``x``; layer 2 and
+        the read-out are needed only for ``x`` and the pool models (models
+        neighbour training queries, never ``t`` or ``x``).
+        """
+        t = graph.index[("t", task_id)]
+        members, count = graph.members[task_id]
+        rows = np.concatenate(([t], members))
+        inv_t = 1.0 / np.sqrt(graph.degree[t] + 1.0)
+        inv_x = 1.0 / np.sqrt(2.0)  # x neighbours t alone
+        coeff = count / np.sqrt(graph.degree[members]) * inv_t
+
+        # rows of S for t and its members, with every entry of t renormalized
+        s_rows = graph.s[rows]
+        s_rows[0] = 0.0  # t neighbours its members alone
+        s_rows[0, t] = inv_t * inv_t
+        s_rows[0, members] = coeff
+        s_rows[1:, t] = coeff
+        p1_rows = s_rows @ graph.x
+        p1_rows[0] += (inv_x * inv_t) * vec
+        p1_x = (inv_x * inv_x) * vec + (inv_x * inv_t) * graph.x[t]
+        h1_rows = nn.relu(_affine(self.prop1, p1_rows))
+        h1_x = nn.relu(_affine(self.prop1, p1_x[None, :]))
+
+        h1 = graph.h1.copy()
+        h1[rows] = h1_rows
+        p2 = np.concatenate(
+            [(inv_x * inv_x) * h1_x + (inv_x * inv_t) * h1_rows[:1], graph.s_models @ h1]
+        )
+        u = nn.relu(_affine(self.decoder, nn.relu(_affine(self.prop2, p2))))
+        return u[0], u[1:]
+
+    def _forward(self, p1: np.ndarray, s: np.ndarray):
+        """Training forward pass over the whole graph from ``p1 = s @ x``."""
+        a1 = self.prop1.forward(p1)
         h1 = nn.relu(a1)
         a2 = self.prop2.forward(s @ h1)
         h2 = nn.relu(a2)
         a3 = self.decoder.forward(h2)
         u = nn.relu(a3)
-        return u, (a1, a2, a3, s)
+        return u, (a1, a2, a3)
 
     def _pair_scores(self, u: np.ndarray, q_idx: np.ndarray, m_idx: np.ndarray):
         u_q, u_m = u[q_idx], u[m_idx]
@@ -533,17 +634,20 @@ class GraphRouterLite:
         query_id: str = "query",
         task_id: str | None = None,
     ) -> RoutingDecision:
-        if len(pool) == 0:
+        profiles = pool.profiles()  # one snapshot: ids and vectors of the same moment
+        if not profiles:
             raise EmptyPool()
         if task_id is None:
             raise UnknownTask("<none>")
-        index, x, s = self._assemble(pool, extra_query=(query_id, query_vec, task_id))
-        u, _ = self._forward(x, s)
-        q_idx = np.full(len(pool), index[("x", query_id)])
-        m_idx = np.asarray([index[("m", mid)] for mid in pool.ids])
-        preds, _, _ = self._pair_scores(u, q_idx, m_idx)
-        scores = {mid: float(p) for mid, p in zip(pool.ids, preds)}
-        return RoutingDecision.from_scores(query_id, scores)
+        if task_id not in self.tasks:
+            raise UnknownTask(task_id)
+        query_vec = np.asarray(query_vec, dtype=np.float64)
+        if query_vec.shape != (self.dim,):
+            raise DimensionMismatch(self.dim, query_vec.shape[0], "query vector")
+        graph = self._frozen(profiles)
+        u_x, u_m = self._attach(graph, query_vec, task_id)
+        preds = nn.sigmoid(u_m @ u_x)
+        return RoutingDecision.from_scores(query_id, dict(zip(graph.ids, map(float, preds))))
 
     def to_checkpoint(self) -> dict:
         params = {}
@@ -625,9 +729,9 @@ def graphrouter_fit(
     if not interactions:
         return router
 
-    index, x, s = router._assemble(pool)
-    q_all = np.asarray([index[("q", r.query_id)] for r in interactions])
-    m_all = np.asarray([index[("m", r.model_id)] for r in interactions])
+    graph = router._compile(pool.profiles())
+    q_all = np.asarray([graph.index[("q", r.query_id)] for r in interactions])
+    m_all = np.asarray([graph.index[("m", r.model_id)] for r in interactions])
     rewards = np.asarray([r.reward for r in interactions])
 
     adam = nn.AdamState.for_params(router.params(), lr=lr)
@@ -637,7 +741,7 @@ def graphrouter_fit(
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             router.zero_grad()
-            u, (a1, a2, a3, s_mat) = router._forward(x, s)
+            u, (a1, a2, a3) = router._forward(graph.p1, graph.s)
             preds, u_q, u_m = router._pair_scores(u, q_all[batch], m_all[batch])
             loss, d_pred = nn.mse(preds, rewards[batch])
             if not np.isfinite(loss):
@@ -650,13 +754,13 @@ def graphrouter_fit(
             d_h2 = router.decoder.backward(d_a3)
             d_a2 = d_h2 * nn.relu_grad(a2)
             d_sh1 = router.prop2.backward(d_a2)
-            d_h1 = s_mat @ d_sh1
+            d_h1 = graph.s @ d_sh1
             d_a1 = d_h1 * nn.relu_grad(a1)
             router.prop1.backward(d_a1)
             nn.adam_step(adam, router.params(), router.grads())
         # trace the full-dataset loss after the epoch's updates so the
         # curve reflects optimization progress, not minibatch shuffling
-        u, _ = router._forward(x, s)
+        u, _ = router._forward(graph.p1, graph.s)
         pred_all, _, _ = router._pair_scores(u, q_all, m_all)
         epoch_loss, _ = nn.mse(pred_all, rewards)
         router.loss_trace.append(float(epoch_loss))

@@ -10,15 +10,18 @@ Endpoints:
 * ``GET /healthz``  liveness and version.
 
 Routing is side-effect free; registration is serialized behind a lock and
-persists the pool (plus the registered cards) to a JSON snapshot, which is
-reloaded on startup for crash recovery.  A card is validated before it
-touches the graph, and a registration that fails later leaves the graph
-and the pool as they were.
+persists the pool (plus the registered cards) to a JSON snapshot, written
+atomically and reloaded on startup for crash recovery.  A card is
+validated before it touches the graph, and a registration that fails
+later, the state write included, leaves the graph and the pool as they
+were.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -35,9 +38,9 @@ from .errors import (
     TransportError,
     UnknownTask,
 )
-from .graph import ModelCard, NodeKind, add_model_node, build_graph, load_cards
+from .graph import ModelCard, NodeKind, add_model_node, build_graph, load_cards, remove_node
 from .profiles import ProfileSpec, TrainGnnModel, load_templates, make_profiles, traingnn_fit
-from .providers import encode_all
+from .providers import encode_all, write_atomic
 from .routers import (
     CandidatePool,
     SimRouter,
@@ -105,10 +108,11 @@ class RoutingService:
             seed=cfg.seed, templates=self.templates, trained=self.trained,
         )
         self.pool = CandidatePool([profiles[m] for m in pool_ids])
+        self._registered: list[dict] = []
         self._recover_state()
         self.tasks = load_tasks(cfg.tasks) if cfg.tasks else {}
         self.router = self._build_router()
-        self._route_counter = 0
+        self._route_ids = itertools.count(1)  # next() on a count is atomic
         self._write_lock = threading.Lock()
 
     def _build_router(self):
@@ -149,14 +153,11 @@ class RoutingService:
         self.pool = CandidatePool.from_dict(state["pool"])
         self._registered = list(state.get("registered_cards", []))
 
-    def _persist(self) -> None:
+    def _persist(self, registered: list[dict]) -> None:
         if not self.cfg.state_path:
             return
-        state = {
-            "registered_cards": getattr(self, "_registered", []),
-            "pool": self.pool.to_dict(),
-        }
-        Path(self.cfg.state_path).write_text(json.dumps(state, sort_keys=True))
+        state = {"registered_cards": registered, "pool": self.pool.to_dict()}
+        write_atomic(Path(self.cfg.state_path), json.dumps(state, sort_keys=True), durable=True)
 
     # -- operations --
 
@@ -169,9 +170,8 @@ class RoutingService:
         if self.cfg.router == "graphrouter" and task_id is None:
             raise UnknownTask("<missing task_id>")
         vec = np.asarray(self.providers.encoder.encode(query_text))
-        self._route_counter += 1
         decision = self.router.route(
-            vec, self.pool, query_id=f"srv_{self._route_counter:06d}", task_id=task_id
+            vec, self.pool, query_id=f"srv_{next(self._route_ids):06d}", task_id=task_id
         )
         return {"model_id": decision.chosen, "scores": decision.to_dict()["scores"]}
 
@@ -184,10 +184,13 @@ class RoutingService:
                 self.router, self.pool, self.graph, card, self.spec, self.providers,
                 trained=self.trained, templates=self.templates,
             )
-            if not hasattr(self, "_registered"):
-                self._registered = []
+            try:
+                self._persist([*self._registered, entry])
+            except BaseException:
+                self.pool.remove(card.id)
+                remove_node(self.graph, card.id)
+                raise
             self._registered.append(entry)
-            self._persist()
         return self.pool_info()
 
     def pool_info(self) -> dict:
@@ -231,7 +234,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:  # before any read: read(-1) would wait until the client hangs up
+            raise ConfigError(f"Content-Length must be a byte count, got {declared!r}")
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode("utf-8") or "null")
@@ -269,8 +278,33 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(_status_for(exc), {"error": str(exc)})
 
 
+def _one_malloc_arena() -> None:
+    """Have glibc serve every thread of this process from one malloc arena.
+
+    ``ThreadingHTTPServer`` starts a thread per request, and under fast
+    back-to-back requests the next thread starts while the last is still
+    exiting; glibc then opens another per-thread arena, and each one holds
+    on to freed memory, so resident memory grows with request speed.  The
+    request threads take turns under the interpreter lock anyway, so they
+    seldom wait for the one arena's lock.  Does nothing where the C
+    library is not glibc.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-8, 1)  # M_ARENA_MAX from <malloc.h>
+
+
 def make_server(cfg: AppConfig) -> ThreadingHTTPServer:
     """Bound server with the service attached; call ``serve_forever`` to run."""
+    _one_malloc_arena()
     service = RoutingService(cfg)
     httpd = ThreadingHTTPServer((cfg.host, cfg.port), _Handler)
     httpd.service = service  # type: ignore[attr-defined]

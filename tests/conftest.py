@@ -166,3 +166,62 @@ def bfs_ball(graph: EvidenceGraph, start: str, radius: int) -> set[str]:
                     nxt.append(u)
         frontier = nxt
     return seen
+
+
+def graph_router_oracle(router, pool, query_vec, task_id: str) -> dict[str, float]:
+    """GraphRouterLite scores over the whole routing graph with the query attached.
+
+    Rebuilt from the router's public fields alone: every node, every edge
+    (duplicates summed, each counted in the degrees) and the dense
+    closed-neighbourhood normalization, then both propagation rounds and
+    the read-out on every node.
+    """
+    nodes = (
+        [("t", tid) for tid in sorted(router.tasks)]
+        + [("q", qid) for qid in sorted(router.query_vecs)]
+        + [("m", p.model_id) for p in pool.profiles()]
+        + [("x", "routed")]
+    )
+    pos = {node: i for i, node in enumerate(nodes)}
+    feats = []
+    for kind, name in nodes:
+        if kind == "t":
+            member_vecs = [router.query_vecs[q] for q in router.tasks[name]]
+            feats.append(np.mean(member_vecs, axis=0) if member_vecs else np.zeros(router.dim))
+        elif kind == "q":
+            feats.append(router.query_vecs[name])
+        elif kind == "m":
+            feats.append(pool.get(name).vector)
+        else:
+            feats.append(query_vec)
+    x = np.asarray(feats, dtype=np.float64)
+
+    edges = [(pos[("q", q)], pos[("t", tid)], 1.0) for tid, qs in router.tasks.items() for q in qs]
+    edges += [
+        (pos[("q", r.query_id)], pos[("m", r.model_id)], r.reward)
+        for r in router.interactions
+        if ("m", r.model_id) in pos
+    ]
+    edges.append((pos[("x", "routed")], pos[("t", task_id)], 1.0))
+    n = len(nodes)
+    adjacency = np.zeros((n, n))
+    degree = np.ones(n)
+    for i, j, w in edges:
+        adjacency[i, j] += w
+        adjacency[j, i] += w
+        degree[i] += 1
+        degree[j] += 1
+    s = (adjacency + np.diag(np.ones(n))) / np.sqrt(np.outer(degree, degree))
+
+    def layer(affine, h):
+        return np.maximum(h @ affine.W.T + affine.b, 0.0)
+
+    h = layer(router.prop1, s @ x)
+    h = layer(router.prop2, s @ h)
+    u = layer(router.decoder, h)
+    u_x = u[pos[("x", "routed")]]
+    return {
+        name: float(1.0 / (1.0 + np.exp(-(u[pos[("m", name)]] @ u_x))))
+        for kind, name in nodes
+        if kind == "m"
+    }

@@ -37,7 +37,7 @@ from coldroute.routers import (
     sim_route,
 )
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, graph_router_oracle
 
 
 def _profile(model_id: str, vec) -> Profile:
@@ -304,6 +304,58 @@ def test_graphrouter_routing_never_mutates_parameters(fixture_world):
     assert router_checksum(router) == before
     for snap, param in zip(snapshots, router.params()):
         assert np.array_equal(snap, param)
+
+
+def _assert_oracle_scores(router, pool, probes):
+    for vec, task_id in probes:
+        decision = router.route(vec, pool, query_id="q_probe", task_id=task_id)
+        expected = graph_router_oracle(router, pool, vec, task_id)
+        assert sorted(decision.scores) == sorted(expected) == sorted(pool.ids)
+        assert max(abs(decision.scores[m] - expected[m]) for m in expected) <= 1e-12
+
+
+def test_graphrouter_scores_match_full_assembly_oracle(fixture_graph, providers, fixture_world):
+    pool, query_vecs, tasks, interactions = fixture_world
+    router = graphrouter_fit(tasks, query_vecs, interactions, pool, hidden=16, epochs=30, seed=0)
+    probes = [(query_vecs[q], tasks[q]) for q in sorted(tasks)]  # every task, training queries
+    probes += [
+        (providers.encoder.encode(f"an unseen question for {t}"), t)
+        for t in sorted(set(tasks.values()))
+    ]
+    _assert_oracle_scores(router, pool, probes)
+
+    spec = ProfileSpec.parse("emb:2")
+    integrate_new_model(router, pool, fixture_graph, _new_card(), spec, providers)
+    _assert_oracle_scores(router, pool, probes)
+
+    # same ids, new profiles: the compiled graph must not be reused
+    pool.get("model_00_00").vector = pool.get("model_01_01").vector * 0.5
+    _assert_oracle_scores(router, pool, probes)
+    pool.get("model_01_00").vector[:] = 0.0
+    _assert_oracle_scores(router, pool, probes)
+
+
+class _UnwalkableList(list):
+    def __iter__(self):
+        raise AssertionError("routing walked the interaction list")
+
+
+def test_graphrouter_route_does_not_walk_interactions_per_request(fixture_world):
+    pool, query_vecs, tasks, interactions = fixture_world
+    router = graphrouter_fit(tasks, query_vecs, interactions, pool, hidden=16, epochs=3, seed=0)
+    first = router.route(query_vecs["q_00_0000"], pool, query_id="q_a", task_id=tasks["q_00_0000"])
+    router.interactions = _UnwalkableList(router.interactions)
+    for qid in sorted(tasks):
+        router.route(query_vecs[qid], pool, query_id=qid, task_id=tasks[qid])
+    again = router.route(query_vecs["q_00_0000"], pool, query_id="q_a", task_id=tasks["q_00_0000"])
+    assert again.scores == first.scores
+
+
+def test_graphrouter_rejects_wrong_query_dimension(fixture_world):
+    pool, query_vecs, tasks, interactions = fixture_world
+    router = graphrouter_fit(tasks, query_vecs, interactions, pool, hidden=16, epochs=2, seed=0)
+    with pytest.raises(DimensionMismatch):
+        router.route(np.ones(pool.dim + 1), pool, query_id="q_x", task_id="task_00")
 
 
 def test_graphrouter_checkpoint_round_trip(fixture_world, tmp_path):

@@ -2,6 +2,8 @@
 and crash recovery from the persisted state file."""
 
 import json
+import socket
+import sys
 import threading
 
 import pytest
@@ -236,3 +238,112 @@ def test_non_object_scores_is_400(server):
     bad = requests.post(f"{base}/models", json=dict(NEW_CARD, scores=[1, 2]))
     assert bad.status_code == 400
     assert requests.post(f"{base}/models", json=NEW_CARD).status_code == 200
+
+
+# --- state writes, request framing, concurrency -----------------------------
+
+def test_unwritable_state_is_500_and_rolled_back_then_retry_succeeds(server, tmp_path):
+    services = []
+    state = tmp_path / "later" / "state.json"  # its directory does not exist yet
+    base = server(_config(state_path=state), patch=services.append)
+    (service,) = services
+    nodes_before = sorted(service.graph.node_ids)
+
+    failed = requests.post(f"{base}/models", json=NEW_CARD)
+    assert failed.status_code == 500
+    assert sorted(service.graph.node_ids) == nodes_before
+    assert requests.get(f"{base}/pool").json()["models"] == CATALOG
+    assert not state.parent.exists()
+
+    state.parent.mkdir()
+    retried = requests.post(f"{base}/models", json=NEW_CARD)
+    assert retried.status_code == 200
+    assert retried.json()["models"] == CATALOG + ["model_01_02"]
+    saved = json.loads(state.read_text())
+    assert [c["id"] for c in saved["registered_cards"]] == ["model_01_02"]
+    assert [m["model_id"] for m in saved["pool"]["models"]] == CATALOG + ["model_01_02"]
+    assert [p.name for p in state.parent.iterdir()] == ["state.json"]  # no stray temp file
+
+
+@pytest.mark.parametrize("length", ["twelve", "-1", "-40"])
+def test_bad_content_length_is_400_without_reading_the_body(server, length):
+    base = server(_config())
+    host, port = base.removeprefix("http://").split(":")
+    request = (
+        f"POST /route HTTP/1.1\r\nHost: {host}\r\nContent-Length: {length}\r\n"
+        "Content-Type: application/json\r\n\r\n"
+    ).encode()
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(request)  # and keep the connection open: no body follows
+        reply = b"".join(iter(lambda: sock.recv(4096), b"")).decode()
+    assert reply.startswith("HTTP/1.0 400")
+    assert "Content-Length must be a byte count" in reply
+
+
+def test_concurrent_routes_get_distinct_query_ids():
+    service = RoutingService(_config())
+    seen: list[str] = []
+    route = service.router.route
+
+    def recording_route(vec, pool, query_id, task_id=None):
+        seen.append(query_id)
+        return route(vec, pool, query_id=query_id, task_id=task_id)
+
+    service.router.route = recording_route
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches, so a lost update would show
+    try:
+        threads = [
+            threading.Thread(target=lambda: [service.route("count me", None) for _ in range(50)])
+            for _ in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == len(set(seen)) == 400
+
+
+def test_concurrent_route_and_register_see_whole_pool_states(server):
+    base = server(_config(router="graphrouter"))
+    cards = [
+        dict(NEW_CARD, id=f"model_01_{i:02d}", description=f"A build helper, release {i}.")
+        for i in range(2, 6)
+    ]
+    states = [CATALOG + [c["id"] for c in cards[:k]] for k in range(len(cards) + 1)]
+    statuses: list[int] = []
+    scored: list[list[str]] = []
+    done = threading.Event()
+
+    def router_client(n: int) -> None:
+        with requests.Session() as session:
+            while not done.is_set():
+                reply = session.post(
+                    f"{base}/route", json={"query_text": f"client {n}", "task_id": "task_01"}
+                )
+                statuses.append(reply.status_code)
+                if reply.status_code == 200:
+                    scored.append(sorted(reply.json()["scores"]))
+
+    def registrar() -> None:
+        try:
+            for card in cards:
+                statuses.append(requests.post(f"{base}/models", json=card).status_code)
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=router_client, args=(n,)) for n in range(12)]
+    threads.append(threading.Thread(target=registrar))
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(status < 500 for status in statuses)
+    assert statuses.count(200) == len(statuses) and len(scored) > len(cards)
+    whole = [sorted(state) for state in states]
+    assert all(ids in whole for ids in scored)
+    assert requests.get(f"{base}/pool").json()["models"] == states[-1]
