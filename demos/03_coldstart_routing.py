@@ -9,7 +9,8 @@ point of building the evidence graph.
 Run from the repository root:  python3 demos/03_coldstart_routing.py
 """
 
-from coldroute.evaluation import SynthWorldConfig, build_world_graph, run_coldstart, synth_world
+from coldroute.config import build_world_graph
+from coldroute.evaluation import SynthWorldConfig, run_coldstart, synth_world
 from coldroute.profiles import ProfileSpec
 from coldroute.providers import Providers
 from coldroute.routers import CandidatePool, sim_route

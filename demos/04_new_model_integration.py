@@ -16,9 +16,9 @@ import json
 
 import numpy as np
 
+from coldroute.config import build_world_graph
 from coldroute.evaluation import (
     SynthWorldConfig,
-    build_world_graph,
     integration_world,
     ncir,
 )

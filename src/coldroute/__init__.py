@@ -49,9 +49,7 @@ from .profiles import (
     load_profiles,
     make_profiles,
     save_profiles,
-    textgnn_profile,
     traingnn_fit,
-    traingnn_profile,
 )
 from .routers import (
     CandidatePool,
@@ -96,8 +94,7 @@ __all__ = [
     "RemoteSummarizer", "encode_all",
     # profiles
     "Profile", "ProfileSpec", "TrainGnnModel", "embgnn_propagate", "flat_profile",
-    "load_profiles", "make_profiles", "save_profiles", "textgnn_profile",
-    "traingnn_fit", "traingnn_profile",
+    "load_profiles", "make_profiles", "save_profiles", "traingnn_fit",
     # routing
     "CandidatePool", "GraphRouterLite", "InteractionRecord", "MlpRouter",
     "RoutingDecision", "SimRouter", "graphrouter_fit", "integrate_new_model",

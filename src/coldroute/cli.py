@@ -20,29 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ENV_CONFIG, AppConfig, load_config, make_providers
-from .errors import ColdRouteError, ConfigError, LeakedInteraction, UnknownModelInInteractions
+from .config import ENV_CONFIG, AppConfig, Pipeline, build_world_graph, load_config, make_providers
+from .errors import ColdRouteError, ConfigError
 from .evaluation import RewardTable, run_coldstart, run_integration
-from .graph import EvidenceGraph, ModelCard, NodeKind, build_graph, load_cards
-from .profiles import (
-    ProfileSpec,
-    TrainGnnModel,
-    load_profiles,
-    load_templates,
-    make_profiles,
-    save_profiles,
-    traingnn_fit,
-)
-from .providers import encode_all
+from .graph import load_cards, read_card
+from .profiles import load_profiles, save_profiles
 from .routers import (
     CandidatePool,
     SimRouter,
-    graphrouter_fit,
     integrate_new_model,
-    load_interactions,
     load_router,
-    load_tasks,
-    mlp_fit,
     router_checksum,
     save_router,
 )
@@ -65,50 +52,23 @@ def _load_cfg(args) -> AppConfig:
     return load_config(path)
 
 
-def _build_graph_from_cards(cards_dir: Path, dim: int) -> EvidenceGraph:
-    cards = load_cards(cards_dir)
-    return build_graph(
-        cards.families, cards.models, cards.benchmarks, cards.domains, cards.queries, dim
-    )
-
-
-def _prepared_graph(cfg: AppConfig):
-    """Graph built from the configured cards, fully encoded."""
-    providers = make_providers(cfg)
-    graph = _build_graph_from_cards(cfg.cards_dir, cfg.dim)
-    encode_all(graph, providers.encoder)
-    return graph, providers
-
-
-def _pool_ids(cfg: AppConfig, graph: EvidenceGraph) -> list[str]:
-    if cfg.pool:
-        return list(cfg.pool)
-    return [n.id for n in graph.nodes_of_kind(NodeKind.MODEL)]
-
-
-def _templates(cfg: AppConfig):
-    return load_templates(cfg.templates_dir) if cfg.templates_dir else None
-
-
-def _load_card(path: Path) -> ModelCard:
-    entry = json.loads(Path(path).read_text())
-    return ModelCard(
-        id=entry["id"],
-        family_id=entry["family_id"],
-        description=entry["description"],
-        scores={k: float(v) for k, v in entry.get("scores", {}).items()},
-    )
+def _pipeline(args) -> Pipeline:
+    """The configured pipeline, with the command's ``--spec`` / ``--seed`` overrides."""
+    cfg = _load_cfg(args)
+    if getattr(args, "spec", None):
+        cfg.spec = args.spec
+    if getattr(args, "seed", None) is not None:
+        cfg.seed = args.seed
+    return Pipeline(cfg)
 
 
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_graph(args) -> dict:
-    if args.cards:
-        cards_dir, dim = Path(args.cards), args.dim
-    else:
-        cfg = _load_cfg(args)
-        cards_dir, dim = cfg.cards_dir, cfg.dim
-    graph = _build_graph_from_cards(cards_dir, dim)
+    encode = args.action == "build" and args.encode
+    cfg = _load_cfg(args) if encode or not args.cards else None
+    cards_dir, dim = (Path(args.cards), args.dim) if args.cards else (cfg.cards_dir, cfg.dim)
+    graph = build_world_graph(load_cards(cards_dir), dim, make_providers(cfg) if encode else None)
     info = {
         "nodes": len(graph),
         "edges": len(graph.edges),
@@ -116,9 +76,6 @@ def _cmd_graph(args) -> dict:
         "valid": True,
     }
     if args.action == "build":
-        if args.encode:
-            cfg = _load_cfg(args)
-            encode_all(graph, make_providers(cfg).encoder)
         out = Path(args.out or "graph.json")
         graph.save(out)
         info["path"] = str(out)
@@ -126,77 +83,32 @@ def _cmd_graph(args) -> dict:
 
 
 def _cmd_profile(args) -> dict:
-    cfg = _load_cfg(args)
-    graph, providers = _prepared_graph(cfg)
-    spec = ProfileSpec.parse(args.spec or cfg.spec)
-    pool = list(args.pool) if args.pool else _pool_ids(cfg, graph)
-    trained = None
-    if spec.learning == "trainable":
-        trained = traingnn_fit(graph, spec, cfg.seed)
-    profiles = make_profiles(
-        graph, spec, pool, providers, seed=cfg.seed, templates=_templates(cfg), trained=trained
-    )
-    out = Path(args.out) if args.out else cfg.base_dir / "profiles.jsonl"
-    save_profiles(profiles, out)
-    info = {"spec": spec.short(), "models": len(profiles), "path": str(out)}
-    if trained is not None:
-        agg_path = cfg.aggregator or out.with_suffix(".aggregator.json")
-        Path(agg_path).write_text(json.dumps(trained.to_checkpoint(), sort_keys=True))
+    pipe = _pipeline(args)
+    pool = pipe.pool(list(args.pool) if args.pool else pipe.pool_ids())
+    out = Path(args.out) if args.out else pipe.cfg.base_dir / "profiles.jsonl"
+    save_profiles({p.model_id: p for p in pool.profiles()}, out)
+    info = {"spec": pipe.spec.short(), "models": len(pool), "path": str(out)}
+    if pipe.aggregator is not None:
+        agg_path = pipe.cfg.aggregator or out.with_suffix(".aggregator.json")
+        Path(agg_path).write_text(json.dumps(pipe.aggregator.to_checkpoint(), sort_keys=True))
         info["aggregator"] = str(agg_path)
     return info
 
 
 def _cmd_router_train(args) -> dict:
-    cfg = _load_cfg(args)
-    graph, providers = _prepared_graph(cfg)
-    spec = ProfileSpec.parse(args.spec or cfg.spec)
-    pool_ids = _pool_ids(cfg, graph)
-    if cfg.interactions is None:
-        raise ConfigError("router training needs an interactions file in the config")
-    interactions = load_interactions(cfg.interactions)
-    new_id = None
-    if cfg.new_model_card is not None:
-        new_id = _load_card(cfg.new_model_card).id
-    for rec in interactions:
-        if new_id is not None and rec.model_id == new_id:
-            raise LeakedInteraction(rec.model_id)
-        if rec.model_id not in pool_ids:
-            raise UnknownModelInInteractions(rec.model_id)
-
-    trained = traingnn_fit(graph, spec, cfg.seed) if spec.learning == "trainable" else None
-    profiles = make_profiles(
-        graph, spec, pool_ids, providers, seed=cfg.seed, templates=_templates(cfg), trained=trained
-    )
-    pool = CandidatePool([profiles[m] for m in pool_ids])
-    query_vecs = {
-        qid: graph.node(qid).embedding for qid in sorted({r.query_id for r in interactions})
-    }
-    kind = args.kind
-    if kind == "sim":
-        router = SimRouter(dim=pool.dim)
-    elif kind == "mlp":
-        router = mlp_fit(interactions, query_vecs, pool, hidden=cfg.hidden, seed=cfg.seed)
-    elif kind == "graphrouter":
-        if cfg.tasks is None:
-            raise ConfigError("the graph router needs a tasks file in the config")
-        tasks = load_tasks(cfg.tasks)
-        train_tasks = {qid: tasks[qid] for qid in query_vecs if qid in tasks}
-        router = graphrouter_fit(
-            train_tasks, query_vecs, interactions, pool, hidden=cfg.hidden, seed=cfg.seed
-        )
-    else:
-        raise ConfigError(f"unknown router kind {kind!r}")
-
-    out = Path(args.out) if args.out else cfg.base_dir / f"router_{kind}.json"
+    pipe = _pipeline(args)
+    pool = pipe.pool(pipe.pool_ids())
+    router = pipe.router(args.kind, pool)
+    out = Path(args.out) if args.out else pipe.cfg.base_dir / f"router_{args.kind}.json"
     save_router(router, out)
     pool_out = Path(args.pool_out) if args.pool_out else out.with_name(out.stem + "_pool.json")
     pool.save(pool_out)
     return {
-        "router": kind,
+        "router": args.kind,
         "path": str(out),
         "pool_path": str(pool_out),
         "checksum": router_checksum(router),
-        "interactions": len(interactions),
+        "interactions": len(pipe.interactions or []),
     }
 
 
@@ -217,18 +129,14 @@ def _cmd_route(args) -> dict:
 
 
 def _eval_common(args):
-    cfg = _load_cfg(args)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.spec:
-        cfg.spec = args.spec
-    graph, providers = _prepared_graph(cfg)
-    if cfg.rewards is None:
+    pipe = _pipeline(args)
+    graph = pipe.graph
+    if pipe.cfg.rewards is None:
         raise ConfigError("evaluation needs a rewards file in the config")
-    rewards = RewardTable.load(cfg.rewards)
-    queries = cfg.eval_queries or [q for q in rewards.query_ids if q in graph]
-    out_base = Path(args.out) if args.out else cfg.out
-    return cfg, graph, providers, rewards, queries, out_base
+    rewards = RewardTable.load(pipe.cfg.rewards)
+    queries = pipe.cfg.eval_queries or [q for q in rewards.query_ids if q in graph]
+    out_base = Path(args.out) if args.out else pipe.cfg.out
+    return pipe, rewards, queries, out_base
 
 
 def _write_report(report, out_base: Path, as_json: bool) -> dict:
@@ -254,81 +162,61 @@ def _write_report(report, out_base: Path, as_json: bool) -> dict:
 
 
 def _cmd_eval_coldstart(args) -> dict:
-    cfg, graph, providers, rewards, queries, out_base = _eval_common(args)
-    pool = _pool_ids(cfg, graph)
+    pipe, rewards, queries, out_base = _eval_common(args)
     report = run_coldstart(
-        graph,
-        ProfileSpec.parse(cfg.spec),
-        pool,
+        pipe.graph,
+        pipe.spec,
+        pipe.pool_ids(),
         queries,
         rewards,
-        providers,
-        seed=cfg.seed,
-        random_seeds=cfg.random_seeds,
-        templates=_templates(cfg),
+        pipe.providers,
+        seed=pipe.cfg.seed,
+        random_seeds=pipe.cfg.random_seeds,
+        templates=pipe.templates,
     )
     return _write_report(report, out_base, args.json)
 
 
 def _cmd_eval_integrate(args) -> dict:
-    cfg, graph, providers, rewards, queries, out_base = _eval_common(args)
-    if args.router:
-        cfg.router = args.router
-    if cfg.new_model_card is None:
+    pipe, rewards, queries, out_base = _eval_common(args)
+    cfg = pipe.cfg
+    if pipe.new_card is None:
         raise ConfigError("integration needs a new_model_card in the config")
-    if cfg.interactions is None:
-        raise ConfigError("integration needs an interactions file in the config")
-    new_card = _load_card(cfg.new_model_card)
-    old_pool = [m for m in _pool_ids(cfg, graph) if m != new_card.id]
-    interactions = load_interactions(cfg.interactions)
-    tasks = load_tasks(cfg.tasks) if cfg.tasks else None
     report = run_integration(
-        graph,
-        ProfileSpec.parse(cfg.spec),
-        old_pool,
-        new_card,
-        cfg.router,
-        interactions,
+        pipe.graph,
+        pipe.spec,
+        pipe.pool_ids(without=pipe.new_card.id),
+        pipe.new_card,
+        args.router or cfg.router,
+        pipe.interactions,
         queries,
         rewards,
-        providers,
+        pipe.providers,
         cfg.seed,
-        tasks=tasks,
+        tasks=pipe.tasks,
         threshold=cfg.threshold,
         random_seeds=cfg.random_seeds,
-        templates=_templates(cfg),
+        templates=pipe.templates,
         hidden=cfg.hidden,
     )
     return _write_report(report, out_base, args.json)
 
 
 def _cmd_integrate(args) -> dict:
-    cfg = _load_cfg(args)
-    graph, providers = _prepared_graph(cfg)
-    spec = ProfileSpec.parse(args.spec or cfg.spec)
-    card = _load_card(Path(args.card))
-    trained = None
-    if spec.learning == "trainable":
-        if cfg.aggregator and Path(cfg.aggregator).exists():
-            trained = TrainGnnModel.from_checkpoint(json.loads(Path(cfg.aggregator).read_text()))
-        else:
-            trained = traingnn_fit(graph, spec, cfg.seed)
+    pipe = _pipeline(args)
+    card = read_card(args.card)
     if args.pool_state and Path(args.pool_state).exists():
         pool = CandidatePool.load(args.pool_state)
     else:
-        pool_ids = [m for m in _pool_ids(cfg, graph) if m != card.id]
-        profiles = make_profiles(
-            graph, spec, pool_ids, providers, seed=cfg.seed,
-            templates=_templates(cfg), trained=trained,
-        )
-        pool = CandidatePool([profiles[m] for m in pool_ids])
-    router = load_router(args.router) if args.router else SimRouter(dim=cfg.dim)
+        pool = pipe.pool(pipe.pool_ids(without=card.id))
+    router = load_router(args.router) if args.router else SimRouter(dim=pipe.cfg.dim)
     before = router_checksum(router)
     integrate_new_model(
-        router, pool, graph, card, spec, providers, trained=trained, templates=_templates(cfg)
+        router, pool, pipe.graph, card, pipe.spec, pipe.providers,
+        trained=pipe.aggregator, templates=pipe.templates,
     )
     after = router_checksum(router)
-    state = Path(args.pool_state) if args.pool_state else cfg.base_dir / "pool_state.json"
+    state = Path(args.pool_state) if args.pool_state else pipe.cfg.base_dir / "pool_state.json"
     pool.save(state)
     return {
         "integrated": card.id,

@@ -6,6 +6,10 @@ relative to the config file's own directory, so a config can travel with
 its data.  Remote provider endpoints and the API key may come from the
 environment (``RP_EMBED_URL``, ``RP_LLM_URL``, ``RP_API_KEY``); the
 config path itself may come from ``RP_CONFIG``.
+
+``Pipeline`` turns a config into everything routing needs: providers,
+spec, templates, the encoded graph, the aggregator, the pool and the
+router.  The CLI and the service both build through it.
 """
 
 from __future__ import annotations
@@ -13,18 +17,38 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigError
+from .graph import CardSet, EvidenceGraph, ModelCard, NodeKind, build_graph, load_cards, read_card
+from .profiles import ProfileSpec, TrainGnnModel, load_templates, traingnn_fit
 from .providers import (
     DeterministicEmbedder,
     EchoSummarizer,
     Providers,
     RemoteEmbedder,
     RemoteSummarizer,
+    encode_all,
+)
+from .routers import (
+    CandidatePool,
+    InteractionRecord,
+    fit_router,
+    load_interactions,
+    load_tasks,
+    profile_pool,
+    query_vectors,
 )
 
-__all__ = ["AppConfig", "load_config", "make_providers", "ENV_CONFIG"]
+__all__ = [
+    "AppConfig",
+    "Pipeline",
+    "build_world_graph",
+    "load_config",
+    "make_providers",
+    "ENV_CONFIG",
+]
 
 ENV_CONFIG = "RP_CONFIG"
 ENV_EMBED_URL = "RP_EMBED_URL"
@@ -136,3 +160,92 @@ def make_providers(cfg: AppConfig) -> Providers:
     else:
         raise ConfigError(f"unknown summarizer kind {kind!r}")
     return Providers(encoder, summarizer)
+
+
+def build_world_graph(
+    cards: CardSet, dim: int, providers: Providers | None = None
+) -> EvidenceGraph:
+    """The evidence graph of a card set, every node encoded when ``providers`` is given."""
+    graph = build_graph(
+        cards.families, cards.models, cards.benchmarks, cards.domains, cards.queries, dim
+    )
+    return graph if providers is None else encode_all(graph, providers.encoder)
+
+
+class Pipeline:
+    """One config's path from model cards to a router.
+
+    Providers, spec and templates are made at once.  Every other stage is
+    built on first use and then kept, so a command pays only for what it
+    reads, and each stage runs at most once.
+    """
+
+    def __init__(self, cfg: AppConfig):
+        self.cfg = cfg
+        self.providers = make_providers(cfg)
+        self.spec = ProfileSpec.parse(cfg.spec)
+        self.templates = load_templates(cfg.templates_dir) if cfg.templates_dir else None
+
+    @cached_property
+    def graph(self) -> EvidenceGraph:
+        return build_world_graph(load_cards(self.cfg.cards_dir), self.cfg.dim, self.providers)
+
+    @cached_property
+    def aggregator(self) -> TrainGnnModel | None:
+        """The frozen aggregator of a trainable spec, else None.
+
+        A configured ``aggregator`` file that exists is loaded; otherwise
+        the aggregator is fitted on the graph.
+        """
+        if self.spec.learning != "trainable":
+            return None
+        path = self.cfg.aggregator
+        if path is None or not Path(path).exists():
+            return traingnn_fit(self.graph, self.spec, self.cfg.seed)
+        model = TrainGnnModel.from_checkpoint(json.loads(Path(path).read_text()))
+        if (model.depth, model.dim) != (self.spec.depth, self.cfg.dim):
+            raise ConfigError(
+                f"aggregator {path} has depth {model.depth} and dim {model.dim}, "
+                f"but {self.spec.short()} with dim {self.cfg.dim} is configured"
+            )
+        return model
+
+    @cached_property
+    def new_card(self) -> ModelCard | None:
+        return read_card(self.cfg.new_model_card) if self.cfg.new_model_card else None
+
+    @cached_property
+    def interactions(self) -> list[InteractionRecord] | None:
+        return load_interactions(self.cfg.interactions) if self.cfg.interactions else None
+
+    @cached_property
+    def tasks(self) -> dict[str, str] | None:
+        return load_tasks(self.cfg.tasks) if self.cfg.tasks else None
+
+    def pool_ids(self, without: str | None = None) -> list[str]:
+        """The configured pool, else every model of the graph; ``without`` left out."""
+        ids = self.cfg.pool or [n.id for n in self.graph.nodes_of_kind(NodeKind.MODEL)]
+        return [m for m in ids if m != without]
+
+    def pool(self, ids: list[str]) -> CandidatePool:
+        return profile_pool(
+            self.graph, self.spec, ids, self.providers,
+            seed=self.cfg.seed, templates=self.templates, trained=self.aggregator,
+        )
+
+    def router(self, kind: str, pool: CandidatePool):
+        """A ``kind`` router over ``pool``, fitted on the configured interactions.
+
+        They may not mention the configured new model.
+        """
+        interactions = self.interactions
+        return fit_router(
+            kind,
+            interactions,
+            query_vectors(self.graph, [r.query_id for r in interactions or []]),
+            pool,
+            tasks=self.tasks,
+            hidden=self.cfg.hidden,
+            seed=self.cfg.seed,
+            held_out=self.new_card.id if self.new_card else None,
+        )

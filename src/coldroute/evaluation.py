@@ -24,20 +24,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ColdRouteError,
-    ConfigError,
-    EmptyTable,
-    LeakedInteraction,
-    MissingReward,
-    UnassignedQuery,
-    UnknownModelInInteractions,
-)
+from .errors import ColdRouteError, ConfigError, EmptyTable, MissingReward
 from .graph import (
     BenchmarkCard,
     CardSet,
@@ -46,20 +38,16 @@ from .graph import (
     FamilyCard,
     ModelCard,
     QueryRecord,
-    build_graph,
 )
-from .profiles import ProfileSpec, TrainGnnModel, make_profiles, traingnn_fit
+from .profiles import ProfileSpec, TrainGnnModel, traingnn_fit
 from .providers import Providers, encode_all
 from .routers import (
-    CandidatePool,
-    GraphRouterLite,
     InteractionRecord,
-    MlpRouter,
     RoutingDecision,
-    SimRouter,
-    graphrouter_fit,
+    fit_router,
     integrate_new_model,
-    mlp_fit,
+    profile_pool,
+    query_vectors,
     router_checksum,
     sim_route,
 )
@@ -77,7 +65,6 @@ __all__ = [
     "IntegrationWorld",
     "synth_world",
     "integration_world",
-    "build_world_graph",
     "run_coldstart",
     "run_integration",
     "DEFAULT_RANDOM_SEEDS",
@@ -484,20 +471,33 @@ def integration_world(config: SynthWorldConfig) -> IntegrationWorld:
     )
 
 
-def build_world_graph(cards: CardSet, dim: int, providers: Providers) -> EvidenceGraph:
-    graph = build_graph(
-        cards.families, cards.models, cards.benchmarks, cards.domains, cards.queries, dim
-    )
-    return encode_all(graph, providers.encoder)
-
-
 # --- protocols -------------------------------------------------------------
 
-def _query_vector(graph: EvidenceGraph, query_id: str) -> np.ndarray:
-    node = graph.node(query_id)
-    if node.embedding is None:
-        raise ColdRouteError(f"query {query_id!r} has no embedding; encode the graph first")
-    return node.embedding
+def _report(
+    protocol: str,
+    spec: ProfileSpec,
+    router: str,
+    decisions: list[RoutingDecision],
+    table: RewardTable,
+    random_seeds,
+    **integration,
+) -> EvalReport:
+    """The report of one protocol run: its metrics and the reference baselines."""
+    best_id, best_value = single_best(table)
+    return EvalReport(
+        protocol=protocol,
+        spec=spec.short(),
+        router=router,
+        num_queries=len(decisions),
+        average_performance=average_performance(decisions, table),
+        oracle=oracle(table),
+        single_best_model=best_id,
+        single_best=best_value,
+        random_mean=random_baseline(table, random_seeds),
+        random_seeds=list(random_seeds),
+        decisions=_decision_rows(decisions, table),
+        **integration,
+    )
 
 
 def run_coldstart(
@@ -514,26 +514,11 @@ def run_coldstart(
 ) -> EvalReport:
     """Training-free protocol: profiles + similarity routing, no interactions."""
     encode_all(graph, providers.encoder, only_missing=True)
-    profiles = make_profiles(graph, spec, pool, providers, seed=seed, templates=templates)
-    candidate_pool = CandidatePool([profiles[m] for m in pool])
-    decisions = [
-        sim_route(_query_vector(graph, qid), candidate_pool, qid) for qid in queries
-    ]
+    candidate_pool = profile_pool(graph, spec, pool, providers, seed=seed, templates=templates)
+    vecs = query_vectors(graph, queries)
+    decisions = [sim_route(vecs[qid], candidate_pool, qid) for qid in queries]
     table = rewards.restrict(queries, pool)
-    best_id, best_value = single_best(table)
-    return EvalReport(
-        protocol="coldstart",
-        spec=spec.short(),
-        router="sim",
-        num_queries=len(queries),
-        average_performance=average_performance(decisions, table),
-        oracle=oracle(table),
-        single_best_model=best_id,
-        single_best=best_value,
-        random_mean=random_baseline(table, random_seeds),
-        random_seeds=list(random_seeds),
-        decisions=_decision_rows(decisions, table),
-    )
+    return _report("coldstart", spec, "sim", decisions, table, random_seeds)
 
 
 def run_integration(
@@ -542,7 +527,7 @@ def run_integration(
     old_pool: list[str],
     new_card: ModelCard,
     router_kind: str,
-    train_interactions: list[InteractionRecord],
+    train_interactions: list[InteractionRecord] | None,
     queries: list[str],
     rewards: RewardTable,
     providers: Providers,
@@ -557,42 +542,28 @@ def run_integration(
 ) -> EvalReport:
     """Frozen-router protocol: train on the old pool, freeze, integrate, route.
 
-    ``new_profile_override`` substitutes the integrated model's profile
-    vector after integration (used by ablation runs, e.g. a zero vector);
-    the router is never touched either way.
+    ``train_interactions`` may be None (no data) for the ``sim`` router
+    only.  ``new_profile_override`` substitutes the integrated model's
+    profile vector after integration (used by ablation runs, e.g. a zero
+    vector); the router is never touched either way.
     """
-    for rec in train_interactions:
-        if rec.model_id == new_card.id:
-            raise LeakedInteraction(rec.model_id)
-        if rec.model_id not in old_pool:
-            raise UnknownModelInInteractions(rec.model_id)
-
     encode_all(graph, providers.encoder, only_missing=True)
     aggregator: TrainGnnModel | None = None
     if spec.learning == "trainable":
         aggregator = traingnn_fit(graph, spec, seed)
-    profiles = make_profiles(
+    pool = profile_pool(
         graph, spec, old_pool, providers, seed=seed, templates=templates, trained=aggregator
     )
-    pool = CandidatePool([profiles[m] for m in old_pool])
-
-    train_query_ids = sorted({rec.query_id for rec in train_interactions})
-    query_vecs = {qid: _query_vector(graph, qid) for qid in train_query_ids}
-    if router_kind == "sim":
-        router = SimRouter(dim=pool.dim)
-    elif router_kind == "mlp":
-        router = mlp_fit(
-            train_interactions, query_vecs, pool, hidden=hidden, seed=seed
-        )
-    elif router_kind == "graphrouter":
-        if tasks is None:
-            raise ConfigError("the graph router needs a task assignment")
-        train_tasks = {qid: tasks[qid] for qid in train_query_ids if qid in tasks}
-        router = graphrouter_fit(
-            train_tasks, query_vecs, train_interactions, pool, hidden=hidden, seed=seed
-        )
-    else:
-        raise ConfigError(f"unknown router kind {router_kind!r}")
+    router = fit_router(
+        router_kind,
+        train_interactions,
+        query_vectors(graph, [r.query_id for r in train_interactions or []]),
+        pool,
+        tasks=tasks,
+        hidden=hidden,
+        seed=seed,
+        held_out=new_card.id,
+    )
     checksum_before = router_checksum(router)
 
     integrate_new_model(
@@ -601,32 +572,23 @@ def run_integration(
     if new_profile_override is not None:
         pool.get(new_card.id).vector = np.asarray(new_profile_override, dtype=np.float64)
 
-    decisions = []
-    for qid in queries:
-        task_id = tasks.get(qid) if tasks else None
-        if router_kind == "graphrouter" and task_id is None:
-            raise UnassignedQuery(qid)
-        decisions.append(router.route(_query_vector(graph, qid), pool, qid, task_id))
+    vecs = query_vectors(graph, queries)
+    decisions = [
+        router.route(vecs[qid], pool, qid, tasks.get(qid) if tasks else None) for qid in queries
+    ]
 
     checksum_after = router_checksum(router)
     if checksum_after != checksum_before:
         raise ColdRouteError("frozen-router contract violated: checkpoint changed")
 
-    expanded = old_pool + [new_card.id]
-    table = rewards.restrict(queries, expanded)
-    best_id, best_value = single_best(table)
-    return EvalReport(
-        protocol="integration",
-        spec=spec.short(),
-        router=router_kind,
-        num_queries=len(queries),
-        average_performance=average_performance(decisions, table),
-        oracle=oracle(table),
-        single_best_model=best_id,
-        single_best=best_value,
-        random_mean=random_baseline(table, random_seeds),
-        random_seeds=list(random_seeds),
-        decisions=_decision_rows(decisions, table),
+    table = rewards.restrict(queries, old_pool + [new_card.id])
+    return _report(
+        "integration",
+        spec,
+        router_kind,
+        decisions,
+        table,
+        random_seeds,
         ncir=ncir(decisions, table, new_card.id, threshold),
         threshold=threshold,
         new_model_id=new_card.id,

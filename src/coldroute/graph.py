@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DanglingReference,
     DuplicateId,
     InvalidGraph,
@@ -52,6 +53,8 @@ __all__ = [
     "add_model_node",
     "remove_node",
     "load_cards",
+    "parse_card",
+    "read_card",
     "normalize_score",
 ]
 
@@ -449,6 +452,41 @@ def remove_node(graph: EvidenceGraph, node_id: str) -> None:
 
 # --- card file IO ----------------------------------------------------------
 
+def parse_card(entry: dict) -> ModelCard:
+    """A model card from a JSON object; malformed fields raise ``ConfigError``."""
+    if not isinstance(entry, dict):
+        raise ConfigError("a model card must be a JSON object")
+    for key in ("id", "family_id", "description"):
+        if key not in entry:
+            raise ConfigError(f"model card is missing {key!r}")
+        if not isinstance(entry[key], str) or not entry[key].strip():
+            raise ConfigError(f"model card field {key!r} must be a nonempty string")
+    scores = entry.get("scores", {})
+    if not isinstance(scores, dict):
+        raise ConfigError("model card scores must be an object of benchmark id -> number")
+    parsed: dict[str, float] = {}
+    for bench_id, value in scores.items():
+        try:
+            parsed[bench_id] = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"score for {bench_id!r} is not a number: {value!r}") from None
+    return ModelCard(
+        id=entry["id"],
+        family_id=entry["family_id"],
+        description=entry["description"],
+        scores=parsed,
+    )
+
+
+def read_card(path: str | Path) -> ModelCard:
+    """The model card in a JSON file; an unreadable file raises ``ConfigError``."""
+    try:
+        entry = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read model card {path}: {exc}") from exc
+    return parse_card(entry)
+
+
 _CARD_FILES = {
     "families": "families.json",
     "models": "models.json",
@@ -470,7 +508,7 @@ def load_cards(directory: str | Path) -> CardSet:
 
     cards = CardSet()
     cards.families = [FamilyCard(**entry) for entry in read_json(_CARD_FILES["families"])]
-    cards.models = [ModelCard(**entry) for entry in read_json(_CARD_FILES["models"])]
+    cards.models = [parse_card(entry) for entry in read_json(_CARD_FILES["models"])]
     cards.benchmarks = [BenchmarkCard(**entry) for entry in read_json(_CARD_FILES["benchmarks"])]
     cards.domains = [DomainCard(**entry) for entry in read_json(_CARD_FILES["domains"])]
     queries_path = directory / _CARD_FILES["queries"]

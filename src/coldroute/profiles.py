@@ -52,13 +52,10 @@ __all__ = [
     "default_templates",
     "load_templates",
     "render_prompt",
-    "textgnn_step",
     "textgnn_run",
-    "textgnn_profile",
     "TrainGnnModel",
     "traingnn_fit",
     "traingnn_states",
-    "traingnn_profile",
     "make_profiles",
     "save_profiles",
     "load_profiles",
@@ -319,17 +316,6 @@ def render_prompt(
     )
 
 
-def textgnn_step(
-    graph: EvidenceGraph,
-    node_id: str,
-    texts: dict[str, str],
-    hop: int,
-    summarizer: Summarizer,
-    templates: dict[NodeKind, PromptTemplate] | None = None,
-) -> str:
-    return _summarize_round(graph, [node_id], texts, hop, summarizer, templates)[0]
-
-
 def _summarize_round(
     graph: EvidenceGraph,
     node_ids: list[str],
@@ -413,21 +399,6 @@ def textgnn_run(
     if targets is None:
         return texts
     return {nid: texts[nid] for nid in targets}
-
-
-def textgnn_profile(
-    graph: EvidenceGraph,
-    model_id: str,
-    depth: int,
-    summarizer: Summarizer,
-    encoder: TextEncoder,
-    templates: dict[NodeKind, PromptTemplate] | None = None,
-) -> Profile:
-    if graph.node(model_id).kind is not NodeKind.MODEL:
-        raise UnknownNode(model_id)
-    texts = textgnn_run(graph, depth, summarizer, templates, targets=[model_id])
-    spec = ProfileSpec("structured", "text", depth, "training_free")
-    return Profile(model_id, spec, encoder.encode(texts[model_id]), texts[model_id])
 
 
 # --- trained propagation ---------------------------------------------------
@@ -690,14 +661,6 @@ def traingnn_states(model: TrainGnnModel, graph: EvidenceGraph) -> dict[str, np.
     s = _propagation_matrix(gt, gt.edge_weights)
     h = model.states(s, gt.features)
     return {nid: h[i] for i, nid in enumerate(gt.ids)}
-
-
-def traingnn_profile(model: TrainGnnModel, graph: EvidenceGraph, model_id: str) -> Profile:
-    if graph.node(model_id).kind is not NodeKind.MODEL:
-        raise UnknownNode(model_id)
-    states = traingnn_states(model, graph)
-    spec = ProfileSpec("structured", "embedding", model.depth, "trainable")
-    return Profile(model_id, spec, states[model_id])
 
 
 # --- dispatcher ------------------------------------------------------------

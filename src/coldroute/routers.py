@@ -11,6 +11,9 @@ Three routers with one calling convention (``route(query_vec, pool, ...)``):
                         affine+ReLU; a linear decoder reads the reward from
                         the (query, model) state pair.
 
+``fit_router`` is the one way from a router kind and interactions to a
+router; ``profile_pool`` the one way from model ids to a profiled pool.
+
 Integration appends a new model to the pool using only its public-signal
 profile; router parameters are never touched, which the checkpoint
 checksum makes checkable.
@@ -33,8 +36,10 @@ from .errors import (
     DuplicateId,
     EmptyPool,
     InvalidSpec,
+    LeakedInteraction,
     NonFiniteLoss,
     UnassignedQuery,
+    UninitializedEmbedding,
     UnknownModelInInteractions,
     UnknownTask,
 )
@@ -52,6 +57,9 @@ __all__ = [
     "sim_route",
     "mlp_fit",
     "graphrouter_fit",
+    "fit_router",
+    "profile_pool",
+    "query_vectors",
     "integrate_new_model",
     "router_checksum",
     "save_router",
@@ -323,8 +331,9 @@ class MlpRouter:
         query_vec = np.asarray(query_vec, dtype=np.float64)
         if query_vec.shape != (self.dim,):
             raise DimensionMismatch(self.dim, query_vec.shape[0], "query vector")
-        preds = self.predict(query_vec, pool.matrix())
-        scores = {mid: float(p) for mid, p in zip(pool.ids, preds)}
+        profiles = pool.profiles()  # one snapshot: ids and vectors of the same moment
+        preds = self.predict(query_vec, np.stack([p.vector for p in profiles]))
+        scores = {p.model_id: float(s) for p, s in zip(profiles, preds)}
         return RoutingDecision.from_scores(query_id, scores)
 
     def to_checkpoint(self) -> dict:
@@ -792,6 +801,71 @@ def load_router(path: str | Path):
     if kind not in _ROUTER_KINDS:
         raise ConfigError(f"unknown router kind {kind!r}")
     return _ROUTER_KINDS[kind].from_checkpoint(payload)
+
+
+def query_vectors(graph: EvidenceGraph, query_ids) -> dict[str, np.ndarray]:
+    """Encoded features of the given query nodes, each once, in id order."""
+    out = {}
+    for qid in sorted(set(query_ids)):
+        vec = graph.node(qid).embedding
+        if vec is None:
+            raise UninitializedEmbedding(qid)
+        out[qid] = vec
+    return out
+
+
+def fit_router(
+    kind: str,
+    interactions: list[InteractionRecord] | None,
+    query_vecs: dict[str, np.ndarray],
+    pool: CandidatePool,
+    *,
+    tasks: dict[str, str] | None = None,
+    hidden: int = 64,
+    seed: int = 0,
+    held_out: str | None = None,
+):
+    """A ``kind`` router over ``pool``, fitted on ``interactions`` unless it is ``sim``.
+
+    Every interaction must name a pool model, and none may name
+    ``held_out``, a model kept out of training.  ``None`` interactions
+    (no data at all) serve ``sim`` only; the graph router also needs
+    ``tasks``, each training query's task id.
+    """
+    for rec in interactions or []:
+        if rec.model_id == held_out:
+            raise LeakedInteraction(rec.model_id)
+        if rec.model_id not in pool:
+            raise UnknownModelInInteractions(rec.model_id)
+    if kind not in _ROUTER_KINDS:
+        raise ConfigError(f"unknown router kind {kind!r}")
+    if kind == "sim":
+        return SimRouter(dim=pool.dim)
+    if interactions is None:
+        raise ConfigError(f"router {kind!r} needs an interactions file in the config")
+    if kind == "mlp":
+        return mlp_fit(interactions, query_vecs, pool, hidden=hidden, seed=seed)
+    if tasks is None:
+        raise ConfigError("the graph router needs a tasks file in the config")
+    train_tasks = {qid: tasks[qid] for qid in query_vecs if qid in tasks}
+    return graphrouter_fit(train_tasks, query_vecs, interactions, pool, hidden=hidden, seed=seed)
+
+
+def profile_pool(
+    graph: EvidenceGraph,
+    spec: ProfileSpec,
+    ids: list[str],
+    providers: Providers,
+    *,
+    seed: int = 0,
+    templates=None,
+    trained: TrainGnnModel | None = None,
+) -> CandidatePool:
+    """The pool of ``ids``, in that order, profiled by ``make_profiles``."""
+    profiles = make_profiles(
+        graph, spec, ids, providers, seed=seed, templates=templates, trained=trained
+    )
+    return CandidatePool([profiles[m] for m in ids])
 
 
 def integrate_new_model(

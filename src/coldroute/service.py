@@ -11,10 +11,11 @@ Endpoints:
 
 Routing is side-effect free; registration is serialized behind a lock and
 persists the pool (plus the registered cards) to a JSON snapshot, written
-atomically and reloaded on startup for crash recovery.  A card is
-validated before it touches the graph, and a registration that fails
-later, the state write included, leaves the graph and the pool as they
-were.
+atomically and reloaded on startup for crash recovery.  A snapshot that
+cannot be read, or that holds profiles of another spec or dimension than
+the config's, stops start-up with ``ConfigError``.  A card is validated
+before it touches the graph, and a registration that fails later, the
+state write included, leaves the graph and the pool as they were.
 """
 
 from __future__ import annotations
@@ -29,54 +30,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import AppConfig, make_providers
+from .config import AppConfig, Pipeline
 from .errors import (
     ColdRouteError,
     ConfigError,
     DuplicateId,
     ProviderTimeout,
     TransportError,
-    UnknownTask,
 )
-from .graph import ModelCard, NodeKind, add_model_node, build_graph, load_cards, remove_node
-from .profiles import ProfileSpec, TrainGnnModel, load_templates, make_profiles, traingnn_fit
+from .graph import add_model_node, parse_card, remove_node
 from .providers import encode_all, write_atomic
-from .routers import (
-    CandidatePool,
-    SimRouter,
-    graphrouter_fit,
-    integrate_new_model,
-    load_interactions,
-    load_tasks,
-    mlp_fit,
-    router_checksum,
-)
+from .routers import CandidatePool, integrate_new_model, router_checksum
 
 __all__ = ["RoutingService", "make_server", "serve"]
-
-
-def _parse_card(entry: dict) -> ModelCard:
-    """A model card from a JSON object; malformed fields raise ``ConfigError``."""
-    for key in ("id", "family_id", "description"):
-        if key not in entry:
-            raise ConfigError(f"model card is missing {key!r}")
-        if not isinstance(entry[key], str) or not entry[key].strip():
-            raise ConfigError(f"model card field {key!r} must be a nonempty string")
-    scores = entry.get("scores", {})
-    if not isinstance(scores, dict):
-        raise ConfigError("model card scores must be an object of benchmark id -> number")
-    parsed: dict[str, float] = {}
-    for bench_id, value in scores.items():
-        try:
-            parsed[bench_id] = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"score for {bench_id!r} is not a number: {value!r}") from None
-    return ModelCard(
-        id=entry["id"],
-        family_id=entry["family_id"],
-        description=entry["description"],
-        scores=parsed,
-    )
 
 
 class RoutingService:
@@ -84,74 +50,49 @@ class RoutingService:
 
     def __init__(self, cfg: AppConfig):
         self.cfg = cfg
-        self.providers = make_providers(cfg)
-        self.spec = ProfileSpec.parse(cfg.spec)
-        self.templates = load_templates(cfg.templates_dir) if cfg.templates_dir else None
-        cards = load_cards(cfg.cards_dir)
-        self.graph = build_graph(
-            cards.families, cards.models, cards.benchmarks, cards.domains, cards.queries, cfg.dim
-        )
-        encode_all(self.graph, self.providers.encoder)
-
-        self.trained: TrainGnnModel | None = None
-        if self.spec.learning == "trainable":
-            if cfg.aggregator and Path(cfg.aggregator).exists():
-                self.trained = TrainGnnModel.from_checkpoint(
-                    json.loads(Path(cfg.aggregator).read_text())
-                )
-            else:
-                self.trained = traingnn_fit(self.graph, self.spec, cfg.seed)
-
-        pool_ids = cfg.pool or [n.id for n in self.graph.nodes_of_kind(NodeKind.MODEL)]
-        profiles = make_profiles(
-            self.graph, self.spec, pool_ids, self.providers,
-            seed=cfg.seed, templates=self.templates, trained=self.trained,
-        )
-        self.pool = CandidatePool([profiles[m] for m in pool_ids])
+        pipe = Pipeline(cfg)
+        self.providers, self.spec, self.templates = pipe.providers, pipe.spec, pipe.templates
+        self.graph = pipe.graph
+        self.trained = pipe.aggregator
+        self.pool = pipe.pool(pipe.pool_ids())
         self._registered: list[dict] = []
         self._recover_state()
-        self.tasks = load_tasks(cfg.tasks) if cfg.tasks else {}
-        self.router = self._build_router()
+        self.router = pipe.router(cfg.router, self.pool)
         self._route_ids = itertools.count(1)  # next() on a count is atomic
         self._write_lock = threading.Lock()
-
-    def _build_router(self):
-        kind = self.cfg.router
-        if kind == "sim":
-            return SimRouter(dim=self.pool.dim)
-        if self.cfg.interactions is None:
-            raise ConfigError(f"router {kind!r} needs an interactions file in the config")
-        interactions = load_interactions(self.cfg.interactions)
-        query_vecs = {
-            qid: self.graph.node(qid).embedding
-            for qid in sorted({r.query_id for r in interactions})
-        }
-        if kind == "mlp":
-            return mlp_fit(
-                interactions, query_vecs, self.pool, hidden=self.cfg.hidden, seed=self.cfg.seed
-            )
-        if kind == "graphrouter":
-            train_tasks = {qid: self.tasks[qid] for qid in query_vecs if qid in self.tasks}
-            return graphrouter_fit(
-                train_tasks, query_vecs, interactions, self.pool,
-                hidden=self.cfg.hidden, seed=self.cfg.seed,
-            )
-        raise ConfigError(f"unknown router kind {kind!r}")
 
     # -- persistence --
 
     def _recover_state(self) -> None:
+        """Resume the pool and the registered cards of the state file, if there is one.
+
+        A file that cannot be read, or that holds profiles of another spec
+        or dimension than the config's, raises ``ConfigError``.
+        """
         path = self.cfg.state_path
         if not path or not Path(path).exists():
             return
-        state = json.loads(Path(path).read_text())
-        for entry in state.get("registered_cards", []):
-            card = _parse_card(entry)
+        try:
+            state = json.loads(Path(path).read_text())
+            pool = CandidatePool.from_dict(state["pool"])
+            entries = list(state.get("registered_cards", []))
+            cards = [parse_card(entry) for entry in entries]
+        except (OSError, ValueError, KeyError, TypeError, ColdRouteError) as exc:
+            raise ConfigError(f"state file {path} is unreadable: {exc}") from exc
+        want = (self.spec.short(), self.cfg.dim)
+        for profile in pool.profiles():
+            got = (profile.spec.short(), profile.vector.shape[0])
+            if got != want:
+                raise ConfigError(
+                    f"state file {path} holds {profile.model_id!r} as {got[0]} with dim "
+                    f"{got[1]}, but the config asks for {want[0]} with dim {want[1]}"
+                )
+        for card in cards:
             if card.id not in self.graph:
                 add_model_node(self.graph, card)
         encode_all(self.graph, self.providers.encoder, only_missing=True)
-        self.pool = CandidatePool.from_dict(state["pool"])
-        self._registered = list(state.get("registered_cards", []))
+        self.pool = pool
+        self._registered = entries
 
     def _persist(self, registered: list[dict]) -> None:
         if not self.cfg.state_path:
@@ -167,8 +108,6 @@ class RoutingService:
     def route(self, query_text: str, task_id: str | None = None) -> dict:
         if not isinstance(query_text, str) or not query_text.strip():
             raise ConfigError("query_text must be a nonempty string")
-        if self.cfg.router == "graphrouter" and task_id is None:
-            raise UnknownTask("<missing task_id>")
         vec = np.asarray(self.providers.encoder.encode(query_text))
         decision = self.router.route(
             vec, self.pool, query_id=f"srv_{next(self._route_ids):06d}", task_id=task_id
@@ -176,7 +115,7 @@ class RoutingService:
         return {"model_id": decision.chosen, "scores": decision.to_dict()["scores"]}
 
     def register(self, entry: dict) -> dict:
-        card = _parse_card(entry)
+        card = parse_card(entry)
         with self._write_lock:
             if card.id in self.pool:
                 raise DuplicateId(card.id)

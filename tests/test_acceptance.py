@@ -16,12 +16,11 @@ import requests
 
 from coldroute import nn
 from coldroute.cli import main
-from coldroute.config import AppConfig, ENV_CONFIG
+from coldroute.config import AppConfig, ENV_CONFIG, build_world_graph
 from coldroute.evaluation import (
     RewardTable,
     SynthWorldConfig,
     average_performance,
-    build_world_graph,
     integration_world,
     ncir,
     oracle,

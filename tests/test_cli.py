@@ -218,6 +218,104 @@ def test_integrate_command_grows_pool_and_stays_frozen(tmp_path, capsys):
     assert CandidatePool.load(state).ids == CATALOG + ["model_01_02"]
 
 
+def _integrate_cfg(tmp_path, **overrides) -> str:
+    """The integration fixture config with absolute paths, written under ``tmp_path``."""
+    cfg = json.loads((FIXTURE_DIR / "integrate.json").read_text())
+    for key in ("cards_dir", "rewards", "tasks", "new_model_card", "interactions"):
+        cfg[key] = str(FIXTURE_DIR / cfg[key])
+    cfg.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+BAD_CARDS = {
+    "no_description": json.dumps({"id": "model_01_02", "family_id": "fam_01", "scores": {}}),
+    "word_score": json.dumps(
+        {
+            "id": "model_01_02",
+            "family_id": "fam_01",
+            "description": "A model.",
+            "scores": {"bench_00_a": "high"},
+        }
+    ),
+    "not_an_object": json.dumps(["model_01_02"]),
+    "not_json": "{\"id\": ",
+}
+
+
+@pytest.mark.parametrize("command", ["integrate", "eval integrate"])
+@pytest.mark.parametrize("bad", sorted(BAD_CARDS))
+def test_bad_card_file_exits_1_with_an_error_line(tmp_path, capsys, command, bad):
+    card = tmp_path / "card.json"
+    card.write_text(BAD_CARDS[bad])
+    state = tmp_path / "state.json"
+    if command == "integrate":
+        argv = ["integrate", "--config", INTEGRATE_CFG, "--card", str(card),
+                "--pool-state", str(state)]
+    else:
+        argv = ["eval", "integrate", "--config", _integrate_cfg(tmp_path, new_model_card=str(card)),
+                "--out", str(tmp_path / "report")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not state.exists() and not (tmp_path / "report.json").exists()
+
+
+# --- one pipeline for every command ------------------------------------------
+
+def test_trainable_spec_fits_its_aggregator_once(tmp_path, monkeypatch):
+    import coldroute.config
+    import coldroute.profiles
+
+    fits = []
+    original = coldroute.profiles.traingnn_fit
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args[1].short())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coldroute.profiles, "traingnn_fit", counting_fit)
+    monkeypatch.setattr(coldroute.config, "traingnn_fit", counting_fit, raising=False)
+    rc = main(["eval", "coldstart", "--config", COLDSTART_CFG, "--spec", "train:1",
+               "--out", str(tmp_path / "cs")])
+    assert rc == 0 and fits == ["train:1"]
+
+
+def test_configured_aggregator_file_is_loaded_by_every_command(tmp_path, capsys, monkeypatch):
+    import coldroute.config
+
+    agg = tmp_path / "agg.json"
+    cfg = _integrate_cfg(tmp_path, aggregator=str(agg), spec="train:1")
+    assert main(["profile", "--config", cfg, "--out", str(tmp_path / "a.jsonl")]) == 0
+    saved = agg.read_bytes()
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the configured aggregator should have been loaded")
+
+    monkeypatch.setattr(coldroute.config, "traingnn_fit", no_fit)
+    assert main(["profile", "--config", cfg, "--out", str(tmp_path / "b.jsonl")]) == 0
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+    assert agg.read_bytes() == saved
+    assert main(["router", "train", "mlp", "--config", cfg, "--out", str(tmp_path / "r.json"),
+                 "--pool-out", str(tmp_path / "p.json")]) == 0
+    assert main(["integrate", "--config", cfg, "--card", str(FIXTURE_DIR / "new_model.json"),
+                 "--pool-state", str(tmp_path / "s.json")]) == 0
+    capsys.readouterr()
+    assert main(["profile", "--config", cfg, "--spec", "train:2",
+                 "--out", str(tmp_path / "c.jsonl")]) == 1
+    assert "depth 1" in capsys.readouterr().err
+
+
+def test_sim_router_trains_without_an_interactions_file(tmp_path, capsys):
+    cfg = _integrate_cfg(tmp_path, interactions=None)
+    rc = main(["router", "train", "sim", "--config", cfg, "--out", str(tmp_path / "r.json"),
+               "--pool-out", str(tmp_path / "p.json"), "--json"])
+    assert rc == 0 and _json_out(capsys)["interactions"] == 0
+    rc = main(["router", "train", "mlp", "--config", cfg, "--out", str(tmp_path / "m.json")])
+    assert rc == 1 and "interactions" in capsys.readouterr().err
+
+
 # --- exit codes ------------------------------------------------------------
 
 def test_usage_errors_exit_2():

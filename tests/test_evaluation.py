@@ -13,12 +13,12 @@ from coldroute.errors import (
     LeakedInteraction,
     MissingReward,
 )
+from coldroute.config import build_world_graph
 from coldroute.evaluation import (
     EvalReport,
     RewardTable,
     SynthWorldConfig,
     average_performance,
-    build_world_graph,
     integration_world,
     ncir,
     oracle,

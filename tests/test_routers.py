@@ -193,6 +193,38 @@ def test_mlp_fit_validation(fixture_world):
         mlp_fit([InteractionRecord("q_ghost", "model_00_00", 1.0)], query_vecs, pool)
 
 
+class _DropOnFirstRead(CandidatePool):
+    """A pool that loses ``victim`` right after its first read of the profiles,
+    as a concurrent ``remove`` (a state-write rollback) would."""
+
+    def __init__(self, profiles, victim: str):
+        super().__init__(profiles)
+        self.victim = victim
+
+    def _read(self, value):
+        if self.victim in self:
+            self.remove(self.victim)
+        return value
+
+    def profiles(self):
+        return self._read(super().profiles())
+
+    def matrix(self):
+        return self._read(super().matrix())
+
+
+def test_mlp_route_scores_one_pool_snapshot(fixture_world):
+    pool, query_vecs, _, interactions = fixture_world
+    router = mlp_fit(interactions, query_vecs, pool, hidden=16, epochs=2, seed=0)
+    racing = _DropOnFirstRead(pool.profiles(), victim=pool.ids[0])
+    q = query_vecs["q_00_0000"]
+    decision = router.route(q, racing, query_id="q")
+    assert sorted(decision.scores) in (sorted(pool.ids), sorted(pool.ids[1:]))
+    for mid, score in decision.scores.items():
+        own = float(router.predict(q, pool.get(mid).vector[None, :])[0])
+        assert score == pytest.approx(own, abs=1e-12)
+
+
 def test_mlp_checkpoint_round_trip(fixture_world, tmp_path):
     pool, query_vecs, _, interactions = fixture_world
     router = mlp_fit(interactions, query_vecs, pool, hidden=16, epochs=5, seed=0)

@@ -11,7 +11,7 @@ import requests
 
 import coldroute
 from coldroute.config import AppConfig
-from coldroute.errors import TransportError
+from coldroute.errors import ConfigError, TransportError
 from coldroute.providers import Summarizer, TextEncoder
 from coldroute.service import RoutingService, make_server
 
@@ -27,11 +27,11 @@ NEW_CARD = {
 }
 
 
-def _config(router: str = "mlp", state_path=None, spec: str = "emb:2") -> AppConfig:
+def _config(router: str = "mlp", state_path=None, spec: str = "emb:2", dim: int = 64) -> AppConfig:
     return AppConfig(
         base_dir=FIXTURE_DIR,
         cards_dir=FIXTURE_DIR / "cards",
-        dim=64,
+        dim=dim,
         spec=spec,
         router=router,
         interactions=FIXTURE_DIR / "interactions.jsonl",
@@ -153,6 +153,22 @@ def test_state_file_recovers_registered_models(server, tmp_path):
     assert revived.pool.ids == CATALOG + ["model_01_02"]
     decision = revived.route("Patch the build pipeline.", None)
     assert sorted(decision["scores"]) == sorted(CATALOG + ["model_01_02"])
+
+
+@pytest.mark.parametrize("spec, dim", [("flat", 64), ("emb:2", 32)])
+def test_state_of_another_spec_or_dim_is_refused(tmp_path, spec, dim):
+    state = tmp_path / "state.json"
+    RoutingService(_config(router="sim", state_path=state)).register(NEW_CARD)
+    with pytest.raises(ConfigError, match=str(state)):
+        RoutingService(_config(router="sim", state_path=state, spec=spec, dim=dim))
+
+
+def test_truncated_state_file_is_a_config_error(tmp_path):
+    state = tmp_path / "state.json"
+    RoutingService(_config(router="sim", state_path=state)).register(NEW_CARD)
+    state.write_bytes(state.read_bytes()[: state.stat().st_size // 2])
+    with pytest.raises(ConfigError, match=str(state)):
+        RoutingService(_config(router="sim", state_path=state))
 
 
 # --- failed registrations leave no trace ------------------------------------
