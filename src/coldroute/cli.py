@@ -12,14 +12,13 @@ Exit codes: 0 success, 1 domain error (graph/config/protocol violations),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, records
 from .config import ENV_CONFIG, AppConfig, Pipeline, build_world_graph, load_config, make_providers
 from .errors import ColdRouteError, ConfigError
 from .evaluation import RewardTable, run_coldstart, run_integration
@@ -39,7 +38,7 @@ __all__ = ["main"]
 
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(records.dumps(payload, "pretty"), end="")
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -90,7 +89,7 @@ def _cmd_profile(args) -> dict:
     info = {"spec": pipe.spec.short(), "models": len(pool), "path": str(out)}
     if pipe.aggregator is not None:
         agg_path = pipe.cfg.aggregator or out.with_suffix(".aggregator.json")
-        Path(agg_path).write_text(json.dumps(pipe.aggregator.to_checkpoint(), sort_keys=True))
+        records.write(agg_path, pipe.aggregator.to_checkpoint())
         info["aggregator"] = str(agg_path)
     return info
 
@@ -206,7 +205,7 @@ def _cmd_integrate(args) -> dict:
     pipe = _pipeline(args)
     card = read_card(args.card)
     if args.pool_state and Path(args.pool_state).exists():
-        pool = CandidatePool.load(args.pool_state)
+        pool = pipe.check_pool(CandidatePool.load(args.pool_state), f"pool state {args.pool_state}")
     else:
         pool = pipe.pool(pipe.pool_ids(without=card.id))
     router = load_router(args.router) if args.router else SimRouter(dim=pipe.cfg.dim)

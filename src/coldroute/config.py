@@ -14,12 +14,12 @@ router.  The CLI and the service both build through it.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
+from . import records
 from .errors import ConfigError
 from .graph import CardSet, EvidenceGraph, ModelCard, NodeKind, build_graph, load_cards, read_card
 from .profiles import ProfileSpec, TrainGnnModel, load_templates, traingnn_fit
@@ -83,50 +83,29 @@ class AppConfig:
     templates_dir: Path | None = None
 
 
-def _resolve(base: Path, value: str | None) -> Path | None:
-    if value is None:
-        return None
-    path = Path(value)
-    return path if path.is_absolute() else (base / path)
+# keys of the config's "service" object; every other field is a top-level key
+_SERVICE_FIELDS = ("host", "port", "state_path")
 
 
 def load_config(path: str | Path) -> AppConfig:
+    """The config in a JSON file; every path in it resolves against the file's directory.
+
+    Each field's kind and default is its ``AppConfig`` annotation; other keys are ignored.
+    """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if "cards_dir" not in raw:
-        raise ConfigError("config must name a cards_dir")
     base = path.resolve().parent
-    service = raw.get("service", {})
-    cfg = AppConfig(
-        base_dir=base,
-        cards_dir=_resolve(base, raw["cards_dir"]),
-        dim=int(raw.get("dim", 64)),
-        encoder=dict(raw.get("encoder", {"kind": "deterministic", "seed": 0})),
-        summarizer=dict(raw.get("summarizer", {"kind": "echo"})),
-        spec=raw.get("spec", "emb:2"),
-        router=raw.get("router", "sim"),
-        pool=raw.get("pool"),
-        interactions=_resolve(base, raw.get("interactions")),
-        tasks=_resolve(base, raw.get("tasks")),
-        rewards=_resolve(base, raw.get("rewards")),
-        eval_queries=raw.get("eval_queries"),
-        new_model_card=_resolve(base, raw.get("new_model_card")),
-        aggregator=_resolve(base, raw.get("aggregator")),
-        seed=int(raw.get("seed", 0)),
-        random_seeds=list(raw.get("random_seeds", [0, 1, 2, 3, 4, 5])),
-        threshold=float(raw.get("threshold", 1.0)),
-        hidden=int(raw.get("hidden", 64)),
-        out=_resolve(base, raw.get("out", "report")),
-        host=service.get("host", "127.0.0.1"),
-        port=int(service.get("port", 8777)),
-        state_path=_resolve(base, service.get("state_path")),
-        templates_dir=_resolve(base, raw.get("templates_dir")),
-    )
+
+    def build(raw: dict) -> AppConfig:
+        service = raw.get("service") or {}
+        top = {k: v for k, v in raw.items() if k not in _SERVICE_FIELDS}
+        nested = {k: v for k, v in service.items() if k in _SERVICE_FIELDS}
+        cfg = records.check({**top, **nested, "base_dir": str(base)}, AppConfig)
+        for f in fields(cfg):
+            if isinstance(getattr(cfg, f.name), Path):
+                setattr(cfg, f.name, base / getattr(cfg, f.name))
+        return cfg
+
+    cfg = records.read(path, "doc", {"service": dict | None}, build)
     if not cfg.cards_dir.exists():
         raise ConfigError(f"cards_dir does not exist: {cfg.cards_dir}")
     return cfg
@@ -202,7 +181,7 @@ class Pipeline:
         path = self.cfg.aggregator
         if path is None or not Path(path).exists():
             return traingnn_fit(self.graph, self.spec, self.cfg.seed)
-        model = TrainGnnModel.from_checkpoint(json.loads(Path(path).read_text()))
+        model = records.read(path, "doc", None, TrainGnnModel.from_checkpoint)
         if (model.depth, model.dim) != (self.spec.depth, self.cfg.dim):
             raise ConfigError(
                 f"aggregator {path} has depth {model.depth} and dim {model.dim}, "
@@ -226,6 +205,17 @@ class Pipeline:
         """The configured pool, else every model of the graph; ``without`` left out."""
         ids = self.cfg.pool or [n.id for n in self.graph.nodes_of_kind(NodeKind.MODEL)]
         return [m for m in ids if m != without]
+
+    def check_pool(self, pool: CandidatePool, source: str) -> CandidatePool:
+        """``pool`` itself, if each of its profiles has the configured spec and dim."""
+        want = f"{self.spec.short()} with dim {self.cfg.dim}"
+        for p in pool.profiles():
+            got = f"{p.spec.short()} with dim {p.vector.shape[0]}"
+            if got != want:
+                raise ConfigError(
+                    f"{source} holds {p.model_id!r} as {got}, but the config asks for {want}"
+                )
+        return pool
 
     def pool(self, ids: list[str]) -> CandidatePool:
         return profile_pool(

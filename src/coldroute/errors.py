@@ -17,7 +17,6 @@ class ColdRouteError(Exception):
 class DuplicateId(ColdRouteError):
     def __init__(self, node_id: str):
         super().__init__(f"duplicate id: {node_id!r}")
-        self.node_id = node_id
 
 
 class DanglingReference(ColdRouteError):
@@ -26,7 +25,6 @@ class DanglingReference(ColdRouteError):
         if context:
             msg += f" ({context})"
         super().__init__(msg)
-        self.ref_id = ref_id
 
 
 class ScoreOutOfRange(ColdRouteError):
@@ -34,15 +32,11 @@ class ScoreOutOfRange(ColdRouteError):
         super().__init__(
             f"score {value!r} for ({model_id!r}, {benchmark_id!r}) outside the declared scale"
         )
-        self.model_id = model_id
-        self.benchmark_id = benchmark_id
-        self.value = value
 
 
 class UnknownNode(ColdRouteError):
     def __init__(self, node_id: str):
         super().__init__(f"unknown node: {node_id!r}")
-        self.node_id = node_id
 
 
 class NotAdjacent(ColdRouteError):
@@ -59,13 +53,11 @@ class InvalidGraph(ColdRouteError):
 class EncoderFailure(ColdRouteError):
     def __init__(self, node_id: str, cause: Exception | str):
         super().__init__(f"encoding failed for {node_id!r}: {cause}")
-        self.node_id = node_id
 
 
 class EmptyText(ColdRouteError):
     def __init__(self, node_id: str):
         super().__init__(f"node {node_id!r} has no text to encode")
-        self.node_id = node_id
 
 
 class TransportError(ColdRouteError):
@@ -84,14 +76,11 @@ class DimensionMismatch(ColdRouteError):
         if context:
             msg += f" ({context})"
         super().__init__(msg)
-        self.expected = expected
-        self.got = got
 
 
 class SummarizerFailure(ColdRouteError):
     def __init__(self, node_id: str, cause: Exception | str):
         super().__init__(f"summarization failed for {node_id!r}: {cause}")
-        self.node_id = node_id
 
 
 class QueryNodeUpdateAttempt(ColdRouteError):
@@ -115,7 +104,6 @@ class NonFiniteLoss(ColdRouteError):
 class UninitializedEmbedding(ColdRouteError):
     def __init__(self, node_id: str):
         super().__init__(f"node {node_id!r} has no embedding; encode the graph first")
-        self.node_id = node_id
 
 
 # --- profiles and routing --------------------------------------------------
@@ -132,19 +120,16 @@ class EmptyPool(ColdRouteError):
 class UnknownModelInInteractions(ColdRouteError):
     def __init__(self, model_id: str):
         super().__init__(f"interaction references model outside the pool: {model_id!r}")
-        self.model_id = model_id
 
 
 class UnassignedQuery(ColdRouteError):
     def __init__(self, query_id: str):
         super().__init__(f"query {query_id!r} has no task assignment")
-        self.query_id = query_id
 
 
 class UnknownTask(ColdRouteError):
     def __init__(self, task_id: str):
         super().__init__(f"unknown task: {task_id!r}")
-        self.task_id = task_id
 
 
 # --- evaluation ------------------------------------------------------------
@@ -152,8 +137,6 @@ class UnknownTask(ColdRouteError):
 class MissingReward(ColdRouteError):
     def __init__(self, query_id: str, model_id: str):
         super().__init__(f"no reward recorded for ({query_id!r}, {model_id!r})")
-        self.query_id = query_id
-        self.model_id = model_id
 
 
 class EmptyTable(ColdRouteError):
@@ -166,7 +149,6 @@ class LeakedInteraction(ColdRouteError):
         super().__init__(
             f"training interactions mention the held-out model {model_id!r}"
         )
-        self.model_id = model_id
 
 
 # --- configuration ---------------------------------------------------------

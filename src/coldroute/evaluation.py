@@ -23,12 +23,12 @@ propagation picks the keywords up through scored edges.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .errors import ColdRouteError, ConfigError, EmptyTable, MissingReward
 from .graph import (
     BenchmarkCard,
@@ -49,6 +49,7 @@ from .routers import (
     profile_pool,
     query_vectors,
     router_checksum,
+    save_interactions,
     sim_route,
 )
 
@@ -80,7 +81,7 @@ class RewardTable:
         self._rewards: dict[tuple[str, str], float] = {}
         for (qid, mid), value in entries.items():
             value = float(value)
-            if not (0.0 <= value <= 1.0) or not np.isfinite(value):
+            if not (0.0 <= value <= 1.0):  # NaN fails this too
                 raise ConfigError(f"reward {value!r} for ({qid!r}, {mid!r}) outside [0, 1]")
             self._rewards[(qid, mid)] = value
         self.query_ids = sorted({q for q, _ in self._rewards})
@@ -120,29 +121,12 @@ class RewardTable:
         return cls(entries)
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w") as fh:
-            for (qid, mid) in sorted(self._rewards):
-                fh.write(
-                    json.dumps(
-                        {"query_id": qid, "model_id": mid, "reward": self._rewards[(qid, mid)]},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        rows = sorted(self._rewards.items())
+        save_interactions((InteractionRecord(q, m, r) for (q, m), r in rows), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "RewardTable":
-        entries: dict[tuple[str, str], float] = {}
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            key = (row["query_id"], row["model_id"])
-            if key in entries:
-                raise ConfigError(f"duplicate reward entry for {key!r}")
-            entries[key] = float(row["reward"])
-        return cls(entries)
+        return cls.from_records(records.read(path, "jsonl", InteractionRecord))
 
 
 # --- metrics ---------------------------------------------------------------
@@ -258,7 +242,7 @@ class EvalReport:
         return out
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        records.write(path, self.to_dict(), "pretty")
 
     def write_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="") as fh:

@@ -17,7 +17,6 @@ the implicit self loop.  Missing scores create no edge; no imputation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .errors import (
-    ConfigError,
     DanglingReference,
     DuplicateId,
     InvalidGraph,
@@ -289,34 +288,25 @@ class EvidenceGraph:
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "EvidenceGraph":
+        kinds = {"nodes": list, "edges": list, "dim": int, "score_scales": dict[str, str] | None}
+        snapshot = records.check(snapshot, kinds)
         nodes = []
         for entry in snapshot["nodes"]:
-            emb = entry.get("embedding")
-            nodes.append(
-                Node(
-                    id=entry["id"],
-                    kind=NodeKind(entry["kind"]),
-                    text=entry.get("text", ""),
-                    embedding=None if emb is None else np.asarray(emb, dtype=np.float64),
-                )
-            )
-        edges = [
-            Edge(
-                src=entry["src"],
-                dst=entry["dst"],
-                kind=EdgeKind(entry["kind"]),
-                weight=entry.get("weight"),
-            )
-            for entry in snapshot["edges"]
-        ]
+            e = records.check(entry, {"id": str, "kind": str, "embedding": list[float] | None})
+            emb = None if e.get("embedding") is None else np.asarray(e["embedding"])
+            nodes.append(Node(e["id"], NodeKind(e["kind"]), e.get("text", ""), emb))
+        edges = []
+        for entry in snapshot["edges"]:
+            e = records.check(entry, {"src": str, "dst": str, "kind": str, "weight": float | None})
+            edges.append(Edge(e["src"], e["dst"], EdgeKind(e["kind"]), e.get("weight")))
         return cls(nodes, edges, snapshot["dim"], snapshot.get("score_scales"))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_snapshot(), sort_keys=True))
+        records.write(path, self.to_snapshot())
 
     @classmethod
     def load(cls, path: str | Path) -> "EvidenceGraph":
-        return cls.from_snapshot(json.loads(Path(path).read_text()))
+        return records.read(path, "doc", None, cls.from_snapshot)
 
 
 # --- operations ------------------------------------------------------------
@@ -454,89 +444,36 @@ def remove_node(graph: EvidenceGraph, node_id: str) -> None:
 
 def parse_card(entry: dict) -> ModelCard:
     """A model card from a JSON object; malformed fields raise ``ConfigError``."""
-    if not isinstance(entry, dict):
-        raise ConfigError("a model card must be a JSON object")
-    for key in ("id", "family_id", "description"):
-        if key not in entry:
-            raise ConfigError(f"model card is missing {key!r}")
-        if not isinstance(entry[key], str) or not entry[key].strip():
-            raise ConfigError(f"model card field {key!r} must be a nonempty string")
-    scores = entry.get("scores", {})
-    if not isinstance(scores, dict):
-        raise ConfigError("model card scores must be an object of benchmark id -> number")
-    parsed: dict[str, float] = {}
-    for bench_id, value in scores.items():
-        try:
-            parsed[bench_id] = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"score for {bench_id!r} is not a number: {value!r}") from None
-    return ModelCard(
-        id=entry["id"],
-        family_id=entry["family_id"],
-        description=entry["description"],
-        scores=parsed,
-    )
+    return records.check(entry, ModelCard)
 
 
 def read_card(path: str | Path) -> ModelCard:
     """The model card in a JSON file; an unreadable file raises ``ConfigError``."""
-    try:
-        entry = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read model card {path}: {exc}") from exc
-    return parse_card(entry)
+    return records.read(path, "doc", ModelCard)
 
 
 _CARD_FILES = {
-    "families": "families.json",
-    "models": "models.json",
-    "benchmarks": "benchmarks.json",
-    "domains": "domains.json",
-    "queries": "queries.jsonl",
+    "families": ("families.json", FamilyCard),
+    "models": ("models.json", ModelCard),
+    "benchmarks": ("benchmarks.json", BenchmarkCard),
+    "domains": ("domains.json", DomainCard),
+    "queries": ("queries.jsonl", QueryRecord),
 }
 
 
 def load_cards(directory: str | Path) -> CardSet:
-    """Read the card bundle from a directory of JSON / JSONL files."""
-    directory = Path(directory)
-
-    def read_json(name: str) -> list[dict]:
-        path = directory / name
-        if not path.exists():
-            return []
-        return json.loads(path.read_text())
-
+    """Read the card bundle from a directory of JSON / JSONL files; a missing file is empty."""
     cards = CardSet()
-    cards.families = [FamilyCard(**entry) for entry in read_json(_CARD_FILES["families"])]
-    cards.models = [parse_card(entry) for entry in read_json(_CARD_FILES["models"])]
-    cards.benchmarks = [BenchmarkCard(**entry) for entry in read_json(_CARD_FILES["benchmarks"])]
-    cards.domains = [DomainCard(**entry) for entry in read_json(_CARD_FILES["domains"])]
-    queries_path = directory / _CARD_FILES["queries"]
-    if queries_path.exists():
-        for line in queries_path.read_text().splitlines():
-            line = line.strip()
-            if line:
-                cards.queries.append(QueryRecord(**json.loads(line)))
+    for name, (file, cls) in _CARD_FILES.items():
+        path = Path(directory) / file
+        if path.exists():
+            form = "jsonl" if path.suffix == ".jsonl" else "array"
+            setattr(cards, name, records.read(path, form, cls))
     return cards
 
 
 def save_cards(cards: CardSet, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-
-    def dump(name: str, rows: list[dict]) -> None:
-        (directory / name).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-
-    dump(_CARD_FILES["families"], [vars(c) for c in cards.families])
-    dump(
-        _CARD_FILES["models"],
-        [
-            {"id": m.id, "family_id": m.family_id, "description": m.description, "scores": m.scores}
-            for m in cards.models
-        ],
-    )
-    dump(_CARD_FILES["benchmarks"], [vars(c) for c in cards.benchmarks])
-    dump(_CARD_FILES["domains"], [vars(c) for c in cards.domains])
-    with (directory / _CARD_FILES["queries"]).open("w") as fh:
-        for q in cards.queries:
-            fh.write(json.dumps(vars(q), sort_keys=True) + "\n")
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    for name, (file, _) in _CARD_FILES.items():
+        form = "jsonl" if file.endswith(".jsonl") else "pretty"
+        records.write(Path(directory) / file, [vars(c) for c in getattr(cards, name)], form)

@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import records
 from .errors import NonFiniteLoss, ShapeMismatch
 
 __all__ = [
     "AffineLayer",
+    "Layered",
     "AdamState",
     "adam_step",
     "mse",
@@ -136,6 +138,45 @@ class AffineLayer:
         return [self.dW, self.db]
 
 
+class Layered:
+    """A model of named affine layers: one table of its arrays gives Adam's
+    parameter and gradient lists and the ``{name}.w`` / ``{name}.b`` arrays of
+    its checkpoint.  With ``biases = False`` only the weights are trained and stored.
+    """
+
+    biases = True
+
+    def named_layers(self) -> list[tuple[str, AffineLayer]]:
+        raise NotImplementedError
+
+    def _arrays(self) -> list[tuple[str, AffineLayer, str]]:
+        """(checkpoint key, layer, attribute) per array: each layer's ``W``, then its ``b``."""
+        attrs = ("W", "b") if self.biases else ("W",)
+        return [(f"{n}.{a.lower()}", layer, a) for n, layer in self.named_layers() for a in attrs]
+
+    def params(self) -> list[np.ndarray]:
+        return [getattr(layer, attr) for _, layer, attr in self._arrays()]
+
+    def grads(self) -> list[np.ndarray]:
+        return [getattr(layer, "d" + attr) for _, layer, attr in self._arrays()]
+
+    def zero_grad(self) -> None:
+        for _, layer in self.named_layers():
+            layer.zero_grad()
+
+    def params_payload(self) -> dict:
+        return {key: array_to_payload(getattr(layer, attr)) for key, layer, attr in self._arrays()}
+
+    def load_params(self, params: dict) -> None:
+        """Set every array from a checkpoint's; each must keep its shape."""
+        for key, layer, attr in self._arrays():
+            array = payload_to_array(records.check(params, {key: dict})[key])
+            shape = getattr(layer, attr).shape
+            if array.shape != shape:
+                raise ShapeMismatch(f"{key!r} has shape {array.shape}, not {shape}")
+            setattr(layer, attr, array)
+
+
 def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error and its gradient with respect to ``pred``.
 
@@ -236,6 +277,8 @@ def array_to_payload(a: np.ndarray) -> dict:
 
 
 def payload_to_array(payload: dict) -> np.ndarray:
-    raw = base64.b64decode(payload["data"])
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return a.reshape(payload["shape"])
+    payload = records.check(payload, {"shape": list[int]})
+    if not isinstance(payload.get("data"), str):  # "" holds an empty array
+        raise ShapeMismatch("array payload has no base64 'data' string")
+    raw = base64.b64decode(payload["data"], validate=True)
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(payload["shape"])

@@ -22,7 +22,6 @@ All four return a vector per model; text forms keep the text alongside.
 
 from __future__ import annotations
 
-import json
 import math
 import string
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import nn, records
 from .errors import (
     DimensionMismatch,
     InvalidSpec,
@@ -145,28 +144,18 @@ class Profile:
 
     @classmethod
     def from_dict(cls, entry: dict) -> "Profile":
-        return cls(
-            model_id=entry["model_id"],
-            spec=ProfileSpec.parse(entry["spec"]),
-            vector=np.asarray(entry["vector"], dtype=np.float64),
-            text=entry.get("text"),
-        )
+        kinds = {"model_id": str, "spec": str, "vector": list[float], "text": str | None}
+        entry = records.check(entry, kinds)
+        spec = ProfileSpec.parse(entry["spec"])
+        return cls(entry["model_id"], spec, np.asarray(entry["vector"]), entry.get("text"))
 
 
 def save_profiles(profiles: dict[str, Profile], path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        for model_id in sorted(profiles):
-            fh.write(json.dumps(profiles[model_id].to_dict(), sort_keys=True) + "\n")
+    records.write(path, [profiles[m].to_dict() for m in sorted(profiles)], "jsonl")
 
 
 def load_profiles(path: str | Path) -> dict[str, Profile]:
-    out: dict[str, Profile] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            profile = Profile.from_dict(json.loads(line))
-            out[profile.model_id] = profile
-    return out
+    return {p.model_id: p for p in records.read(path, "jsonl", None, Profile.from_dict)}
 
 
 # --- flat ------------------------------------------------------------------
@@ -336,7 +325,7 @@ def _summarize_round(
     if len(outs) != len(node_ids):
         raise SummarizerFailure(f"round {hop}", f"{len(outs)} outputs for {len(node_ids)} prompts")
     for nid, out in zip(node_ids, outs):
-        if not isinstance(out, str) or not out:
+        if not isinstance(out, str) or not out.strip():
             raise SummarizerFailure(nid, "summarizer returned empty output")
     return outs
 
@@ -451,7 +440,7 @@ def _propagation_matrix(gt: _GraphTensors, edge_weights: np.ndarray) -> np.ndarr
 
 
 @dataclass
-class TrainGnnModel:
+class TrainGnnModel(nn.Layered):
     """Trained aggregator: per-hop affine layers plus reconstruction heads."""
 
     depth: int
@@ -477,24 +466,9 @@ class TrainGnnModel:
             mask_ratio=mask_ratio,
         )
 
-    def layers(self) -> list[nn.AffineLayer]:
-        return [*self.hop_layers, self.node_head, self.edge_head]
-
-    def params(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers():
-            out.extend(layer.params())
-        return out
-
-    def grads(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers():
-            out.extend(layer.grads())
-        return out
-
-    def zero_grad(self) -> None:
-        for layer in self.layers():
-            layer.zero_grad()
+    def named_layers(self) -> list[tuple[str, nn.AffineLayer]]:
+        hops = [(f"hop_{k}", layer) for k, layer in enumerate(self.hop_layers)]
+        return [*hops, ("node_head", self.node_head), ("edge_head", self.edge_head)]
 
     # -- forward / backward --
 
@@ -563,31 +537,21 @@ class TrainGnnModel:
     # -- checkpointing --
 
     def to_checkpoint(self) -> dict:
-        names = [f"hop_{k}" for k in range(self.depth)] + ["node_head", "edge_head"]
-        params = {}
-        for name, layer in zip(names, self.layers()):
-            params[f"{name}.w"] = nn.array_to_payload(layer.W)
-            params[f"{name}.b"] = nn.array_to_payload(layer.b)
         return {
             "kind": "traingnn",
             "depth": self.depth,
             "dim": self.dim,
             "mask_ratio": self.mask_ratio,
-            "params": params,
+            "params": self.params_payload(),
         }
 
     @classmethod
     def from_checkpoint(cls, payload: dict) -> "TrainGnnModel":
-        model = cls.create(
-            payload["depth"],
-            payload["dim"],
-            np.random.default_rng(0),
-            payload.get("mask_ratio", 0.3),
-        )
-        names = [f"hop_{k}" for k in range(model.depth)] + ["node_head", "edge_head"]
-        for name, layer in zip(names, model.layers()):
-            layer.W = nn.payload_to_array(payload["params"][f"{name}.w"])
-            layer.b = nn.payload_to_array(payload["params"][f"{name}.b"])
+        kinds = {"depth": int, "dim": int, "mask_ratio": float, "params": dict}
+        payload = records.check(payload, kinds)
+        rng = np.random.default_rng(0)
+        model = cls.create(payload["depth"], payload["dim"], rng, payload["mask_ratio"])
+        model.load_params(payload["params"])
         return model
 
 

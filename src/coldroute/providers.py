@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 import time
 from collections import Counter
@@ -30,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .errors import (
     DimensionMismatch,
     EmptyText,
@@ -180,7 +179,7 @@ class _HttpJson:
         if not self.cache_dir:
             return None
         key = hashlib.sha256(
-            json.dumps({"url": url, "payload": payload}, sort_keys=True).encode()
+            records.dumps({"url": url, "payload": payload}).encode()
         ).hexdigest()
         return Path(self.cache_dir) / f"{key}.json"
 
@@ -243,27 +242,7 @@ def _read_cache(path: Path) -> dict | None:
 
 def _write_cache(path: Path, body: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, json.dumps(body, sort_keys=True), durable=False)
-
-
-def write_atomic(path: Path, text: str, *, durable: bool) -> None:
-    """Write through a temporary file so readers never see a torn file.
-
-    With ``durable`` the data reach the disk before the file takes its
-    name, so a crash leaves the old file or the new one, never a torn one.
-    A cache entry needs no such care: a lost entry is only a miss.
-    """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            if durable:
-                fh.flush()
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    records.write_atomic(path, records.dumps(body), durable=False)
 
 
 class RemoteEmbedder(TextEncoder):

@@ -22,13 +22,12 @@ checksum makes checkable.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import nn, records
 from .errors import (
     ConfigError,
     DanglingReference,
@@ -85,52 +84,30 @@ class InteractionRecord:
 
 
 def load_interactions(path: str | Path) -> list[InteractionRecord]:
-    records = []
+    """Interaction rows, one ``{query_id, model_id, reward}`` object per line; no pair twice."""
+    rows = records.read(path, "jsonl", InteractionRecord)
     seen: set[tuple[str, str]] = set()
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        entry = json.loads(line)
-        rec = InteractionRecord(entry["query_id"], entry["model_id"], float(entry["reward"]))
+    for rec in rows:
         key = (rec.query_id, rec.model_id)
         if key in seen:
-            raise ConfigError(f"duplicate interaction for {key!r}")
+            raise ConfigError(f"{path}: duplicate interaction for {key!r}")
         seen.add(key)
-        records.append(rec)
-    return records
+    return rows
 
 
-def save_interactions(records: list[InteractionRecord], path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {"query_id": rec.query_id, "model_id": rec.model_id, "reward": rec.reward},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+def save_interactions(rows: list[InteractionRecord], path: str | Path) -> None:
+    records.write(path, (vars(rec) for rec in rows), "jsonl")
 
 
 def load_tasks(path: str | Path) -> dict[str, str]:
     """Task assignment file: one ``{query_id, task_id}`` object per line."""
-    out: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            entry = json.loads(line)
-            out[entry["query_id"]] = entry["task_id"]
-    return out
+    rows = records.read(path, "jsonl", {"query_id": str, "task_id": str})
+    return {row["query_id"]: row["task_id"] for row in rows}
 
 
 def save_tasks(assignment: dict[str, str], path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        for query_id in sorted(assignment):
-            fh.write(
-                json.dumps({"query_id": query_id, "task_id": assignment[query_id]}, sort_keys=True)
-                + "\n"
-            )
+    rows = [{"query_id": q, "task_id": assignment[q]} for q in sorted(assignment)]
+    records.write(path, rows, "jsonl")
 
 
 class CandidatePool:
@@ -190,14 +167,15 @@ class CandidatePool:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CandidatePool":
-        return cls([Profile.from_dict(entry) for entry in payload["models"]])
+        models = records.check(payload, {"models": list})["models"]
+        return cls([Profile.from_dict(entry) for entry in models])
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True))
+        records.write(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "CandidatePool":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return records.read(path, "doc", None, cls.from_dict)
 
 
 @dataclass
@@ -258,7 +236,7 @@ class SimRouter:
 
     @classmethod
     def from_checkpoint(cls, payload: dict) -> "SimRouter":
-        return cls(dim=payload["dim"])
+        return cls(dim=records.check(payload, {"dim": int})["dim"])
 
 
 # --- two-tower router ------------------------------------------------------
@@ -279,12 +257,9 @@ class _Tower:
         d_h = self.second.backward(d_out)
         return self.first.backward(d_h * nn.relu_grad(self._a1))
 
-    def layers(self) -> list[nn.AffineLayer]:
-        return [self.first, self.second]
-
 
 @dataclass
-class MlpRouter:
+class MlpRouter(nn.Layered):
     dim: int
     hidden: int
     query_tower: _Tower
@@ -300,18 +275,9 @@ class MlpRouter:
 
         return cls(dim=dim, hidden=hidden, query_tower=tower(), profile_tower=tower())
 
-    def layers(self) -> list[nn.AffineLayer]:
-        return [*self.query_tower.layers(), *self.profile_tower.layers()]
-
-    def params(self) -> list[np.ndarray]:
-        return [p for layer in self.layers() for p in layer.params()]
-
-    def grads(self) -> list[np.ndarray]:
-        return [g for layer in self.layers() for g in layer.grads()]
-
-    def zero_grad(self) -> None:
-        for layer in self.layers():
-            layer.zero_grad()
+    def named_layers(self) -> list[tuple[str, nn.AffineLayer]]:
+        q, p = self.query_tower, self.profile_tower
+        return [("q1", q.first), ("q2", q.second), ("p1", p.first), ("p2", p.second)]
 
     def predict(self, query_vec: np.ndarray, profile_matrix: np.ndarray) -> np.ndarray:
         """Predicted reward for one query against each profile row."""
@@ -337,19 +303,14 @@ class MlpRouter:
         return RoutingDecision.from_scores(query_id, scores)
 
     def to_checkpoint(self) -> dict:
-        names = ["q1", "q2", "p1", "p2"]
-        params = {}
-        for name, layer in zip(names, self.layers()):
-            params[f"{name}.w"] = nn.array_to_payload(layer.W)
-            params[f"{name}.b"] = nn.array_to_payload(layer.b)
+        params = self.params_payload()
         return {"kind": "mlp", "dim": self.dim, "hidden": self.hidden, "params": params}
 
     @classmethod
     def from_checkpoint(cls, payload: dict) -> "MlpRouter":
+        payload = records.check(payload, {"dim": int, "hidden": int, "params": dict})
         router = cls.create(payload["dim"], payload["hidden"], np.random.default_rng(0))
-        for name, layer in zip(["q1", "q2", "p1", "p2"], router.layers()):
-            layer.W = nn.payload_to_array(payload["params"][f"{name}.w"])
-            layer.b = nn.payload_to_array(payload["params"][f"{name}.b"])
+        router.load_params(payload["params"])
         return router
 
 
@@ -438,7 +399,7 @@ class _FrozenGraph:
 
 
 @dataclass
-class GraphRouterLite:
+class GraphRouterLite(nn.Layered):
     """Frozen routing graph (tasks, training queries, reward edges) + GNN.
 
     Model nodes take their current pool profile as features at every call,
@@ -490,20 +451,12 @@ class GraphRouterLite:
             interactions=list(interactions),
         )
 
-    def layers(self) -> list[nn.AffineLayer]:
-        return [self.prop1, self.prop2, self.decoder]
+    # Biases are neither trained nor stored: they stay zero so the zero
+    # profile keeps its zero-state guarantee (see class docstring).
+    biases = False
 
-    def params(self) -> list[np.ndarray]:
-        # Biases are deliberately excluded: they stay zero so the zero
-        # profile keeps its zero-state guarantee (see class docstring).
-        return [layer.W for layer in self.layers()]
-
-    def grads(self) -> list[np.ndarray]:
-        return [layer.dW for layer in self.layers()]
-
-    def zero_grad(self) -> None:
-        for layer in self.layers():
-            layer.zero_grad()
+    def named_layers(self) -> list[tuple[str, nn.AffineLayer]]:
+        return [("prop1", self.prop1), ("prop2", self.prop2), ("decoder", self.decoder)]
 
     # -- routing graph: compiled once per pool snapshot, query attached locally --
 
@@ -659,9 +612,6 @@ class GraphRouterLite:
         return RoutingDecision.from_scores(query_id, dict(zip(graph.ids, map(float, preds))))
 
     def to_checkpoint(self) -> dict:
-        params = {}
-        for name, layer in zip(["prop1", "prop2", "decoder"], self.layers()):
-            params[f"{name}.w"] = nn.array_to_payload(layer.W)
         return {
             "kind": "graphrouter",
             "dim": self.dim,
@@ -671,28 +621,24 @@ class GraphRouterLite:
                 q: nn.array_to_payload(np.asarray(v, dtype=np.float64))
                 for q, v in sorted(self.query_vecs.items())
             },
-            "interactions": [
-                {"query_id": r.query_id, "model_id": r.model_id, "reward": r.reward}
-                for r in self.interactions
-            ],
-            "params": params,
+            "interactions": [vars(r) for r in self.interactions],
+            "params": self.params_payload(),
         }
 
     @classmethod
     def from_checkpoint(cls, payload: dict) -> "GraphRouterLite":
+        kinds = {"dim": int, "hidden": int, "tasks": dict[str, list[str]],
+                 "query_vecs": dict[str, dict], "interactions": list, "params": dict}
+        payload = records.check(payload, kinds)
         router = cls.create(
             payload["dim"],
             payload["hidden"],
             np.random.default_rng(0),
-            {t: list(qs) for t, qs in payload["tasks"].items()},
+            payload["tasks"],
             {q: nn.payload_to_array(v) for q, v in payload["query_vecs"].items()},
-            [
-                InteractionRecord(e["query_id"], e["model_id"], e["reward"])
-                for e in payload["interactions"]
-            ],
+            [records.check(e, InteractionRecord) for e in payload["interactions"]],
         )
-        for name, layer in zip(["prop1", "prop2", "decoder"], router.layers()):
-            layer.W = nn.payload_to_array(payload["params"][f"{name}.w"])
+        router.load_params(payload["params"])
         return router
 
 
@@ -787,20 +733,23 @@ _ROUTER_KINDS = {
 
 def router_checksum(router) -> str:
     """SHA-256 over the canonical checkpoint JSON — the frozen contract."""
-    blob = json.dumps(router.to_checkpoint(), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(records.dumps(router.to_checkpoint()).encode("utf-8")).hexdigest()
 
 
 def save_router(router, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(router.to_checkpoint(), sort_keys=True))
+    records.write(path, router.to_checkpoint())
+
+
+def _router_class(kind: str):
+    if kind not in _ROUTER_KINDS:
+        raise ConfigError(f"unknown router kind {kind!r}")
+    return _ROUTER_KINDS[kind]
 
 
 def load_router(path: str | Path):
-    payload = json.loads(Path(path).read_text())
-    kind = payload.get("kind")
-    if kind not in _ROUTER_KINDS:
-        raise ConfigError(f"unknown router kind {kind!r}")
-    return _ROUTER_KINDS[kind].from_checkpoint(payload)
+    return records.read(
+        path, "doc", {"kind": str}, lambda p: _router_class(p["kind"]).from_checkpoint(p)
+    )
 
 
 def query_vectors(graph: EvidenceGraph, query_ids) -> dict[str, np.ndarray]:
@@ -837,9 +786,7 @@ def fit_router(
             raise LeakedInteraction(rec.model_id)
         if rec.model_id not in pool:
             raise UnknownModelInInteractions(rec.model_id)
-    if kind not in _ROUTER_KINDS:
-        raise ConfigError(f"unknown router kind {kind!r}")
-    if kind == "sim":
+    if _router_class(kind) is SimRouter:
         return SimRouter(dim=pool.dim)
     if interactions is None:
         raise ConfigError(f"router {kind!r} needs an interactions file in the config")

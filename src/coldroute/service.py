@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, records
 from .config import AppConfig, Pipeline
 from .errors import (
     ColdRouteError,
@@ -38,8 +38,8 @@ from .errors import (
     ProviderTimeout,
     TransportError,
 )
-from .graph import add_model_node, parse_card, remove_node
-from .providers import encode_all, write_atomic
+from .graph import ModelCard, add_model_node, parse_card, remove_node
+from .providers import encode_all
 from .routers import CandidatePool, integrate_new_model, router_checksum
 
 __all__ = ["RoutingService", "make_server", "serve"]
@@ -56,14 +56,14 @@ class RoutingService:
         self.trained = pipe.aggregator
         self.pool = pipe.pool(pipe.pool_ids())
         self._registered: list[dict] = []
-        self._recover_state()
+        self._recover_state(pipe)
         self.router = pipe.router(cfg.router, self.pool)
         self._route_ids = itertools.count(1)  # next() on a count is atomic
         self._write_lock = threading.Lock()
 
     # -- persistence --
 
-    def _recover_state(self) -> None:
+    def _recover_state(self, pipe: Pipeline) -> None:
         """Resume the pool and the registered cards of the state file, if there is one.
 
         A file that cannot be read, or that holds profiles of another spec
@@ -72,21 +72,8 @@ class RoutingService:
         path = self.cfg.state_path
         if not path or not Path(path).exists():
             return
-        try:
-            state = json.loads(Path(path).read_text())
-            pool = CandidatePool.from_dict(state["pool"])
-            entries = list(state.get("registered_cards", []))
-            cards = [parse_card(entry) for entry in entries]
-        except (OSError, ValueError, KeyError, TypeError, ColdRouteError) as exc:
-            raise ConfigError(f"state file {path} is unreadable: {exc}") from exc
-        want = (self.spec.short(), self.cfg.dim)
-        for profile in pool.profiles():
-            got = (profile.spec.short(), profile.vector.shape[0])
-            if got != want:
-                raise ConfigError(
-                    f"state file {path} holds {profile.model_id!r} as {got[0]} with dim "
-                    f"{got[1]}, but the config asks for {want[0]} with dim {want[1]}"
-                )
+        pool, entries, cards = records.read(path, "doc", None, _parse_state)
+        pipe.check_pool(pool, f"state file {path}")
         for card in cards:
             if card.id not in self.graph:
                 add_model_node(self.graph, card)
@@ -98,7 +85,7 @@ class RoutingService:
         if not self.cfg.state_path:
             return
         state = {"registered_cards": registered, "pool": self.pool.to_dict()}
-        write_atomic(Path(self.cfg.state_path), json.dumps(state, sort_keys=True), durable=True)
+        records.write_atomic(Path(self.cfg.state_path), records.dumps(state), durable=True)
 
     # -- operations --
 
@@ -139,6 +126,12 @@ class RoutingService:
             "router": self.cfg.router,
             "checksum": self.checksum(),
         }
+
+
+def _parse_state(state: dict) -> tuple[CandidatePool, list[dict], list[ModelCard]]:
+    state = records.check(state, {"pool": dict, "registered_cards": list | None})
+    entries = state.get("registered_cards") or []
+    return CandidatePool.from_dict(state["pool"]), entries, [parse_card(e) for e in entries]
 
 
 def _status_for(exc: Exception) -> int:

@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand, exit codes, and --json output."""
 
 import json
+import shutil
 
 import pytest
 
@@ -260,6 +261,135 @@ def test_bad_card_file_exits_1_with_an_error_line(tmp_path, capsys, command, bad
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not state.exists() and not (tmp_path / "report.json").exists()
+
+
+# --- malformed input files ----------------------------------------------------
+
+def _edit_json(path, change) -> None:
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data))
+
+
+def _edit_row(path, index: int, change) -> None:
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    change(rows[index])
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+def _profile_row(model_id: str) -> dict:
+    return {"model_id": model_id, "spec": "emb:2", "vector": [0.125] * 64}
+
+
+def _bench_without_domain(fx):
+    _edit_json(fx / "cards" / "benchmarks.json", lambda rows: rows[0].pop("domain_id"))
+    return ["graph", "validate", "--cards", str(fx / "cards")], "benchmarks.json[entry 0]"
+
+
+def _dim_is_a_word(fx):
+    _edit_json(fx / "coldstart.json", lambda cfg: cfg.update(dim="abc"))
+    argv = ["profile", "--config", str(fx / "coldstart.json"), "--out", str(fx / "p.jsonl")]
+    return argv, "coldstart.json"
+
+
+def _interactions_cut_short(fx):
+    path = fx / "interactions.jsonl"
+    path.write_bytes(path.read_bytes()[:30])
+    argv = ["router", "train", "mlp", "--config", str(fx / "integrate.json"),
+            "--out", str(fx / "r.json"), "--pool-out", str(fx / "p.json")]
+    return argv, "interactions.jsonl:1"
+
+
+def _task_without_id(fx):
+    _edit_row(fx / "tasks.jsonl", 2, lambda row: row.pop("task_id"))
+    argv = ["router", "train", "graphrouter", "--config", str(fx / "integrate.json"),
+            "--out", str(fx / "r.json"), "--pool-out", str(fx / "p.json")]
+    return argv, "tasks.jsonl:3"
+
+
+def _reward_is_a_word(fx):
+    _edit_row(fx / "rewards.jsonl", 4, lambda row: row.update(reward="x"))
+    argv = ["eval", "coldstart", "--config", str(fx / "coldstart.json"), "--out", str(fx / "rep")]
+    return argv, "rewards.jsonl:5"
+
+
+def _profile_without_vector(fx):
+    rows = [_profile_row("model_00_00"), _profile_row("model_00_01")]
+    del rows[1]["vector"]
+    (fx / "p.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    argv = ["route", "--config", str(fx / "coldstart.json"), "--profiles", str(fx / "p.jsonl"),
+            "--query", "Sum the first ten squares."]
+    return argv, "p.jsonl:2"
+
+
+def _pool_state_without_spec(fx):
+    row = _profile_row("model_00_00")
+    del row["spec"]
+    (fx / "pool.json").write_text(json.dumps({"models": [row]}))
+    argv = ["integrate", "--config", str(fx / "integrate.json"),
+            "--card", str(fx / "new_model.json"), "--pool-state", str(fx / "pool.json")]
+    return argv, "pool.json"
+
+
+def _missing_profiles_file(fx):
+    argv = ["route", "--config", str(fx / "coldstart.json"),
+            "--profiles", str(fx / "nowhere.jsonl"), "--query", "Sum the first ten squares."]
+    return argv, "nowhere.jsonl"
+
+
+def _checkpoint_without_hidden(fx):
+    (fx / "r.json").write_text(json.dumps({"kind": "mlp", "dim": 64, "params": {}}))
+    (fx / "p.jsonl").write_text(json.dumps(_profile_row("model_00_00")) + "\n")
+    argv = ["route", "--config", str(fx / "coldstart.json"), "--router", str(fx / "r.json"),
+            "--profiles", str(fx / "p.jsonl"), "--query", "Sum the first ten squares."]
+    return argv, "r.json"
+
+
+def _pool_is_a_string(fx):
+    _edit_json(fx / "coldstart.json", lambda cfg: cfg.update(pool="model_00_00"))
+    argv = ["profile", "--config", str(fx / "coldstart.json"), "--out", str(fx / "p.jsonl")]
+    return argv, "coldstart.json"
+
+
+MALFORMED = [
+    _bench_without_domain,
+    _dim_is_a_word,
+    _interactions_cut_short,
+    _task_without_id,
+    _reward_is_a_word,
+    _profile_without_vector,
+    _pool_state_without_spec,
+    _missing_profiles_file,
+    _checkpoint_without_hidden,
+    _pool_is_a_string,
+]
+
+
+@pytest.mark.parametrize("make", MALFORMED, ids=[m.__name__.strip("_") for m in MALFORMED])
+def test_malformed_input_file_exits_1_with_one_error_line_naming_it(tmp_path, capsys, make):
+    fx = tmp_path / "fixtures"
+    shutil.copytree(FIXTURE_DIR, fx)
+    argv, where = make(fx)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and f"{fx}/" in line and where in line
+
+
+@pytest.mark.parametrize("spec, dim", [("flat", 64), ("emb:2", 32)])
+def test_integrate_refuses_a_pool_state_of_another_spec_or_dim(tmp_path, capsys, spec, dim):
+    state = tmp_path / "pool_state.json"
+    assert main(["router", "train", "sim", "--config", INTEGRATE_CFG,
+                 "--out", str(tmp_path / "r.json"), "--pool-out", str(state)]) == 0  # emb:2, dim 64
+    saved = state.read_bytes()
+    capsys.readouterr()
+    argv = ["integrate", "--config", _integrate_cfg(tmp_path, spec=spec, dim=dim),
+            "--card", str(FIXTURE_DIR / "new_model.json"), "--pool-state", str(state)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(state) in err and "model_00_00" in err
+    assert state.read_bytes() == saved
 
 
 # --- one pipeline for every command ------------------------------------------

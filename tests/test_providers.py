@@ -364,12 +364,12 @@ def test_corrupt_cache_entry_is_a_miss(stub_server, tmp_path):
 
 
 def test_cache_write_is_atomic(stub_server, tmp_path, monkeypatch):
-    import coldroute.providers as providers_module
+    import coldroute.records as records_module
 
     def crash(src, dst):
         raise OSError("disk went away")
 
-    monkeypatch.setattr(providers_module.os, "replace", crash)
+    monkeypatch.setattr(records_module.os, "replace", crash)
     enc = RemoteEmbedder(
         _url(stub_server, "/v1/embeddings"), dim=4, retries=0, cache_dir=tmp_path
     )

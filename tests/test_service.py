@@ -11,7 +11,7 @@ import requests
 
 import coldroute
 from coldroute.config import AppConfig
-from coldroute.errors import ConfigError, TransportError
+from coldroute.errors import ConfigError, SummarizerFailure, TransportError
 from coldroute.providers import Summarizer, TextEncoder
 from coldroute.service import RoutingService, make_server
 
@@ -169,6 +169,22 @@ def test_truncated_state_file_is_a_config_error(tmp_path):
     state.write_bytes(state.read_bytes()[: state.stat().st_size // 2])
     with pytest.raises(ConfigError, match=str(state)):
         RoutingService(_config(router="sim", state_path=state))
+
+
+class _BlankSummarizer(Summarizer):
+    def summarize(self, prompt):
+        return " \n"
+
+
+def test_blank_summary_is_refused_and_the_state_file_still_loads(tmp_path):
+    state = tmp_path / "state.json"
+    service = RoutingService(_config(router="sim", spec="text:2", state_path=state))
+    service.register(NEW_CARD)
+    service.providers.summarizer = _BlankSummarizer()
+    with pytest.raises(SummarizerFailure, match="empty output"):
+        service.register(dict(NEW_CARD, id="model_01_03"))
+    revived = RoutingService(_config(router="sim", spec="text:2", state_path=state))
+    assert revived.pool.ids == CATALOG + ["model_01_02"]
 
 
 # --- failed registrations leave no trace ------------------------------------

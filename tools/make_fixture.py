@@ -28,11 +28,14 @@ Hand-maintained invariants (several tests lean on them):
 
 from __future__ import annotations
 
-import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
+sys.path.insert(0, str(ROOT / "src"))
+
+from coldroute.records import write  # noqa: E402
 
 DOMAINS = [
     {
@@ -224,19 +227,13 @@ def main() -> None:
     cards_dir = FIXDIR / "cards"
     cards_dir.mkdir(parents=True, exist_ok=True)
 
-    def dump_json(path: Path, payload) -> None:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    def dump_jsonl(path: Path, rows: list[dict]) -> None:
-        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
-
     queries = _queries()
-    dump_json(cards_dir / "domains.json", DOMAINS)
-    dump_json(cards_dir / "benchmarks.json", BENCHMARKS)
-    dump_json(cards_dir / "families.json", FAMILIES)
-    dump_json(cards_dir / "models.json", MODELS)
-    dump_jsonl(cards_dir / "queries.jsonl", queries)
-    dump_json(FIXDIR / "new_model.json", NEW_MODEL)
+    write(cards_dir / "domains.json", DOMAINS, "pretty")
+    write(cards_dir / "benchmarks.json", BENCHMARKS, "pretty")
+    write(cards_dir / "families.json", FAMILIES, "pretty")
+    write(cards_dir / "models.json", MODELS, "pretty")
+    write(cards_dir / "queries.jsonl", queries, "jsonl")
+    write(FIXDIR / "new_model.json", NEW_MODEL, "pretty")
 
     all_models = [m["id"] for m in MODELS] + [NEW_MODEL["id"]]
     rewards = [
@@ -244,10 +241,10 @@ def main() -> None:
         for q in queries
         for m in all_models
     ]
-    dump_jsonl(FIXDIR / "rewards.jsonl", rewards)
+    write(FIXDIR / "rewards.jsonl", rewards, "jsonl")
 
     tasks = [{"query_id": q["id"], "task_id": f"task_{q['id'].split('_')[1]}"} for q in queries]
-    dump_jsonl(FIXDIR / "tasks.jsonl", tasks)
+    write(FIXDIR / "tasks.jsonl", tasks, "jsonl")
 
     train_queries = [f"q_00_{i:04d}" for i in range(6)] + [f"q_01_{i:04d}" for i in range(6)]
     interactions = [
@@ -255,11 +252,11 @@ def main() -> None:
         for q in train_queries
         for m in MODELS
     ]
-    dump_jsonl(FIXDIR / "interactions.jsonl", interactions)
+    write(FIXDIR / "interactions.jsonl", interactions, "jsonl")
 
     eval_queries = [q["id"] for q in queries if q["id"] not in train_queries]
 
-    dump_json(
+    write(
         FIXDIR / "coldstart.json",
         {
             "cards_dir": "cards",
@@ -274,8 +271,9 @@ def main() -> None:
             "seed": 0,
             "out": "report_coldstart",
         },
+        "pretty",
     )
-    dump_json(
+    write(
         FIXDIR / "integrate.json",
         {
             "cards_dir": "cards",
@@ -294,8 +292,9 @@ def main() -> None:
             "hidden": 64,
             "out": "report_integrate",
         },
+        "pretty",
     )
-    dump_json(
+    write(
         FIXDIR / "serve.json",
         {
             "cards_dir": "cards",
@@ -310,6 +309,7 @@ def main() -> None:
             "hidden": 64,
             "service": {"host": "127.0.0.1", "port": 8777},
         },
+        "pretty",
     )
     print(f"fixture written under {FIXDIR}")
 
