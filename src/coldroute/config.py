@@ -30,6 +30,7 @@ from .providers import (
     RemoteEmbedder,
     RemoteSummarizer,
     encode_all,
+    remote_options,
 )
 from .routers import (
     CandidatePool,
@@ -100,6 +101,11 @@ def load_config(path: str | Path) -> AppConfig:
         top = {k: v for k, v in raw.items() if k not in _SERVICE_FIELDS}
         nested = {k: v for k, v in service.items() if k in _SERVICE_FIELDS}
         cfg = records.check({**top, **nested, "base_dir": str(base)}, AppConfig)
+        for role, cls in (("encoder", RemoteEmbedder), ("summarizer", RemoteSummarizer)):
+            options = getattr(cfg, role)
+            unknown = set(options) - {"kind"} - remote_options(cls)
+            if options.get("kind") == "remote" and unknown:
+                raise ConfigError(f"unknown {role} option {min(unknown)!r}")
         for f in fields(cfg):
             if isinstance(getattr(cfg, f.name), Path):
                 setattr(cfg, f.name, base / getattr(cfg, f.name))

@@ -117,19 +117,20 @@ class AffineLayer:
         raise ShapeMismatch(f"expected 1-D or 2-D input, got ndim={x.ndim}")
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        dy = _as_f64(dy)
+        self.accumulate(dy)
+        return self.W.T @ dy if dy.ndim == 1 else dy @ self.W
+
+    def accumulate(self, dy: np.ndarray) -> None:
+        """The parameter half of ``backward``: for a layer whose input gradient nothing reads."""
         if self._x is None:
             raise ShapeMismatch("backward called before forward")
         dy = _as_f64(dy)
         x = self._x
         if dy.shape != (x.shape[:-1] + (self.out_dim,)):
             raise ShapeMismatch(f"upstream gradient shape {dy.shape} unexpected")
-        if x.ndim == 1:
-            self.dW += np.outer(dy, x)
-            self.db += dy
-            return self.W.T @ dy
-        self.dW += dy.T @ x
-        self.db += dy.sum(axis=0)
-        return dy @ self.W
+        self.dW += np.outer(dy, x) if x.ndim == 1 else dy.T @ x
+        self.db += dy if x.ndim == 1 else dy.sum(axis=0)
 
     def params(self) -> list[np.ndarray]:
         return [self.W, self.b]

@@ -398,7 +398,7 @@ class _GraphTensors:
     index: dict[str, int]
     features: np.ndarray  # (n, d) original node features
     sizes: np.ndarray  # (n,) closed-neighborhood counts
-    edge_pairs: list[tuple[int, int]]  # all edges
+    edge_pairs: np.ndarray  # (edges, 2) endpoint indices of every edge
     edge_weights: np.ndarray  # weight per edge (1.0 where unscored)
     scored_idx: np.ndarray  # positions in edge_pairs that carry a score
 
@@ -423,19 +423,18 @@ def _graph_tensors(graph: EvidenceGraph) -> _GraphTensors:
         if edge.weight is not None:
             scored.append(pos)
     return _GraphTensors(
-        ids, index, features, sizes, pairs, np.asarray(weights), np.asarray(scored, dtype=int)
+        ids, index, features, sizes, np.asarray(pairs, dtype=np.intp).reshape(-1, 2),
+        np.asarray(weights), np.asarray(scored, dtype=int),
     )
 
 
 def _propagation_matrix(gt: _GraphTensors, edge_weights: np.ndarray) -> np.ndarray:
-    n = len(gt.ids)
-    s = np.zeros((n, n))
     inv_sqrt = 1.0 / np.sqrt(gt.sizes)
-    s[np.arange(n), np.arange(n)] = inv_sqrt * inv_sqrt
-    for (i, j), w in zip(gt.edge_pairs, edge_weights):
-        coeff = w * inv_sqrt[i] * inv_sqrt[j]
-        s[i, j] = coeff
-        s[j, i] = coeff
+    s = np.diag(inv_sqrt * inv_sqrt)
+    i, j = gt.edge_pairs.T
+    coeff = edge_weights * inv_sqrt[i] * inv_sqrt[j]
+    s[i, j] = coeff  # the graph has no multi-edges and no self edges
+    s[j, i] = coeff
     return s
 
 
@@ -495,30 +494,44 @@ class TrainGnnModel(nn.Layered):
         x_masked: np.ndarray,
         x_orig: np.ndarray,
         node_batch: np.ndarray,
-        edge_pairs: list[tuple[int, int]],
+        edge_pairs: np.ndarray,
         edge_targets: np.ndarray,
+        first_hop: np.ndarray | None = None,
     ) -> tuple[float, list[np.ndarray]]:
         """Masked-reconstruction loss and its exact gradients.
 
         ``node_batch`` indexes the masked nodes in this minibatch;
         ``edge_pairs``/``edge_targets`` are the masked scored edges with
         their pre-masking weights.  Total loss is the sum of the node and
-        edge reconstruction terms.
+        edge reconstruction terms.  ``first_hop`` is ``s @ x_masked``,
+        passed where the caller keeps it for a whole epoch.
+
+        Every hop but the last runs on all nodes.  The last hop and its
+        backward pass run only on the rows the loss reads: the node batch
+        and the ends of the masked edges.
         """
         self.zero_grad()
-        h, caches = self._forward(s, x_masked)
+        node_batch = np.asarray(node_batch, dtype=np.intp)
+        ends = np.asarray(edge_pairs, dtype=np.intp).reshape(-1, 2)
+        rows, at = np.unique(np.concatenate([node_batch, ends.ravel()]), return_inverse=True)
+        nodes, (left, right) = at[: len(node_batch)], at[len(node_batch) :].reshape(-1, 2).T
+        s_rows = s[rows]
+        p = s @ x_masked if first_hop is None else first_hop
+        caches = []  # pre-activations of every hop but the last
+        for k, layer in enumerate(self.hop_layers[:-1]):
+            caches.append(layer.forward(p))
+            p = (s_rows if k == self.depth - 2 else s) @ nn.relu(caches[-1])
+        h = self.hop_layers[-1].forward(p if caches else p[rows])
         d_h = np.zeros_like(h)
         loss = 0.0
 
-        if len(node_batch):
-            pred = self.node_head.forward(h[node_batch])
+        if len(nodes):
+            pred = self.node_head.forward(h[nodes])
             node_loss, d_pred = nn.mse(pred, x_orig[node_batch])
             loss += node_loss
-            d_h[node_batch] += self.node_head.backward(d_pred)
+            d_h[nodes] += self.node_head.backward(d_pred)
 
-        if len(edge_pairs):
-            left = np.asarray([p[0] for p in edge_pairs])
-            right = np.asarray([p[1] for p in edge_pairs])
+        if len(ends):
             feats = np.concatenate([h[left], h[right]], axis=1)
             pred = self.edge_head.forward(feats).ravel()
             edge_loss, d_pred = nn.mse(pred, edge_targets)
@@ -527,11 +540,12 @@ class TrainGnnModel(nn.Layered):
             np.add.at(d_h, left, d_feats[:, : self.dim])
             np.add.at(d_h, right, d_feats[:, self.dim :])
 
-        for k in range(self.depth - 1, -1, -1):
-            d_a = d_h if k == self.depth - 1 else d_h * nn.relu_grad(caches[k])
+        d_a = d_h  # the last hop has no ReLU
+        for k in range(self.depth - 1, 0, -1):
             d_p = self.hop_layers[k].backward(d_a)
-            if k:  # the input gradient of hop 0 is never read
-                d_h = s @ d_p  # s is symmetric, so this is the adjoint
+            s_t = s_rows.T if k == self.depth - 1 else s  # s is symmetric: s.T == s
+            d_a = (s_t @ d_p) * nn.relu_grad(caches[k - 1])
+        self.hop_layers[0].accumulate(d_a)  # the input gradient of hop 0 is never read
         return loss, [g.copy() for g in self.grads()]
 
     # -- checkpointing --
@@ -569,8 +583,9 @@ def traingnn_fit(
 
     Per epoch: sample masked nodes (features zeroed) and masked scored
     edges (weight replaced by the mean scored weight), then run Adam steps
-    over minibatches of the masked nodes with full-graph propagation each
-    step.  All masked edges contribute to every step of the epoch.
+    over minibatches of the masked nodes.  ``s`` and its first hop are
+    built once per epoch; each step's last hop runs on the rows its loss
+    reads.  All masked edges contribute to every step of the epoch.
     """
     if spec.learning != "trainable":
         raise InvalidSpec(f"spec {spec.short()!r} is not trainable")
@@ -597,7 +612,8 @@ def traingnn_fit(
         weights = gt.edge_weights.copy()
         weights[masked_edges] = mean_scored
         s = _propagation_matrix(gt, weights)
-        edge_pairs = [gt.edge_pairs[pos] for pos in masked_edges]
+        first_hop = s @ x_masked  # the same for every minibatch of the epoch
+        edge_pairs = gt.edge_pairs[masked_edges]
         edge_targets = gt.edge_weights[masked_edges]
 
         order = rng.permutation(masked_nodes)
@@ -607,7 +623,7 @@ def traingnn_fit(
         losses = []
         for batch in batches:
             loss, grads = model.loss_and_grads(
-                s, x_masked, gt.features, np.sort(batch), edge_pairs, edge_targets
+                s, x_masked, gt.features, np.sort(batch), edge_pairs, edge_targets, first_hop
             )
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"epoch {epoch}")

@@ -19,6 +19,7 @@ cosine scores and linear propagation mix features on a common scale.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import threading
 import time
@@ -243,6 +244,13 @@ def _read_cache(path: Path) -> dict | None:
 def _write_cache(path: Path, body: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     records.write_atomic(path, records.dumps(body), durable=False)
+
+
+def remote_options(cls) -> set[str]:
+    """The keys a ``remote`` provider's config may hold besides its kind: the
+    keyword options of ``cls`` (a remote provider class) and of its HTTP client."""
+    own = set(inspect.signature(cls).parameters) - {"dim", "http_kwargs"}
+    return own | set(inspect.signature(_HttpJson).parameters)
 
 
 class RemoteEmbedder(TextEncoder):

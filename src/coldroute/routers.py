@@ -200,22 +200,21 @@ class RoutingDecision:
         }
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
 def sim_route(query_vec: np.ndarray, pool: CandidatePool, query_id: str = "query") -> RoutingDecision:
-    """Training-free cosine routing with smallest-id tie-break."""
-    if len(pool) == 0:
+    """Training-free cosine routing with smallest-id tie-break; a zero vector scores 0."""
+    profiles = pool.profiles()  # one snapshot
+    if not profiles:
         raise EmptyPool()
     query_vec = np.asarray(query_vec, dtype=np.float64)
     if query_vec.shape != (pool.dim,):
         raise DimensionMismatch(pool.dim, query_vec.shape[0], "query vector")
-    scores = {p.model_id: _cosine(query_vec, p.vector) for p in pool.profiles()}
-    return RoutingDecision.from_scores(query_id, scores)
+    matrix = np.stack([p.vector for p in profiles])
+    # a row-wise sum, not BLAS: equal profiles must score equal wherever they sit
+    dots = (matrix * query_vec).sum(axis=1)
+    norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(query_vec)
+    cosines = np.divide(dots, norms, out=np.zeros(len(profiles)), where=norms != 0.0)
+    ids = [p.model_id for p in profiles]
+    return RoutingDecision.from_scores(query_id, dict(zip(ids, map(float, cosines))))
 
 
 @dataclass
@@ -575,19 +574,42 @@ class GraphRouterLite(nn.Layered):
         u = nn.relu(_affine(self.decoder, nn.relu(_affine(self.prop2, p2))))
         return u[0], u[1:]
 
-    def _forward(self, p1: np.ndarray, s: np.ndarray):
-        """Training forward pass over the whole graph from ``p1 = s @ x``."""
-        a1 = self.prop1.forward(p1)
-        h1 = nn.relu(a1)
-        a2 = self.prop2.forward(s @ h1)
-        h2 = nn.relu(a2)
-        a3 = self.decoder.forward(h2)
-        u = nn.relu(a3)
-        return u, (a1, a2, a3)
+    def _forward(self, p1: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Final states of every node of the routing graph, from ``p1 = s @ x``."""
+        h1 = nn.relu(_affine(self.prop1, p1))
+        return nn.relu(_affine(self.decoder, nn.relu(_affine(self.prop2, s @ h1))))
 
     def _pair_scores(self, u: np.ndarray, q_idx: np.ndarray, m_idx: np.ndarray):
         u_q, u_m = u[q_idx], u[m_idx]
         return nn.sigmoid(np.sum(u_q * u_m, axis=1)), u_q, u_m
+
+    def loss_and_grads(
+        self, graph: _FrozenGraph, q_idx: np.ndarray, m_idx: np.ndarray, rewards: np.ndarray
+    ) -> tuple[float, list[np.ndarray]]:
+        """Squared error of the predicted rewards of the pairs ``(q_idx[i], m_idx[i])``,
+        and its exact gradients.
+
+        Layer 1 runs on every node: the batch's rows of ``s`` reach nearly
+        all of them.  Layer 2, the read-out and their backward passes run
+        only on the batch's own rows, and layer 1 needs no input gradient.
+        """
+        self.zero_grad()
+        rows, at = np.unique(np.concatenate([q_idx, m_idx]), return_inverse=True)
+        s_rows = graph.s[rows]
+        a1 = self.prop1.forward(graph.p1)
+        a2 = self.prop2.forward(s_rows @ nn.relu(a1))
+        a3 = self.decoder.forward(nn.relu(a2))
+        preds, u_q, u_m = self._pair_scores(nn.relu(a3), at[: len(q_idx)], at[len(q_idx) :])
+        loss, d_pred = nn.mse(preds, rewards)
+        d_dot = (d_pred * preds * (1.0 - preds))[:, None]
+        # one flat scatter over both ends of every pair, the query ends first
+        flat = (at[:, None] * self.hidden + np.arange(self.hidden)).ravel()
+        d_u = np.zeros(a3.size)
+        np.add.at(d_u, flat, np.concatenate([d_dot * u_m, d_dot * u_q]).ravel())
+        d_h2 = self.decoder.backward(d_u.reshape(a3.shape) * nn.relu_grad(a3))
+        d_h1 = s_rows.T @ self.prop2.backward(d_h2 * nn.relu_grad(a2))
+        self.prop1.accumulate(d_h1 * nn.relu_grad(a1))
+        return loss, [g.copy() for g in self.grads()]
 
     def route(
         self,
@@ -695,27 +717,13 @@ def graphrouter_fit(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            router.zero_grad()
-            u, (a1, a2, a3) = router._forward(graph.p1, graph.s)
-            preds, u_q, u_m = router._pair_scores(u, q_all[batch], m_all[batch])
-            loss, d_pred = nn.mse(preds, rewards[batch])
+            loss, grads = router.loss_and_grads(graph, q_all[batch], m_all[batch], rewards[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"epoch {epoch}")
-            d_dot = d_pred * preds * (1.0 - preds)
-            d_u = np.zeros_like(u)
-            np.add.at(d_u, q_all[batch], d_dot[:, None] * u_m)
-            np.add.at(d_u, m_all[batch], d_dot[:, None] * u_q)
-            d_a3 = d_u * nn.relu_grad(a3)
-            d_h2 = router.decoder.backward(d_a3)
-            d_a2 = d_h2 * nn.relu_grad(a2)
-            d_sh1 = router.prop2.backward(d_a2)
-            d_h1 = graph.s @ d_sh1
-            d_a1 = d_h1 * nn.relu_grad(a1)
-            router.prop1.backward(d_a1)
-            nn.adam_step(adam, router.params(), router.grads())
+            nn.adam_step(adam, router.params(), grads)
         # trace the full-dataset loss after the epoch's updates so the
         # curve reflects optimization progress, not minibatch shuffling
-        u, _ = router._forward(graph.p1, graph.s)
+        u = router._forward(graph.p1, graph.s)
         pred_all, _, _ = router._pair_scores(u, q_all, m_all)
         epoch_loss, _ = nn.mse(pred_all, rewards)
         router.loss_trace.append(float(epoch_loss))

@@ -24,7 +24,9 @@ from coldroute.graph import (
     build_graph,
     load_cards,
 )
+from coldroute.profiles import ProfileSpec, make_profiles
 from coldroute.providers import DeterministicEmbedder, Providers, encode_all
+from coldroute.routers import CandidatePool, load_interactions, load_tasks
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -56,6 +58,21 @@ def fixture_graph(fixture_cards, providers) -> EvidenceGraph:
     )
     encode_all(graph, providers.encoder)
     return graph
+
+
+@pytest.fixture()
+def fixture_world(fixture_graph, providers):
+    """Pool, query vectors, tasks, and interactions from the shipped corpus."""
+    pool_ids = ["model_00_00", "model_00_01", "model_01_00", "model_01_01"]
+    profiles = make_profiles(fixture_graph, ProfileSpec.parse("emb:2"), pool_ids, providers)
+    pool = CandidatePool([profiles[m] for m in pool_ids])
+    tasks = load_tasks(FIXTURE_DIR / "tasks.jsonl")
+    interactions = load_interactions(FIXTURE_DIR / "interactions.jsonl")
+    query_vecs = {
+        qid: np.asarray(fixture_graph.node(qid).embedding)
+        for qid in tasks
+    }
+    return pool, query_vecs, tasks, interactions
 
 
 def tiny_cards() -> CardSet:
@@ -135,8 +152,8 @@ def random_graph(rng: np.random.Generator, dim: int = 8, max_nodes: int = 10) ->
 
 # --- independent oracles ---------------------------------------------------
 
-def dense_propagation_oracle(graph: EvidenceGraph, depth: int) -> dict[str, np.ndarray]:
-    """S^K X computed densely and independently of the library's code path."""
+def dense_propagation_matrix(graph: EvidenceGraph) -> np.ndarray:
+    """The normalized propagation matrix S, rows and columns in ``graph.node_ids`` order."""
     ids = graph.node_ids
     index = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)
@@ -148,9 +165,16 @@ def dense_propagation_oracle(graph: EvidenceGraph, depth: int) -> dict[str, np.n
             edge = graph.edge_between(v, u)
             w = 1.0 if edge.weight is None else float(edge.weight)
             s[index[v], index[u]] = w / np.sqrt(len(closed[v]) * len(closed[u]))
+    return s
+
+
+def dense_propagation_oracle(graph: EvidenceGraph, depth: int) -> dict[str, np.ndarray]:
+    """S^K X computed densely and independently of the library's code path."""
+    ids = graph.node_ids
+    s = dense_propagation_matrix(graph)
     x = np.stack([np.asarray(graph.node(nid).embedding, dtype=np.float64) for nid in ids])
     out = np.linalg.matrix_power(s, depth) @ x
-    return {nid: out[index[nid]] for nid in ids}
+    return {nid: out[i] for i, nid in enumerate(ids)}
 
 
 def bfs_ball(graph: EvidenceGraph, start: str, radius: int) -> set[str]:
@@ -225,3 +249,82 @@ def graph_router_oracle(router, pool, query_vec, task_id: str) -> dict[str, floa
         for kind, name in nodes
         if kind == "m"
     }
+
+
+# --- full-graph training steps ---------------------------------------------
+#
+# One minibatch step of each trainer as a plain forward pass over every node
+# of its graph followed by its backward pass, from the model's weights alone.
+# The trainers compute only the rows their loss reads; these say what those
+# rows must add up to.
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
+def graph_router_full_step(router, graph, q_idx, m_idx, rewards):
+    """Loss and gradients (prop1, prop2, decoder weights) of one graph-router minibatch.
+
+    ``graph`` is a compiled routing graph: its ``s`` and ``p1 = s @ x``.
+    """
+    (w1, b1), (w2, b2), (w3, b3) = [(l.W, l.b) for l in (router.prop1, router.prop2, router.decoder)]
+    a1 = graph.p1 @ w1.T + b1
+    p2 = graph.s @ _relu(a1)
+    a2 = p2 @ w2.T + b2
+    a3 = _relu(a2) @ w3.T + b3
+    u = _relu(a3)
+    preds = 1.0 / (1.0 + np.exp(-np.sum(u[q_idx] * u[m_idx], axis=1)))
+    diff = preds - rewards
+    d_dot = 2.0 * diff / diff.size * preds * (1.0 - preds)
+    d_u = np.zeros_like(u)
+    for q, m, d in zip(q_idx, m_idx, d_dot):
+        d_u[q] += d * u[m]
+    for q, m, d in zip(q_idx, m_idx, d_dot):
+        d_u[m] += d * u[q]
+    d_a3 = d_u * (a3 > 0)
+    d_a2 = (d_a3 @ w3) * (a2 > 0)
+    d_a1 = (graph.s @ (d_a2 @ w2)) * (a1 > 0)
+    grads = [d_a1.T @ graph.p1, d_a2.T @ p2, d_a3.T @ _relu(a2)]
+    return float(np.mean(diff * diff)), grads
+
+
+def traingnn_full_step(model, s, x_masked, x_orig, node_batch, edge_pairs, edge_targets):
+    """Loss and gradients (every layer's weight, then bias) of one masked-reconstruction
+    minibatch: the squared error of the masked nodes' features plus that of the
+    masked edges' weights."""
+    inputs, pre = [], []
+    h = x_masked
+    for k, layer in enumerate(model.hop_layers):
+        inputs.append(s @ h)
+        pre.append(inputs[-1] @ layer.W.T + layer.b)
+        h = _relu(pre[-1]) if k < model.depth - 1 else pre[-1]
+    node_head, edge_head = model.node_head, model.edge_head
+    d_h = np.zeros_like(h)
+    loss = 0.0
+    head_grads = [np.zeros_like(node_head.W), np.zeros_like(node_head.b),
+                  np.zeros_like(edge_head.W), np.zeros_like(edge_head.b)]
+    if len(node_batch):
+        feats = h[node_batch]
+        diff = feats @ node_head.W.T + node_head.b - x_orig[node_batch]
+        loss += float(np.mean(diff * diff))
+        d_pred = 2.0 * diff / diff.size
+        head_grads[0:2] = [d_pred.T @ feats, d_pred.sum(axis=0)]
+        d_h[node_batch] += d_pred @ node_head.W
+    if len(edge_pairs):
+        left = np.asarray([int(p[0]) for p in edge_pairs])
+        right = np.asarray([int(p[1]) for p in edge_pairs])
+        feats = np.concatenate([h[left], h[right]], axis=1)
+        diff = (feats @ edge_head.W.T + edge_head.b).ravel() - edge_targets
+        loss += float(np.mean(diff * diff))
+        d_pred = (2.0 * diff / diff.size)[:, None]
+        head_grads[2:4] = [d_pred.T @ feats, d_pred.sum(axis=0)]
+        d_feats = d_pred @ edge_head.W
+        for i, j, d in zip(left, right, d_feats):
+            d_h[i] += d[: model.dim]
+            d_h[j] += d[model.dim :]
+    hop_grads = []
+    for k in range(model.depth - 1, -1, -1):
+        d_a = d_h if k == model.depth - 1 else d_h * (pre[k] > 0)
+        hop_grads[:0] = [d_a.T @ inputs[k], d_a.sum(axis=0)]
+        d_h = s @ (d_a @ model.hop_layers[k].W)
+    return loss, hop_grads + head_grads

@@ -144,6 +144,27 @@ def test_criterion_02_gradient_correctness():
     )
 
 
+def test_graphrouter_gradients_pass_finite_difference(fixture_world):
+    pool, query_vecs, tasks, interactions = fixture_world
+    # Checked at a trained point: at the initial weights every score sits near
+    # sigmoid(0) and the gradient entries are too small for finite differences.
+    router = graphrouter_fit(tasks, query_vecs, interactions, pool, hidden=8, epochs=40, lr=3e-2)
+    graph = router._compile(pool.profiles())
+    batch = interactions[::3]
+    q_idx = np.asarray([graph.index[("q", r.query_id)] for r in batch])
+    m_idx = np.asarray([graph.index[("m", r.model_id)] for r in batch])
+    rewards = np.asarray([r.reward for r in batch])
+
+    def loss_fn(_params):
+        return router.loss_and_grads(graph, q_idx, m_idx, rewards)
+
+    _, grads = loss_fn(router.params())
+    assert all(np.any(g != 0.0) for g in grads)
+    # h = 1e-4: with h = 1e-5 the loss's rounding error over 2h (~1e-11) is
+    # no longer small against prop1's smallest gradient entries (~1e-7)
+    assert nn.finite_diff_check(loss_fn, router.params(), h=1e-4) < 1e-6
+
+
 def test_criterion_03_training_sanity():
     start = time.perf_counter()
     world = synth_world(SynthWorldConfig(seed=0))

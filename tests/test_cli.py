@@ -292,6 +292,20 @@ def _dim_is_a_word(fx):
     return argv, "coldstart.json"
 
 
+def _encoder_option_misspelt(fx):
+    encoder = {"kind": "remote", "url": "http://127.0.0.1:9/v1/embeddings", "timout": 3}
+    _edit_json(fx / "coldstart.json", lambda cfg: cfg.update(encoder=encoder))
+    argv = ["profile", "--config", str(fx / "coldstart.json"), "--out", str(fx / "p.jsonl")]
+    return argv, "'timout'"
+
+
+def _summarizer_option_misspelt(fx):
+    summarizer = {"kind": "remote", "url": "http://127.0.0.1:9/v1/chat", "max_in_fligth": 2}
+    _edit_json(fx / "coldstart.json", lambda cfg: cfg.update(summarizer=summarizer))
+    argv = ["profile", "--config", str(fx / "coldstart.json"), "--out", str(fx / "p.jsonl")]
+    return argv, "'max_in_fligth'"
+
+
 def _interactions_cut_short(fx):
     path = fx / "interactions.jsonl"
     path.write_bytes(path.read_bytes()[:30])
@@ -354,6 +368,8 @@ def _pool_is_a_string(fx):
 MALFORMED = [
     _bench_without_domain,
     _dim_is_a_word,
+    _encoder_option_misspelt,
+    _summarizer_option_misspelt,
     _interactions_cut_short,
     _task_without_id,
     _reward_is_a_word,

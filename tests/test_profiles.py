@@ -34,7 +34,14 @@ from coldroute.profiles import (
 )
 from coldroute.providers import DeterministicEmbedder, EchoSummarizer, Providers, encode_all
 
-from conftest import bfs_ball, dense_propagation_oracle, random_graph, tiny_cards
+from conftest import (
+    bfs_ball,
+    dense_propagation_matrix,
+    dense_propagation_oracle,
+    random_graph,
+    tiny_cards,
+    traingnn_full_step,
+)
 
 
 # --- spec parsing ----------------------------------------------------------
@@ -312,6 +319,60 @@ def test_traingnn_gradients_pass_finite_difference(tiny_graph):
         return model.loss_and_grads(s, x_masked, x, node_batch, edge_pairs, edge_targets)
 
     assert nn.finite_diff_check(loss_fn, model.params()) < 1e-6
+
+
+def test_propagation_matrix_matches_the_dense_oracle(fixture_graph):
+    gt = _graph_tensors(fixture_graph)
+    s = _propagation_matrix(gt, gt.edge_weights)
+    assert np.max(np.abs(s - dense_propagation_matrix(fixture_graph))) <= 1e-15
+
+
+def _masked_batches(gt, rng):
+    """(node batch, masked edge positions) cases: random ones, edges only, and nothing."""
+    n, scored = len(gt.ids), gt.scored_idx
+    cases = [
+        (np.sort(rng.choice(n, size=size, replace=False)), np.sort(rng.choice(scored, size=k, replace=False)))
+        for size, k in ((1, 0), (5, 3), (30, len(scored) // 2))
+    ]
+    return cases + [(np.asarray([], dtype=int), scored[:4]), (np.asarray([], dtype=int), scored[:0])]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_traingnn_step_matches_the_full_graph_step(fixture_graph, depth):
+    gt = _graph_tensors(fixture_graph)
+    rng = np.random.default_rng(depth)
+    model = TrainGnnModel.create(depth, fixture_graph.dim, rng)
+    for nodes, edges in _masked_batches(gt, rng):
+        x_masked = gt.features.copy()
+        x_masked[nodes] = 0.0
+        weights = gt.edge_weights.copy()
+        weights[edges] = 0.5
+        s = _propagation_matrix(gt, weights)
+        pairs, targets = gt.edge_pairs[edges], gt.edge_weights[edges]
+        want_loss, want = traingnn_full_step(model, s, x_masked, gt.features, nodes, pairs, targets)
+        assert (want_loss == 0.0) == (len(nodes) + len(edges) == 0)
+        for first_hop in (None, s @ x_masked):
+            loss, grads = model.loss_and_grads(
+                s, x_masked, gt.features, nodes, pairs, targets, first_hop
+            )
+            assert abs(loss - want_loss) <= 1e-12
+            for got, ref in zip(grads, want, strict=True):
+                assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("mask_ratio", [0.0, 0.3])
+def test_traingnn_fit_follows_the_full_graph_steps(fixture_graph, monkeypatch, mask_ratio):
+    spec = ProfileSpec.parse("train:2")
+    fit = traingnn_fit(fixture_graph, spec, seed=0, mask_ratio=mask_ratio, epochs=3)
+
+    def full_step(model, s, x_masked, x_orig, node_batch, edge_pairs, edge_targets, first_hop):
+        return traingnn_full_step(model, s, x_masked, x_orig, node_batch, edge_pairs, edge_targets)
+
+    monkeypatch.setattr(TrainGnnModel, "loss_and_grads", full_step)
+    ref = traingnn_fit(fixture_graph, spec, seed=0, mask_ratio=mask_ratio, epochs=3)
+    for got, want in zip(fit.params(), ref.params(), strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.allclose(fit.loss_trace, ref.loss_trace, rtol=0.0, atol=1e-12)
 
 
 def test_traingnn_checkpoint_round_trip(fixture_graph):

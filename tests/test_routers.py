@@ -16,7 +16,7 @@ from coldroute.errors import (
     UnknownTask,
 )
 from coldroute.graph import ModelCard
-from coldroute.profiles import Profile, ProfileSpec, make_profiles, traingnn_fit
+from coldroute.profiles import Profile, ProfileSpec, traingnn_fit
 from coldroute.routers import (
     CandidatePool,
     GraphRouterLite,
@@ -37,26 +37,11 @@ from coldroute.routers import (
     sim_route,
 )
 
-from conftest import FIXTURE_DIR, graph_router_oracle
+from conftest import graph_router_full_step, graph_router_oracle
 
 
 def _profile(model_id: str, vec) -> Profile:
     return Profile(model_id, ProfileSpec.parse("emb:1"), np.asarray(vec, dtype=np.float64))
-
-
-@pytest.fixture()
-def fixture_world(fixture_graph, providers):
-    """Pool, query vectors, tasks, and interactions from the shipped corpus."""
-    pool_ids = ["model_00_00", "model_00_01", "model_01_00", "model_01_01"]
-    profiles = make_profiles(fixture_graph, ProfileSpec.parse("emb:2"), pool_ids, providers)
-    pool = CandidatePool([profiles[m] for m in pool_ids])
-    tasks = load_tasks(FIXTURE_DIR / "tasks.jsonl")
-    interactions = load_interactions(FIXTURE_DIR / "interactions.jsonl")
-    query_vecs = {
-        qid: np.asarray(fixture_graph.node(qid).embedding)
-        for qid in tasks
-    }
-    return pool, query_vecs, tasks, interactions
 
 
 # --- records and files -----------------------------------------------------
@@ -140,6 +125,27 @@ def test_sim_route_zero_vectors_score_zero():
     assert sim_route(np.zeros(2), pool).scores["m_b"] == 0.0
     with pytest.raises(EmptyPool):
         sim_route(np.ones(2), CandidatePool())
+
+
+def test_sim_route_scores_are_the_per_profile_cosines():
+    rng = np.random.default_rng(11)
+    vectors = [rng.normal(size=8) for _ in range(6)] + [np.zeros(8)]
+    vectors.append(vectors[2].copy())  # a twin of m_02: a tie the smaller id wins
+    pool = CandidatePool([_profile(f"m_{i:02d}", v) for i, v in enumerate(vectors)])
+    for q in [rng.normal(size=8) for _ in range(5)] + [vectors[2], np.zeros(8)]:
+        decision = sim_route(q, pool)
+        for p in pool.profiles():
+            denom = np.linalg.norm(q) * np.linalg.norm(p.vector)
+            want = 0.0 if denom == 0.0 else float(q @ p.vector) / denom
+            assert abs(decision.scores[p.model_id] - want) <= 1e-12
+        assert decision.scores["m_06"] == 0.0
+        best = max(decision.scores.values())
+        assert decision.chosen == min(m for m, v in decision.scores.items() if v == best)
+    assert sim_route(vectors[2], pool).chosen == "m_02"
+    twins = CandidatePool([_profile(f"m_{i:02d}", vectors[0]) for i in range(13)])
+    for q in [rng.normal(size=8) for _ in range(20)]:
+        decision = sim_route(q, twins)
+        assert len(set(decision.scores.values())) == 1 and decision.chosen == "m_00"
 
 
 def test_sim_route_scale_invariance():
@@ -271,6 +277,38 @@ def test_graphrouter_fit_validation(fixture_world):
     doubled = interactions + interactions[:1]
     with pytest.raises(ConfigError):
         graphrouter_fit(tasks, query_vecs, doubled, pool)
+
+
+def test_graphrouter_step_matches_the_full_graph_step(fixture_world):
+    pool, query_vecs, tasks, interactions = fixture_world
+    router = graphrouter_fit(tasks, query_vecs, interactions, pool, hidden=16, epochs=0)
+    graph = router._compile(pool.profiles())
+    q_all = np.asarray([graph.index[("q", r.query_id)] for r in interactions])
+    m_all = np.asarray([graph.index[("m", r.model_id)] for r in interactions])
+    rewards = np.asarray([r.reward for r in interactions])
+    rng = np.random.default_rng(7)
+    one_query = np.flatnonzero(q_all == q_all[0])  # one query row against every model
+    batches = [rng.choice(len(q_all), size=size, replace=False) for size in (1, 5, 17)]
+    batches += [one_query, rng.choice(len(q_all), size=40, replace=True), np.arange(len(q_all))]
+    for batch in batches:
+        loss, grads = router.loss_and_grads(graph, q_all[batch], m_all[batch], rewards[batch])
+        want_loss, want = graph_router_full_step(
+            router, graph, q_all[batch], m_all[batch], rewards[batch]
+        )
+        assert abs(loss - want_loss) <= 1e-12
+        assert any(np.any(g != 0.0) for g in want)
+        for got, ref in zip(grads, want, strict=True):
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_graphrouter_fit_follows_the_full_graph_steps(fixture_world, monkeypatch):
+    pool, query_vecs, tasks, interactions = fixture_world
+    fit = graphrouter_fit(tasks, query_vecs, interactions, pool, hidden=16, epochs=4, batch_size=8)
+    monkeypatch.setattr(GraphRouterLite, "loss_and_grads", graph_router_full_step)
+    ref = graphrouter_fit(tasks, query_vecs, interactions, pool, hidden=16, epochs=4, batch_size=8)
+    for got, want in zip(fit.params(), ref.params(), strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.allclose(fit.loss_trace, ref.loss_trace, rtol=0.0, atol=1e-12)
 
 
 def test_graphrouter_identical_profiles_identical_scores(fixture_world):

@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Fingerprint coldroute's trained parts on the benchmark's worlds.
+
+For each seed this builds the worlds of ``perfbench/worlds.py`` (their
+inputs are written to a temporary directory) and records:
+
+* ``serve/graphrouter``: the graph router of the ``serve_graph`` service
+  (``emb:2``), with its scores for the serve world's eval queries;
+* ``integrate/graphrouter``: the graph router of ``eval integrate``
+  (``emb:2``, old pool), with its scores for the integration world's eval
+  queries after the new model is admitted;
+* ``coldstart/train:2``: the ``train:2`` aggregator of ``eval coldstart``,
+  with the profile of every model;
+* ``reports``: the SHA-256 of each file that the benchmark's three eval
+  commands write: ``eval coldstart --spec emb:2`` and ``--spec train:2``,
+  and ``eval integrate --router graphrouter --spec emb:2``.
+
+Each fitted part is printed as the SHA-256 of its checkpoint and its
+vector of scores or profile entries, as JSON on stdout::
+
+    python3 tools/fingerprint.py --seeds 1 2 3 > before.json
+    python3 tools/fingerprint.py --seeds 1 2 3 --against before.json
+
+With ``--against FILE`` (an earlier output) it prints one line per part
+instead: whether the checkpoint is byte-identical and the max |Δ| of its
+vector.  The exit status is 1 if a vector moved by more than 1e-12, a
+vector changed its length, or a report differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from program import PINNED_ENV  # noqa: E402
+
+os.environ.update(PINNED_ENV)  # BLAS on one thread, as in the benchmark; before numpy loads
+
+import numpy as np  # noqa: E402
+
+from coldroute import records  # noqa: E402
+from coldroute.cli import main as cli  # noqa: E402
+from coldroute.config import Pipeline, load_config  # noqa: E402
+from coldroute.routers import integrate_new_model, query_vectors  # noqa: E402
+from worlds import eval_inputs, serve_inputs  # noqa: E402
+
+TOLERANCE = 1e-12
+
+
+def _sha(payload: dict) -> str:
+    return hashlib.sha256(records.dumps(payload).encode("utf-8")).hexdigest()
+
+
+def _graphrouter(config: Path, queries: list[str] | None = None) -> dict:
+    """The configured graph router's checksum and its scores for ``queries``.
+
+    ``queries`` default to the config's eval queries, routed after its new
+    model is admitted, as ``eval integrate`` does.
+    """
+    pipe = Pipeline(load_config(config))
+    new = pipe.new_card
+    pool = pipe.pool(pipe.pool_ids(without=new.id if new else None))
+    router = pipe.router("graphrouter", pool)
+    sha = _sha(router.to_checkpoint())
+    if new is not None:
+        integrate_new_model(router, pool, pipe.graph, new, pipe.spec, pipe.providers)
+    queries = queries or pipe.cfg.eval_queries
+    vecs = query_vectors(pipe.graph, queries)
+    scores = []
+    for qid in queries:
+        decision = router.route(vecs[qid], pool, qid, pipe.tasks[qid])
+        scores.extend(decision.scores[m] for m in pool.ids)
+    return {"sha256": sha, "vector": scores}
+
+
+def _aggregator(config: Path, spec: str) -> dict:
+    """The ``spec`` aggregator's checksum and the profile of every model."""
+    cfg = load_config(config)
+    cfg.spec = spec
+    pipe = Pipeline(cfg)
+    pool = pipe.pool(pipe.pool_ids())
+    vector = np.concatenate([p.vector for p in pool.profiles()])
+    return {"sha256": _sha(pipe.aggregator.to_checkpoint()), "vector": vector.tolist()}
+
+
+def _reports(config: Path, args: list[str], out: Path) -> dict:
+    """The SHA-256 of the JSON and CSV report of ``coldroute eval ARGS``."""
+    with contextlib.redirect_stdout(io.StringIO()):  # keep stdout for the fingerprint
+        status = cli(["eval", *args, "--config", str(config), "--out", str(out)])
+    if status != 0:
+        raise SystemExit(f"eval {' '.join(args)} failed")
+    paths = [out.with_suffix(".json"), out.with_suffix(".csv")]
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+def fingerprint(seed: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        serve = serve_inputs(seed, work / "serve")
+        evals = eval_inputs(seed, work / "eval")
+        reports = {}
+        for spec in ("emb:2", "train:2"):
+            reports.update(_reports(evals.coldstart_config, ["coldstart", "--spec", spec],
+                                    work / f"coldstart-{spec.replace(':', '')}"))
+        reports.update(_reports(evals.integrate_config, ["integrate", "--router", "graphrouter",
+                                                         "--spec", "emb:2"], work / "integrate"))
+        return {
+            "serve/graphrouter": _graphrouter(serve.config, [q for q, _, _ in serve.queries]),
+            "integrate/graphrouter": _graphrouter(evals.integrate_config),
+            "coldstart/train:2": _aggregator(evals.coldstart_config, "train:2"),
+            "reports": reports,
+        }
+
+
+def compare(now: dict, before: dict) -> bool:
+    """Print one line per part; True when every part agrees within TOLERANCE."""
+    ok = True
+    for seed in sorted(now, key=int):
+        for part in sorted(now[seed]):
+            a, b = now[seed][part], before.get(seed, {}).get(part)
+            if b is None:
+                print(f"seed {seed} {part}: not in the earlier output")
+                ok = False
+            elif part == "reports":
+                same = a == b
+                ok = ok and same
+                print(f"seed {seed} {part}: {'identical' if same else 'DIFFER'}")
+            else:
+                va, vb = np.asarray(a["vector"]), np.asarray(b["vector"])
+                delta = float(np.max(np.abs(va - vb), initial=0.0)) if va.shape == vb.shape else np.inf
+                ok = ok and delta <= TOLERANCE
+                same = "byte-identical" if a["sha256"] == b["sha256"] else "checkpoint differs"
+                print(f"seed {seed} {part}: {same}, max |Δ| = {delta:.3g} over {va.size} values")
+    return ok
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--against", type=Path, help="an earlier output to compare with")
+    args = parser.parse_args(argv)
+    now = {str(seed): fingerprint(seed) for seed in args.seeds}
+    if args.against is None:
+        print(json.dumps(now, sort_keys=True))
+        return 0
+    return 0 if compare(now, json.loads(args.against.read_text())) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
