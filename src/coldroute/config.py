@@ -117,6 +117,15 @@ def load_config(path: str | Path) -> AppConfig:
     return cfg
 
 
+def _remote(cls, role: str, url_env: str, options: dict, **fixed):
+    """A remote provider from its options; the environment fills a missing url or api key."""
+    url = options.pop("url", None) or os.environ.get(url_env)
+    if not url:
+        raise ConfigError(f"remote {role} needs a url (config or {url_env})")
+    api_key = options.pop("api_key", None) or os.environ.get(ENV_API_KEY)
+    return cls(url, api_key=api_key, **fixed, **options)
+
+
 def make_providers(cfg: AppConfig) -> Providers:
     """Build the encoder/summarizer pair, letting the environment fill URLs."""
     enc_cfg = dict(cfg.encoder)
@@ -124,11 +133,7 @@ def make_providers(cfg: AppConfig) -> Providers:
     if kind == "deterministic":
         encoder = DeterministicEmbedder(dim=cfg.dim, seed=int(enc_cfg.get("seed", 0)))
     elif kind == "remote":
-        url = enc_cfg.pop("url", None) or os.environ.get(ENV_EMBED_URL)
-        if not url:
-            raise ConfigError(f"remote encoder needs a url (config or {ENV_EMBED_URL})")
-        api_key = enc_cfg.pop("api_key", None) or os.environ.get(ENV_API_KEY)
-        encoder = RemoteEmbedder(url, dim=cfg.dim, api_key=api_key, **enc_cfg)
+        encoder = _remote(RemoteEmbedder, "encoder", ENV_EMBED_URL, enc_cfg, dim=cfg.dim)
     else:
         raise ConfigError(f"unknown encoder kind {kind!r}")
 
@@ -137,11 +142,7 @@ def make_providers(cfg: AppConfig) -> Providers:
     if kind == "echo":
         summarizer = EchoSummarizer()
     elif kind == "remote":
-        url = sum_cfg.pop("url", None) or os.environ.get(ENV_LLM_URL)
-        if not url:
-            raise ConfigError(f"remote summarizer needs a url (config or {ENV_LLM_URL})")
-        api_key = sum_cfg.pop("api_key", None) or os.environ.get(ENV_API_KEY)
-        summarizer = RemoteSummarizer(url, api_key=api_key, **sum_cfg)
+        summarizer = _remote(RemoteSummarizer, "summarizer", ENV_LLM_URL, sum_cfg)
     else:
         raise ConfigError(f"unknown summarizer kind {kind!r}")
     return Providers(encoder, summarizer)

@@ -49,6 +49,7 @@ __all__ = [
     "build_graph",
     "closed_neighborhood",
     "propagation_coefficient",
+    "Propagation",
     "add_model_node",
     "remove_node",
     "load_cards",
@@ -393,6 +394,45 @@ def propagation_coefficient(graph: EvidenceGraph, u: str, v: str) -> float:
     size_u = len(closed_neighborhood(graph, u))
     size_v = len(closed_neighborhood(graph, v))
     return weight / math.sqrt(size_u * size_v)
+
+
+@dataclass(frozen=True)
+class Propagation:
+    """The normalized propagation operator ``S`` of a list of weighted pairs over n nodes.
+
+    ``S[v, v] = 1 / size(v)``, and a pair (u, v) of weight w adds the
+    coefficient of the module docstring to ``S[u, v]`` and to ``S[v, u]``.
+    ``size(v)`` is 1 plus the number of pairs touching v, so a repeated pair
+    counts once per occurrence.  ``s @ h`` runs on the edge arrays;
+    ``dense()`` is the n×n ``S``.
+    """
+
+    sizes: np.ndarray  # (n,) closed-neighbourhood sizes
+    self_coeff: np.ndarray  # (n,) the diagonal of S
+    # both directions of every pair, each once: S[rows, cols] += coeff
+    rows: np.ndarray
+    cols: np.ndarray
+    coeff: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, pairs: np.ndarray, weights: np.ndarray) -> "Propagation":
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        sizes = 1.0 + np.bincount(pairs.ravel(), minlength=n)
+        inv_sqrt = 1.0 / np.sqrt(sizes)
+        coeff = np.asarray(weights, dtype=np.float64) * inv_sqrt[pairs[:, 0]] * inv_sqrt[pairs[:, 1]]
+        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+        return cls(sizes, inv_sqrt * inv_sqrt, rows, cols, np.concatenate([coeff, coeff]))
+
+    def __matmul__(self, h: np.ndarray) -> np.ndarray:
+        out = self.self_coeff[:, None] * h
+        for k, column in enumerate(h.T):  # a column at a time: no (edges, d) temporary
+            out[:, k] += np.bincount(self.rows, self.coeff * column[self.cols], minlength=len(out))
+        return out
+
+    def dense(self) -> np.ndarray:
+        s = np.diag(self.self_coeff)
+        np.add.at(s, (self.rows, self.cols), self.coeff)
+        return s
 
 
 def add_model_node(graph: EvidenceGraph, card: ModelCard) -> str:

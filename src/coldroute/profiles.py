@@ -22,7 +22,6 @@ All four return a vector per model; text forms keep the text alongside.
 
 from __future__ import annotations
 
-import math
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +38,7 @@ from .errors import (
     UninitializedEmbedding,
     UnknownNode,
 )
-from .graph import EvidenceGraph, NodeKind, closed_neighborhood
+from .graph import EvidenceGraph, NodeKind, Propagation
 from .providers import Providers, Summarizer, TextEncoder
 
 __all__ = [
@@ -187,42 +186,47 @@ def flat_profile(graph: EvidenceGraph, model_id: str, encoder: TextEncoder) -> P
 
 # --- embedding propagation -------------------------------------------------
 
+@dataclass
+class _GraphTensors:
+    ids: list[str]
+    features: np.ndarray  # (n, d) original node features
+    edge_pairs: np.ndarray  # (edges, 2) endpoint indices of every edge
+    edge_weights: np.ndarray  # weight per edge (1.0 where unscored)
+    scored_idx: np.ndarray  # positions in edge_pairs that carry a score
+
+
+def _graph_tensors(graph: EvidenceGraph) -> _GraphTensors:
+    ids = graph.node_ids
+    index = {nid: i for i, nid in enumerate(ids)}
+    rows = []
+    for nid in ids:
+        emb = graph.node(nid).embedding
+        if emb is None:
+            raise UninitializedEmbedding(nid)
+        rows.append(np.asarray(emb, dtype=np.float64))
+    features = np.stack(rows)
+    edges = graph.edges
+    pairs = np.asarray([(index[e.src], index[e.dst]) for e in edges], dtype=np.intp).reshape(-1, 2)
+    weights = np.asarray([1.0 if e.weight is None else float(e.weight) for e in edges])
+    scored = np.asarray([pos for pos, e in enumerate(edges) if e.weight is not None], dtype=int)
+    return _GraphTensors(ids, features, pairs, weights, scored)
+
+
 def embgnn_propagate(graph: EvidenceGraph, depth: int) -> dict[str, np.ndarray]:
     """Parameter-free propagation: K rounds of normalized weighted averaging.
 
     Each round every node (queries included) becomes the coefficient-weighted
-    sum of its closed neighborhood's previous states.  The self term uses
-    weight 1; scored edges use their score.
+    sum of its closed neighborhood's previous states: ``h ← S h``.  The self
+    term uses weight 1; scored edges use their score.
     """
     if depth < 1:
         raise InvalidSpec(f"propagation depth must be >= 1, got {depth}")
-    states: dict[str, np.ndarray] = {}
-    for nid in graph.node_ids:
-        emb = graph.node(nid).embedding
-        if emb is None:
-            raise UninitializedEmbedding(nid)
-        states[nid] = np.asarray(emb, dtype=np.float64)
-
-    sizes = {nid: len(closed_neighborhood(graph, nid)) for nid in graph.node_ids}
-    # (neighbor, coefficient) lists are hop-independent; build them once.
-    terms: dict[str, list[tuple[str, float]]] = {}
-    for v in graph.node_ids:
-        acc = [(v, 1.0 / sizes[v])]
-        for u in graph.neighbors(v):
-            edge = graph.edge_between(v, u)
-            w = 1.0 if edge.weight is None else float(edge.weight)
-            acc.append((u, w / math.sqrt(sizes[v] * sizes[u])))
-        terms[v] = acc
-
+    gt = _graph_tensors(graph)
+    s = Propagation.of(len(gt.ids), gt.edge_pairs, gt.edge_weights)
+    h = gt.features
     for _ in range(depth):
-        nxt: dict[str, np.ndarray] = {}
-        for v in graph.node_ids:
-            total = np.zeros(graph.dim)
-            for u, coeff in terms[v]:
-                total += coeff * states[u]
-            nxt[v] = total
-        states = nxt
-    return states
+        h = s @ h
+    return dict(zip(gt.ids, h))
 
 
 # --- text propagation ------------------------------------------------------
@@ -393,52 +397,6 @@ def textgnn_run(
 # --- trained propagation ---------------------------------------------------
 
 @dataclass
-class _GraphTensors:
-    ids: list[str]
-    index: dict[str, int]
-    features: np.ndarray  # (n, d) original node features
-    sizes: np.ndarray  # (n,) closed-neighborhood counts
-    edge_pairs: np.ndarray  # (edges, 2) endpoint indices of every edge
-    edge_weights: np.ndarray  # weight per edge (1.0 where unscored)
-    scored_idx: np.ndarray  # positions in edge_pairs that carry a score
-
-
-def _graph_tensors(graph: EvidenceGraph) -> _GraphTensors:
-    ids = graph.node_ids
-    index = {nid: i for i, nid in enumerate(ids)}
-    rows = []
-    for nid in ids:
-        emb = graph.node(nid).embedding
-        if emb is None:
-            raise UninitializedEmbedding(nid)
-        rows.append(np.asarray(emb, dtype=np.float64))
-    features = np.stack(rows)
-    sizes = np.asarray([len(closed_neighborhood(graph, nid)) for nid in ids], dtype=np.float64)
-    pairs: list[tuple[int, int]] = []
-    weights: list[float] = []
-    scored: list[int] = []
-    for pos, edge in enumerate(graph.edges):
-        pairs.append((index[edge.src], index[edge.dst]))
-        weights.append(1.0 if edge.weight is None else float(edge.weight))
-        if edge.weight is not None:
-            scored.append(pos)
-    return _GraphTensors(
-        ids, index, features, sizes, np.asarray(pairs, dtype=np.intp).reshape(-1, 2),
-        np.asarray(weights), np.asarray(scored, dtype=int),
-    )
-
-
-def _propagation_matrix(gt: _GraphTensors, edge_weights: np.ndarray) -> np.ndarray:
-    inv_sqrt = 1.0 / np.sqrt(gt.sizes)
-    s = np.diag(inv_sqrt * inv_sqrt)
-    i, j = gt.edge_pairs.T
-    coeff = edge_weights * inv_sqrt[i] * inv_sqrt[j]
-    s[i, j] = coeff  # the graph has no multi-edges and no self edges
-    s[j, i] = coeff
-    return s
-
-
-@dataclass
 class TrainGnnModel(nn.Layered):
     """Trained aggregator: per-hop affine layers plus reconstruction heads."""
 
@@ -471,21 +429,13 @@ class TrainGnnModel(nn.Layered):
 
     # -- forward / backward --
 
-    def _forward(self, s: np.ndarray, x: np.ndarray):
-        """Returns (final states, per-hop caches for backward)."""
-        h = x
-        caches = []
-        for k, layer in enumerate(self.hop_layers):
-            p = s @ h
-            a = layer.forward(p)
-            h = nn.relu(a) if k < self.depth - 1 else a
-            caches.append(a)
-        return h, caches
-
-    def states(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def states(self, s: Propagation, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.dim:
             raise DimensionMismatch(self.dim, x.shape[1], "trained aggregator input")
-        h, _ = self._forward(s, x)
+        h = x
+        for k, layer in enumerate(self.hop_layers):
+            a = layer.forward(s @ h)
+            h = nn.relu(a) if k < self.depth - 1 else a
         return h
 
     def loss_and_grads(
@@ -611,7 +561,7 @@ def traingnn_fit(
         x_masked[masked_nodes] = 0.0
         weights = gt.edge_weights.copy()
         weights[masked_edges] = mean_scored
-        s = _propagation_matrix(gt, weights)
+        s = Propagation.of(n, gt.edge_pairs, weights).dense()
         first_hop = s @ x_masked  # the same for every minibatch of the epoch
         edge_pairs = gt.edge_pairs[masked_edges]
         edge_targets = gt.edge_weights[masked_edges]
@@ -638,7 +588,7 @@ def traingnn_states(model: TrainGnnModel, graph: EvidenceGraph) -> dict[str, np.
     gt = _graph_tensors(graph)
     if gt.features.shape[1] != model.dim:
         raise DimensionMismatch(model.dim, gt.features.shape[1], "trained aggregator input")
-    s = _propagation_matrix(gt, gt.edge_weights)
+    s = Propagation.of(len(gt.ids), gt.edge_pairs, gt.edge_weights)
     h = model.states(s, gt.features)
     return {nid: h[i] for i, nid in enumerate(gt.ids)}
 

@@ -42,7 +42,7 @@ from .errors import (
     UnknownModelInInteractions,
     UnknownTask,
 )
-from .graph import EvidenceGraph, ModelCard
+from .graph import EvidenceGraph, ModelCard, Propagation
 from .profiles import Profile, ProfileSpec, TrainGnnModel, make_profiles
 from .providers import Providers
 
@@ -282,7 +282,8 @@ class MlpRouter(nn.Layered):
         """Predicted reward for one query against each profile row."""
         zq = self.query_tower.forward(query_vec.reshape(1, -1))
         zp = self.profile_tower.forward(profile_matrix)
-        return nn.sigmoid(zp @ zq.ravel())
+        # a row-wise sum, not BLAS: equal profiles must score equal wherever they sit
+        return nn.sigmoid((zp * zq).sum(axis=1))
 
     def route(
         self,
@@ -492,20 +493,10 @@ class GraphRouterLite(nn.Layered):
             if ("m", r.model_id) in index
         )
         edges = np.asarray(pairs, dtype=np.float64).reshape(-1, 3)
-        rows_i, rows_j = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
-        weights = edges[:, 2]
-        n = len(keys)
-        degree = np.ones(n)  # closed-neighbourhood counts start at the self term
-        np.add.at(degree, rows_i, 1.0)
-        np.add.at(degree, rows_j, 1.0)
-        inv_sqrt = 1.0 / np.sqrt(degree)
-        s = np.zeros((n, n))
-        s[np.arange(n), np.arange(n)] = inv_sqrt * inv_sqrt
-        coeff = weights * inv_sqrt[rows_i] * inv_sqrt[rows_j]
-        np.add.at(s, (rows_i, rows_j), coeff)
-        np.add.at(s, (rows_j, rows_i), coeff)
+        prop = Propagation.of(len(keys), edges[:, :2], edges[:, 2])
+        s = prop.dense()
         p1 = s @ x
-        first_model = n - len(ids)
+        first_model = len(keys) - len(ids)
         return _FrozenGraph(
             ids=ids,
             vectors=x[first_model:],
@@ -518,7 +509,7 @@ class GraphRouterLite(nn.Layered):
             },
             x=x,
             s=s,
-            degree=degree,
+            degree=prop.sizes,
             p1=p1,
             h1=nn.relu(_affine(self.prop1, p1)),
             s_models=s[first_model:],
@@ -630,7 +621,7 @@ class GraphRouterLite(nn.Layered):
             raise DimensionMismatch(self.dim, query_vec.shape[0], "query vector")
         graph = self._frozen(profiles)
         u_x, u_m = self._attach(graph, query_vec, task_id)
-        preds = nn.sigmoid(u_m @ u_x)
+        preds = nn.sigmoid((u_m * u_x).sum(axis=1))  # row-wise, as in ``MlpRouter.predict``
         return RoutingDecision.from_scores(query_id, dict(zip(graph.ids, map(float, preds))))
 
     def to_checkpoint(self) -> dict:

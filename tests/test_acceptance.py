@@ -32,7 +32,6 @@ from coldroute.profiles import (
     ProfileSpec,
     TrainGnnModel,
     _graph_tensors,
-    _propagation_matrix,
     embgnn_propagate,
     make_profiles,
     textgnn_run,
@@ -111,7 +110,7 @@ def test_criterion_01_propagation_oracle():
 
 def test_criterion_02_gradient_correctness():
     start = time.perf_counter()
-    from coldroute.graph import build_graph
+    from coldroute.graph import Propagation, build_graph
     from coldroute.providers import DeterministicEmbedder, encode_all
 
     cards = tiny_cards()
@@ -120,7 +119,7 @@ def test_criterion_02_gradient_correctness():
     )
     encode_all(graph, DeterministicEmbedder(dim=4, seed=0))
     gt = _graph_tensors(graph)
-    s = _propagation_matrix(gt, gt.edge_weights)
+    s = Propagation.of(len(gt.ids), gt.edge_pairs, gt.edge_weights).dense()
     model = TrainGnnModel.create(depth=2, dim=4, rng=np.random.default_rng(0))
     x = gt.features.copy()
     node_batch = np.asarray([0, 3])

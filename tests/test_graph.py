@@ -22,6 +22,7 @@ from coldroute.graph import (
     ModelCard,
     Node,
     NodeKind,
+    Propagation,
     QueryRecord,
     add_model_node,
     build_graph,
@@ -31,7 +32,7 @@ from coldroute.graph import (
     remove_node,
 )
 
-from conftest import tiny_cards
+from conftest import dense_propagation_matrix, random_graph, tiny_cards
 
 
 def _build(cards, dim=4):
@@ -175,6 +176,45 @@ def test_coefficient_self_term_and_not_adjacent(tiny_graph):
         propagation_coefficient(tiny_graph, "model_00", "q_0000")
     with pytest.raises(UnknownNode):
         propagation_coefficient(tiny_graph, "model_00", "ghost")
+
+
+# --- the propagation operator ----------------------------------------------
+
+def _operator(graph: EvidenceGraph) -> Propagation:
+    index = {nid: i for i, nid in enumerate(graph.node_ids)}
+    pairs = [(index[e.src], index[e.dst]) for e in graph.edges]
+    weights = [1.0 if e.weight is None else e.weight for e in graph.edges]
+    return Propagation.of(len(graph), pairs, weights)
+
+
+def test_propagation_product_matches_its_dense_matrix_on_random_graphs():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        graph = random_graph(rng, dim=4, max_nodes=14)
+        s = _operator(graph)
+        sizes = [len(closed_neighborhood(graph, nid)) for nid in graph.node_ids]
+        assert s.sizes.tolist() == sizes
+        assert np.max(np.abs(s.dense() - dense_propagation_matrix(graph))) <= 1e-15
+        h = rng.normal(size=(len(graph), 5))
+        assert np.max(np.abs(s @ h - s.dense() @ h)) <= 1e-12
+
+
+def test_propagation_counts_a_repeated_pair_once_per_occurrence():
+    # a query listed twice in one task of the routing graph; node 3 has no pair
+    s = Propagation.of(4, [(0, 1), (0, 1), (1, 2)], [1.0, 1.0, 0.5])
+    assert s.sizes.tolist() == [3.0, 4.0, 2.0, 1.0]
+    want = np.diag([1 / 3, 1 / 4, 1 / 2, 1.0])
+    want[0, 1] = want[1, 0] = 2.0 / math.sqrt(3 * 4)
+    want[1, 2] = want[2, 1] = 0.5 / math.sqrt(4 * 2)
+    assert np.max(np.abs(s.dense() - want)) <= 1e-15
+
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        pairs = rng.integers(0, 12, size=(40, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        s = Propagation.of(12, pairs, rng.random(len(pairs)))
+        h = rng.normal(size=(12, 3))
+        assert np.max(np.abs(s @ h - s.dense() @ h)) <= 1e-12
 
 
 # --- mutation --------------------------------------------------------------

@@ -2,6 +2,7 @@
 and the trainable masked-reconstruction aggregator."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,12 @@ from coldroute.errors import (
     UnknownNode,
 )
 from coldroute.evaluation import SynthWorldConfig, synth_world
-from coldroute.graph import EvidenceGraph, NodeKind, build_graph
+from coldroute.graph import EvidenceGraph, NodeKind, Propagation, build_graph
 from coldroute.profiles import (
     Profile,
     ProfileSpec,
     TrainGnnModel,
     _graph_tensors,
-    _propagation_matrix,
     default_templates,
     embgnn_propagate,
     flat_profile,
@@ -290,6 +290,28 @@ def test_traingnn_identity_layers_reduce_to_one_hop_propagation(tiny_graph):
         assert np.allclose(states[nid], reference[nid], atol=1e-12)
 
 
+def test_propagation_allocates_no_dense_matrix():
+    world = synth_world(
+        SynthWorldConfig(seed=0, num_domains=8, models_per_specialty=30, queries_per_domain=340)
+    )
+    cards = world.cards
+    graph = build_graph(
+        cards.families, cards.models, cards.benchmarks, cards.domains, cards.queries, dim=64
+    )
+    encode_all(graph, DeterministicEmbedder(dim=64, seed=0))
+    n = len(graph)
+    assert n >= 1500
+    model = TrainGnnModel.create(depth=2, dim=64, rng=np.random.default_rng(0))
+    for run in (lambda: embgnn_propagate(graph, 2), lambda: traingnn_states(model, graph)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4  # a quarter of one dense n×n float64 array
+
+
 def test_traingnn_mask_zero_means_zero_loss(tiny_graph):
     model = traingnn_fit(tiny_graph, ProfileSpec.parse("train:1"), seed=0, mask_ratio=0.0)
     assert model.loss_trace and all(v == 0.0 for v in model.loss_trace)
@@ -306,7 +328,7 @@ def test_traingnn_same_seed_same_parameters(fixture_graph):
 
 def test_traingnn_gradients_pass_finite_difference(tiny_graph):
     gt = _graph_tensors(tiny_graph)
-    s = _propagation_matrix(gt, gt.edge_weights)
+    s = Propagation.of(len(gt.ids), gt.edge_pairs, gt.edge_weights).dense()
     model = TrainGnnModel.create(depth=2, dim=4, rng=np.random.default_rng(0))
     x = gt.features.copy()
     node_batch = np.asarray([0, 2])
@@ -323,7 +345,7 @@ def test_traingnn_gradients_pass_finite_difference(tiny_graph):
 
 def test_propagation_matrix_matches_the_dense_oracle(fixture_graph):
     gt = _graph_tensors(fixture_graph)
-    s = _propagation_matrix(gt, gt.edge_weights)
+    s = Propagation.of(len(gt.ids), gt.edge_pairs, gt.edge_weights).dense()
     assert np.max(np.abs(s - dense_propagation_matrix(fixture_graph))) <= 1e-15
 
 
@@ -347,7 +369,7 @@ def test_traingnn_step_matches_the_full_graph_step(fixture_graph, depth):
         x_masked[nodes] = 0.0
         weights = gt.edge_weights.copy()
         weights[edges] = 0.5
-        s = _propagation_matrix(gt, weights)
+        s = Propagation.of(len(gt.ids), gt.edge_pairs, weights).dense()
         pairs, targets = gt.edge_pairs[edges], gt.edge_weights[edges]
         want_loss, want = traingnn_full_step(model, s, x_masked, gt.features, nodes, pairs, targets)
         assert (want_loss == 0.0) == (len(nodes) + len(edges) == 0)

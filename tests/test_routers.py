@@ -245,6 +245,22 @@ def test_mlp_checkpoint_round_trip(fixture_world, tmp_path):
     assert da.scores == db.scores
 
 
+def _twins(rng: np.random.Generator, dim: int) -> CandidatePool:
+    """13 models with one profile, inserted out of id order."""
+    vec = rng.normal(size=dim)
+    return CandidatePool([_profile(f"m_twin_{i:02d}", vec) for i in rng.permutation(13)])
+
+
+def test_mlp_twins_score_exactly_equal(fixture_world):
+    pool, query_vecs, _, interactions = fixture_world
+    for trial in range(10):
+        rng = np.random.default_rng(trial)
+        router = mlp_fit(interactions, query_vecs, pool, hidden=32, epochs=2, seed=trial)
+        decision = router.route(rng.normal(size=pool.dim), _twins(rng, pool.dim), query_id="q_x")
+        assert len(set(decision.scores.values())) == 1
+        assert decision.chosen == "m_twin_00"  # equal scores resolve to the smallest id
+
+
 def test_checksum_reacts_to_any_weight_change(fixture_world):
     pool, query_vecs, _, interactions = fixture_world
     router = mlp_fit(interactions, query_vecs, pool, hidden=16, epochs=2, seed=0)
@@ -317,8 +333,19 @@ def test_graphrouter_identical_profiles_identical_scores(fixture_world):
     pool = CandidatePool([_profile("m_twin_a", vec), _profile("m_twin_b", vec)])
     router = graphrouter_fit(tasks, query_vecs, [], pool, hidden=16, seed=0)
     decision = router.route(query_vecs["q_01_0003"], pool, query_id="q_x", task_id="task_01")
-    assert abs(decision.scores["m_twin_a"] - decision.scores["m_twin_b"]) <= 1e-6
+    assert decision.scores["m_twin_a"] == decision.scores["m_twin_b"]
     assert decision.chosen == "m_twin_a"  # equal scores resolve to the smaller id
+
+
+def test_graphrouter_twins_score_exactly_equal(fixture_world):
+    old, query_vecs, tasks, interactions = fixture_world
+    for trial in range(40):
+        rng = np.random.default_rng(trial)
+        router = graphrouter_fit(tasks, query_vecs, interactions, old, epochs=2, seed=trial)
+        twins = _twins(rng, old.dim)  # integrated models: no reward edges
+        decision = router.route(rng.normal(size=old.dim), twins, query_id="q_x", task_id="task_01")
+        assert len(set(decision.scores.values())) == 1
+        assert decision.chosen == "m_twin_00"  # equal scores resolve to the smallest id
 
 
 def test_graphrouter_zero_profile_is_the_floor(fixture_world):

@@ -11,9 +11,13 @@ inputs are written to a temporary directory) and records:
   queries after the new model is admitted;
 * ``coldstart/train:2``: the ``train:2`` aggregator of ``eval coldstart``,
   with the profile of every model;
+* ``coldstart/emb:2``: the ``emb:2`` profile of every model of ``eval
+  coldstart``, hashed as the pool's JSON (there is no checkpoint);
 * ``reports``: the SHA-256 of each file that the benchmark's three eval
   commands write: ``eval coldstart --spec emb:2`` and ``--spec train:2``,
-  and ``eval integrate --router graphrouter --spec emb:2``.
+  and ``eval integrate --router graphrouter --spec emb:2``;
+* ``report fields``: the SHA-256 of each top-level field of those JSON
+  reports, so a differing report names the fields that moved.
 
 Each fitted part is printed as the SHA-256 of its checkpoint and its
 vector of scores or profile entries, as JSON on stdout::
@@ -23,8 +27,9 @@ vector of scores or profile entries, as JSON on stdout::
 
 With ``--against FILE`` (an earlier output) it prints one line per part
 instead: whether the checkpoint is byte-identical and the max |Δ| of its
-vector.  The exit status is 1 if a vector moved by more than 1e-12, a
-vector changed its length, or a report differs.
+vector, and which reports and report fields differ.  The exit status is
+1 if a vector moved by more than 1e-12, a vector changed its length, or
+a report differs.
 """
 
 from __future__ import annotations
@@ -83,24 +88,30 @@ def _graphrouter(config: Path, queries: list[str] | None = None) -> dict:
     return {"sha256": sha, "vector": scores}
 
 
-def _aggregator(config: Path, spec: str) -> dict:
-    """The ``spec`` aggregator's checksum and the profile of every model."""
+def _profiles(config: Path, spec: str) -> dict:
+    """The profile of every model under ``spec``, with the checksum of its
+    trained aggregator, or of the pool's JSON for a training-free spec."""
     cfg = load_config(config)
     cfg.spec = spec
     pipe = Pipeline(cfg)
     pool = pipe.pool(pipe.pool_ids())
     vector = np.concatenate([p.vector for p in pool.profiles()])
-    return {"sha256": _sha(pipe.aggregator.to_checkpoint()), "vector": vector.tolist()}
+    hashed = pool.to_dict() if pipe.aggregator is None else pipe.aggregator.to_checkpoint()
+    return {"sha256": _sha(hashed), "vector": vector.tolist()}
 
 
-def _reports(config: Path, args: list[str], out: Path) -> dict:
-    """The SHA-256 of the JSON and CSV report of ``coldroute eval ARGS``."""
+def _reports(config: Path, args: list[str], out: Path) -> tuple[dict, dict]:
+    """The SHA-256 of the JSON and CSV report of ``coldroute eval ARGS``, and
+    of each top-level field of the JSON report."""
     with contextlib.redirect_stdout(io.StringIO()):  # keep stdout for the fingerprint
         status = cli(["eval", *args, "--config", str(config), "--out", str(out)])
     if status != 0:
         raise SystemExit(f"eval {' '.join(args)} failed")
     paths = [out.with_suffix(".json"), out.with_suffix(".csv")]
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    report = json.loads(paths[0].read_text())
+    fields = {f"{paths[0].name}:{key}": _sha({key: value}) for key, value in report.items()}
+    return files, fields
 
 
 def fingerprint(seed: int) -> dict:
@@ -108,17 +119,22 @@ def fingerprint(seed: int) -> dict:
         work = Path(tmp)
         serve = serve_inputs(seed, work / "serve")
         evals = eval_inputs(seed, work / "eval")
-        reports = {}
-        for spec in ("emb:2", "train:2"):
-            reports.update(_reports(evals.coldstart_config, ["coldstart", "--spec", spec],
-                                    work / f"coldstart-{spec.replace(':', '')}"))
-        reports.update(_reports(evals.integrate_config, ["integrate", "--router", "graphrouter",
-                                                         "--spec", "emb:2"], work / "integrate"))
+        reports, fields = {}, {}
+        runs = [(evals.coldstart_config, ["coldstart", "--spec", spec],
+                 work / f"coldstart-{spec.replace(':', '')}") for spec in ("emb:2", "train:2")]
+        runs.append((evals.integrate_config, ["integrate", "--router", "graphrouter",
+                                              "--spec", "emb:2"], work / "integrate"))
+        for run in runs:
+            files, keys = _reports(*run)
+            reports.update(files)
+            fields.update(keys)
         return {
             "serve/graphrouter": _graphrouter(serve.config, [q for q, _, _ in serve.queries]),
             "integrate/graphrouter": _graphrouter(evals.integrate_config),
-            "coldstart/train:2": _aggregator(evals.coldstart_config, "train:2"),
+            "coldstart/train:2": _profiles(evals.coldstart_config, "train:2"),
+            "coldstart/emb:2": _profiles(evals.coldstart_config, "emb:2"),
             "reports": reports,
+            "report fields": fields,
         }
 
 
@@ -131,15 +147,15 @@ def compare(now: dict, before: dict) -> bool:
             if b is None:
                 print(f"seed {seed} {part}: not in the earlier output")
                 ok = False
-            elif part == "reports":
-                same = a == b
-                ok = ok and same
-                print(f"seed {seed} {part}: {'identical' if same else 'DIFFER'}")
+            elif part in ("reports", "report fields"):
+                moved = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+                ok = ok and not moved
+                print(f"seed {seed} {part}: {'DIFFER: ' + ', '.join(moved) if moved else 'identical'}")
             else:
                 va, vb = np.asarray(a["vector"]), np.asarray(b["vector"])
                 delta = float(np.max(np.abs(va - vb), initial=0.0)) if va.shape == vb.shape else np.inf
                 ok = ok and delta <= TOLERANCE
-                same = "byte-identical" if a["sha256"] == b["sha256"] else "checkpoint differs"
+                same = "byte-identical" if a["sha256"] == b["sha256"] else "hash differs"
                 print(f"seed {seed} {part}: {same}, max |Δ| = {delta:.3g} over {va.size} values")
     return ok
 
