@@ -5,9 +5,11 @@ is deliberately no autodiff: the model zoo is three small architectures and
 explicit backward passes keep every gradient checkable against central
 finite differences.
 
-Vectors are 1-D ``float64`` arrays, matrices are row-major 2-D ``float64``
-arrays.  An :class:`AffineLayer` computes ``y = W x + b`` and accumulates
-``dW = dy xᵀ``, ``db = dy`` on the backward pass; batched inputs stack rows.
+Vectors are 1-D ``float64`` arrays, matrices row-major 2-D ``float64`` arrays.
+An :class:`AffineLayer` holds only ``W`` and ``b``: ``layer(x)`` maps a batch
+of rows to ``x Wᵀ + b``; ``layer.grads(x, dy)`` returns fresh weight and bias
+gradients ``(dyᵀ x, Σ dy)``, and the input gradient ``dy @ layer.W`` is
+written at the call site.  Each model's ``loss_and_grads`` feeds :func:`adam_step`.
 """
 
 from __future__ import annotations
@@ -60,17 +62,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AffineLayer:
-    """Dense layer ``y = W x + b`` with cached input and accumulated grads.
-
-    ``forward`` accepts a single vector ``(in,)`` or a batch ``(n, in)``;
-    ``backward`` mirrors the shape of the upstream gradient and returns the
-    gradient with respect to the input.
-    """
+    """Dense layer ``y = x Wᵀ + b`` on a batch of rows; it holds only ``W`` and ``b``."""
 
     W: np.ndarray
     b: np.ndarray
-    dW: np.ndarray = field(init=False)
-    db: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.W = _as_f64(self.W)
@@ -79,9 +74,6 @@ class AffineLayer:
             raise ShapeMismatch(
                 f"affine parameters disagree: W {self.W.shape}, b {self.b.shape}"
             )
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
-        self._x: np.ndarray | None = None
 
     @classmethod
     def create(cls, out_dim: int, in_dim: int, rng: np.random.Generator) -> "AffineLayer":
@@ -101,42 +93,16 @@ class AffineLayer:
     def in_dim(self) -> int:
         return self.W.shape[1]
 
-    def zero_grad(self) -> None:
-        self.dW[...] = 0.0
-        self.db[...] = 0.0
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
+            raise ShapeMismatch(f"expected a batch of rows of width {self.in_dim}, got {x.shape}")
+        return x @ self.W.T + self.b
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_f64(x)
-        if x.shape[-1] != self.in_dim:
-            raise ShapeMismatch(f"input width {x.shape[-1]} != {self.in_dim}")
-        self._x = x
-        if x.ndim == 1:
-            return self.W @ x + self.b
-        if x.ndim == 2:
-            return x @ self.W.T + self.b
-        raise ShapeMismatch(f"expected 1-D or 2-D input, got ndim={x.ndim}")
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        dy = _as_f64(dy)
-        self.accumulate(dy)
-        return self.W.T @ dy if dy.ndim == 1 else dy @ self.W
-
-    def accumulate(self, dy: np.ndarray) -> None:
-        """The parameter half of ``backward``: for a layer whose input gradient nothing reads."""
-        if self._x is None:
-            raise ShapeMismatch("backward called before forward")
-        dy = _as_f64(dy)
-        x = self._x
-        if dy.shape != (x.shape[:-1] + (self.out_dim,)):
+    def grads(self, x: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weight and bias gradients at the batch ``x``, given the gradient ``dy`` of its output."""
+        if dy.shape != (x.shape[0], self.out_dim):
             raise ShapeMismatch(f"upstream gradient shape {dy.shape} unexpected")
-        self.dW += np.outer(dy, x) if x.ndim == 1 else dy.T @ x
-        self.db += dy if x.ndim == 1 else dy.sum(axis=0)
-
-    def params(self) -> list[np.ndarray]:
-        return [self.W, self.b]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.dW, self.db]
+        return dy.T @ x, dy.sum(axis=0)
 
 
 class Layered:
@@ -158,12 +124,9 @@ class Layered:
     def params(self) -> list[np.ndarray]:
         return [getattr(layer, attr) for _, layer, attr in self._arrays()]
 
-    def grads(self) -> list[np.ndarray]:
-        return [getattr(layer, "d" + attr) for _, layer, attr in self._arrays()]
-
-    def zero_grad(self) -> None:
-        for _, layer in self.named_layers():
-            layer.zero_grad()
+    def pack(self, grads: dict[str, tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+        """The gradient list in ``params`` order, from each layer's weight and bias gradients."""
+        return [grads[key.rpartition(".")[0]][attr == "b"] for key, _, attr in self._arrays()]
 
     def params_payload(self) -> dict:
         return {key: array_to_payload(getattr(layer, attr)) for key, layer, attr in self._arrays()}

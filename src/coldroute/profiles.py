@@ -427,14 +427,14 @@ class TrainGnnModel(nn.Layered):
         hops = [(f"hop_{k}", layer) for k, layer in enumerate(self.hop_layers)]
         return [*hops, ("node_head", self.node_head), ("edge_head", self.edge_head)]
 
-    # -- forward / backward --
+    # -- forward and gradients --
 
     def states(self, s: Propagation, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.dim:
             raise DimensionMismatch(self.dim, x.shape[1], "trained aggregator input")
         h = x
         for k, layer in enumerate(self.hop_layers):
-            a = layer.forward(s @ h)
+            a = layer(s @ h)
             h = nn.relu(a) if k < self.depth - 1 else a
         return h
 
@@ -460,43 +460,46 @@ class TrainGnnModel(nn.Layered):
         backward pass run only on the rows the loss reads: the node batch
         and the ends of the masked edges.
         """
-        self.zero_grad()
         node_batch = np.asarray(node_batch, dtype=np.intp)
         ends = np.asarray(edge_pairs, dtype=np.intp).reshape(-1, 2)
         rows, at = np.unique(np.concatenate([node_batch, ends.ravel()]), return_inverse=True)
         nodes, (left, right) = at[: len(node_batch)], at[len(node_batch) :].reshape(-1, 2).T
         s_rows = s[rows]
         p = s @ x_masked if first_hop is None else first_hop
-        caches = []  # pre-activations of every hop but the last
+        inputs, hidden = [], []  # each hop's input; the ReLU output of every hop but the last
         for k, layer in enumerate(self.hop_layers[:-1]):
-            caches.append(layer.forward(p))
-            p = (s_rows if k == self.depth - 2 else s) @ nn.relu(caches[-1])
-        h = self.hop_layers[-1].forward(p if caches else p[rows])
+            inputs.append(p)
+            hidden.append(nn.relu(layer(p)))
+            p = (s_rows if k == self.depth - 2 else s) @ hidden[-1]
+        inputs.append(p if hidden else p[rows])
+        h = self.hop_layers[-1](inputs[-1])
         d_h = np.zeros_like(h)
         loss = 0.0
+        grads = {name: (np.zeros_like(layer.W), np.zeros_like(layer.b))
+                 for name, layer in self.named_layers()}  # zero for a head no row reads
 
         if len(nodes):
-            pred = self.node_head.forward(h[nodes])
-            node_loss, d_pred = nn.mse(pred, x_orig[node_batch])
+            node_loss, d_pred = nn.mse(self.node_head(h[nodes]), x_orig[node_batch])
             loss += node_loss
-            d_h[nodes] += self.node_head.backward(d_pred)
+            d_h[nodes] += d_pred @ self.node_head.W
+            grads["node_head"] = self.node_head.grads(h[nodes], d_pred)
 
         if len(ends):
             feats = np.concatenate([h[left], h[right]], axis=1)
-            pred = self.edge_head.forward(feats).ravel()
-            edge_loss, d_pred = nn.mse(pred, edge_targets)
+            edge_loss, d_pred = nn.mse(self.edge_head(feats).ravel(), edge_targets)
             loss += edge_loss
-            d_feats = self.edge_head.backward(d_pred.reshape(-1, 1))
+            d_feats = d_pred.reshape(-1, 1) @ self.edge_head.W
             np.add.at(d_h, left, d_feats[:, : self.dim])
             np.add.at(d_h, right, d_feats[:, self.dim :])
+            grads["edge_head"] = self.edge_head.grads(feats, d_pred.reshape(-1, 1))
 
         d_a = d_h  # the last hop has no ReLU
-        for k in range(self.depth - 1, 0, -1):
-            d_p = self.hop_layers[k].backward(d_a)
-            s_t = s_rows.T if k == self.depth - 1 else s  # s is symmetric: s.T == s
-            d_a = (s_t @ d_p) * nn.relu_grad(caches[k - 1])
-        self.hop_layers[0].accumulate(d_a)  # the input gradient of hop 0 is never read
-        return loss, [g.copy() for g in self.grads()]
+        for k in range(self.depth - 1, -1, -1):
+            grads[f"hop_{k}"] = self.hop_layers[k].grads(inputs[k], d_a)
+            if k:  # the input gradient of hop 0 is never read
+                s_t = s_rows.T if k == self.depth - 1 else s  # s is symmetric: s.T == s
+                d_a = (s_t @ (d_a @ self.hop_layers[k].W)) * nn.relu_grad(hidden[k - 1])
+        return loss, self.pack(grads)
 
     # -- checkpointing --
 

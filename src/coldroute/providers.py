@@ -31,6 +31,7 @@ import numpy as np
 
 from . import records
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyText,
     EncoderFailure,
@@ -149,7 +150,7 @@ class EchoSummarizer(Summarizer):
 
     Useful because the rendered prompt already contains the self id, every
     neighbor id exactly once, and the neighbors' previous-hop texts — so
-    repeated hops accumulate exactly the reachable ids, which the
+    repeated hops gather exactly the reachable ids, which the
     reachability checks inspect.  The output grows hop over hop (each
     text embeds its neighbors' whole previous texts), so it is a test
     double, not a model of what a real summarizer costs.
@@ -160,6 +161,13 @@ class EchoSummarizer(Summarizer):
 
 
 # --- remote backends -------------------------------------------------------
+
+def _check_option(name: str, value, least: float, above: bool = False) -> None:
+    """ConfigError unless a provider option is a number at least ``least`` (``above``: more)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and (value > least if above else value >= least)):
+        raise ConfigError(f"{name} must be a number {'>' if above else '>='} {least}: {value!r}")
+
 
 @dataclass
 class _HttpJson:
@@ -174,6 +182,10 @@ class _HttpJson:
     _gate: threading.Semaphore = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _check_option("max_in_flight", self.max_in_flight, 1)
+        _check_option("retries", self.retries, 0)
+        _check_option("timeout", self.timeout, 0, above=True)
+        _check_option("backoff", self.backoff, 0)
         self._gate = threading.Semaphore(self.max_in_flight)
 
     def _cache_path(self, url: str, payload: dict) -> Path | None:
@@ -271,6 +283,7 @@ class RemoteEmbedder(TextEncoder):
         self.model = model
         self.max_bytes = int(max_bytes)
         self.batch_size = int(batch_size)
+        _check_option("batch_size", self.batch_size, 1)
         self._http = _HttpJson(api_key=api_key, **http_kwargs)
 
     def encode(self, text: str) -> np.ndarray:

@@ -200,14 +200,20 @@ class RoutingDecision:
         }
 
 
-def sim_route(query_vec: np.ndarray, pool: CandidatePool, query_id: str = "query") -> RoutingDecision:
-    """Training-free cosine routing with smallest-id tie-break; a zero vector scores 0."""
-    profiles = pool.profiles()  # one snapshot
+def _snapshot(pool: CandidatePool, query_vec, dim: int) -> tuple[list[Profile], np.ndarray]:
+    """One snapshot of the pool's profiles, and the routed query checked to width ``dim``."""
+    profiles = pool.profiles()
     if not profiles:
         raise EmptyPool()
     query_vec = np.asarray(query_vec, dtype=np.float64)
-    if query_vec.shape != (pool.dim,):
-        raise DimensionMismatch(pool.dim, query_vec.shape[0], "query vector")
+    if query_vec.shape != (dim,):
+        raise DimensionMismatch(dim, query_vec.shape[0], "query vector")
+    return profiles, query_vec
+
+
+def sim_route(query_vec: np.ndarray, pool: CandidatePool, query_id: str = "query") -> RoutingDecision:
+    """Training-free cosine routing with smallest-id tie-break; a zero vector scores 0."""
+    profiles, query_vec = _snapshot(pool, query_vec, pool.dim)
     matrix = np.stack([p.vector for p in profiles])
     # a row-wise sum, not BLAS: equal profiles must score equal wherever they sit
     dots = (matrix * query_vec).sum(axis=1)
@@ -240,50 +246,53 @@ class SimRouter:
 
 # --- two-tower router ------------------------------------------------------
 
-class _Tower:
-    """Affine -> ReLU -> affine; batch forward with cached pre-activations."""
-
-    def __init__(self, first: nn.AffineLayer, second: nn.AffineLayer):
-        self.first = first
-        self.second = second
-        self._a1: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._a1 = self.first.forward(x)
-        return self.second.forward(nn.relu(self._a1))
-
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
-        d_h = self.second.backward(d_out)
-        return self.first.backward(d_h * nn.relu_grad(self._a1))
-
-
 @dataclass
 class MlpRouter(nn.Layered):
+    """Two towers, each affine -> ReLU -> affine: ``q1, q2`` on queries, ``p1, p2`` on profiles."""
+
     dim: int
     hidden: int
-    query_tower: _Tower
-    profile_tower: _Tower
+    q1: nn.AffineLayer
+    q2: nn.AffineLayer
+    p1: nn.AffineLayer
+    p2: nn.AffineLayer
     loss_trace: list[float] = field(default_factory=list)
 
     @classmethod
     def create(cls, dim: int, hidden: int, rng: np.random.Generator) -> "MlpRouter":
-        def tower() -> _Tower:
-            return _Tower(
-                nn.AffineLayer.create(hidden, dim, rng), nn.AffineLayer.create(hidden, hidden, rng)
-            )
-
-        return cls(dim=dim, hidden=hidden, query_tower=tower(), profile_tower=tower())
+        q1, q2, p1, p2 = (nn.AffineLayer.create(hidden, d, rng) for d in (dim, hidden) * 2)
+        return cls(dim=dim, hidden=hidden, q1=q1, q2=q2, p1=p1, p2=p2)
 
     def named_layers(self) -> list[tuple[str, nn.AffineLayer]]:
-        q, p = self.query_tower, self.profile_tower
-        return [("q1", q.first), ("q2", q.second), ("p1", p.first), ("p2", p.second)]
+        return [("q1", self.q1), ("q2", self.q2), ("p1", self.p1), ("p2", self.p2)]
 
-    def predict(self, query_vec: np.ndarray, profile_matrix: np.ndarray) -> np.ndarray:
-        """Predicted reward for one query against each profile row."""
-        zq = self.query_tower.forward(query_vec.reshape(1, -1))
-        zp = self.profile_tower.forward(profile_matrix)
+    def _towers(self, q: np.ndarray, p: np.ndarray):
+        """Hidden states and outputs of both towers: ``(hq, hp, zq, zp)``."""
+        hq, hp = nn.relu(self.q1(q)), nn.relu(self.p1(p))
+        return hq, hp, self.q2(hq), self.p2(hp)
+
+    def predict(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Predicted rewards of the row pairs ``(q[i], p[i])``; one query vector scores each row."""
+        _, _, zq, zp = self._towers(np.atleast_2d(q), p)
         # a row-wise sum, not BLAS: equal profiles must score equal wherever they sit
-        return nn.sigmoid((zp * zq).sum(axis=1))
+        return nn.sigmoid((zq * zp).sum(axis=1))
+
+    def loss_and_grads(
+        self, q: np.ndarray, p: np.ndarray, rewards: np.ndarray
+    ) -> tuple[float, list[np.ndarray]]:
+        """Squared error of the predicted rewards of the row pairs ``(q[i], p[i])``,
+        and its exact gradients."""
+        hq, hp, zq, zp = self._towers(q, p)
+        pred = nn.sigmoid((zq * zp).sum(axis=1))
+        loss, d_pred = nn.mse(pred, rewards)
+        d_s = (d_pred * pred * (1.0 - pred))[:, None]
+        d_zq, d_zp = d_s * zp, d_s * zq
+        d_aq = (d_zq @ self.q2.W) * nn.relu_grad(hq)  # relu(a) > 0 exactly where a > 0
+        d_ap = (d_zp @ self.p2.W) * nn.relu_grad(hp)
+        return loss, self.pack({
+            "q1": self.q1.grads(q, d_aq), "q2": self.q2.grads(hq, d_zq),
+            "p1": self.p1.grads(p, d_ap), "p2": self.p2.grads(hp, d_zp),
+        })
 
     def route(
         self,
@@ -292,12 +301,7 @@ class MlpRouter(nn.Layered):
         query_id: str = "query",
         task_id: str | None = None,
     ) -> RoutingDecision:
-        if len(pool) == 0:
-            raise EmptyPool()
-        query_vec = np.asarray(query_vec, dtype=np.float64)
-        if query_vec.shape != (self.dim,):
-            raise DimensionMismatch(self.dim, query_vec.shape[0], "query vector")
-        profiles = pool.profiles()  # one snapshot: ids and vectors of the same moment
+        profiles, query_vec = _snapshot(pool, query_vec, self.dim)
         preds = self.predict(query_vec, np.stack([p.vector for p in profiles]))
         scores = {p.model_id: float(s) for p, s in zip(profiles, preds)}
         return RoutingDecision.from_scores(query_id, scores)
@@ -342,40 +346,33 @@ def mlp_fit(
     if q_mat.shape[1] != pool.dim:
         raise DimensionMismatch(pool.dim, q_mat.shape[1], "interaction query vector")
 
+    return _fit(router, (), (q_mat, p_mat), rewards, rng, epochs, lr, batch_size)
+
+
+def _fit(router, fixed: tuple, pairs: tuple, rewards: np.ndarray, rng, epochs, lr, batch_size):
+    """Adam on ``router.loss_and_grads(*fixed, *pairs[batch], rewards[batch])`` over
+    shuffled minibatches of the interaction rows.
+
+    The loss of ``router.predict(*fixed, *pairs)`` over every row is traced
+    after each epoch's updates, so the curve reflects optimization
+    progress, not minibatch shuffling.
+    """
     adam = nn.AdamState.for_params(router.params(), lr=lr)
-    n = len(interactions)
+    n = len(rewards)
     for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            router.zero_grad()
-            zq = router.query_tower.forward(q_mat[batch])
-            zp = router.profile_tower.forward(p_mat[batch])
-            s = np.sum(zq * zp, axis=1)
-            pred = nn.sigmoid(s)
-            loss, d_pred = nn.mse(pred, rewards[batch])
+            loss, grads = router.loss_and_grads(*fixed, *(a[batch] for a in pairs), rewards[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"epoch {epoch}")
-            d_s = d_pred * pred * (1.0 - pred)
-            router.query_tower.backward(d_s[:, None] * zp)
-            router.profile_tower.backward(d_s[:, None] * zq)
-            nn.adam_step(adam, router.params(), router.grads())
-        # trace the full-dataset loss after the epoch's updates so the
-        # curve reflects optimization progress, not minibatch shuffling
-        zq_all = router.query_tower.forward(q_mat)
-        zp_all = router.profile_tower.forward(p_mat)
-        pred_all = nn.sigmoid(np.sum(zq_all * zp_all, axis=1))
-        epoch_loss, _ = nn.mse(pred_all, rewards)
+            nn.adam_step(adam, router.params(), grads)
+        epoch_loss, _ = nn.mse(router.predict(*fixed, *pairs), rewards)
         router.loss_trace.append(float(epoch_loss))
     return router
 
 
 # --- graph router ----------------------------------------------------------
-
-def _affine(layer: nn.AffineLayer, x: np.ndarray) -> np.ndarray:
-    """``layer`` applied to a batch of rows, leaving its backward cache alone."""
-    return x @ layer.W.T + layer.b
-
 
 @dataclass(frozen=True)
 class _FrozenGraph:
@@ -511,7 +508,7 @@ class GraphRouterLite(nn.Layered):
             s=s,
             degree=prop.sizes,
             p1=p1,
-            h1=nn.relu(_affine(self.prop1, p1)),
+            h1=nn.relu(self.prop1(p1)),
             s_models=s[first_model:],
         )
 
@@ -554,21 +551,22 @@ class GraphRouterLite(nn.Layered):
         p1_rows = s_rows @ graph.x
         p1_rows[0] += (inv_x * inv_t) * vec
         p1_x = (inv_x * inv_x) * vec + (inv_x * inv_t) * graph.x[t]
-        h1_rows = nn.relu(_affine(self.prop1, p1_rows))
-        h1_x = nn.relu(_affine(self.prop1, p1_x[None, :]))
+        h1_rows = nn.relu(self.prop1(p1_rows))
+        h1_x = nn.relu(self.prop1(p1_x[None, :]))
 
         h1 = graph.h1.copy()
         h1[rows] = h1_rows
         p2 = np.concatenate(
             [(inv_x * inv_x) * h1_x + (inv_x * inv_t) * h1_rows[:1], graph.s_models @ h1]
         )
-        u = nn.relu(_affine(self.decoder, nn.relu(_affine(self.prop2, p2))))
+        u = nn.relu(self.decoder(nn.relu(self.prop2(p2))))
         return u[0], u[1:]
 
-    def _forward(self, p1: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Final states of every node of the routing graph, from ``p1 = s @ x``."""
-        h1 = nn.relu(_affine(self.prop1, p1))
-        return nn.relu(_affine(self.decoder, nn.relu(_affine(self.prop2, s @ h1))))
+    def predict(self, graph: _FrozenGraph, q_idx: np.ndarray, m_idx: np.ndarray) -> np.ndarray:
+        """Predicted rewards of the node pairs ``(q_idx[i], m_idx[i])`` of ``graph``."""
+        h1 = nn.relu(self.prop1(graph.p1))
+        u = nn.relu(self.decoder(nn.relu(self.prop2(graph.s @ h1))))
+        return self._pair_scores(u, q_idx, m_idx)[0]
 
     def _pair_scores(self, u: np.ndarray, q_idx: np.ndarray, m_idx: np.ndarray):
         u_q, u_m = u[q_idx], u[m_idx]
@@ -584,12 +582,12 @@ class GraphRouterLite(nn.Layered):
         all of them.  Layer 2, the read-out and their backward passes run
         only on the batch's own rows, and layer 1 needs no input gradient.
         """
-        self.zero_grad()
         rows, at = np.unique(np.concatenate([q_idx, m_idx]), return_inverse=True)
         s_rows = graph.s[rows]
-        a1 = self.prop1.forward(graph.p1)
-        a2 = self.prop2.forward(s_rows @ nn.relu(a1))
-        a3 = self.decoder.forward(nn.relu(a2))
+        h1 = nn.relu(self.prop1(graph.p1))
+        p2 = s_rows @ h1
+        h2 = nn.relu(self.prop2(p2))
+        a3 = self.decoder(h2)
         preds, u_q, u_m = self._pair_scores(nn.relu(a3), at[: len(q_idx)], at[len(q_idx) :])
         loss, d_pred = nn.mse(preds, rewards)
         d_dot = (d_pred * preds * (1.0 - preds))[:, None]
@@ -597,10 +595,14 @@ class GraphRouterLite(nn.Layered):
         flat = (at[:, None] * self.hidden + np.arange(self.hidden)).ravel()
         d_u = np.zeros(a3.size)
         np.add.at(d_u, flat, np.concatenate([d_dot * u_m, d_dot * u_q]).ravel())
-        d_h2 = self.decoder.backward(d_u.reshape(a3.shape) * nn.relu_grad(a3))
-        d_h1 = s_rows.T @ self.prop2.backward(d_h2 * nn.relu_grad(a2))
-        self.prop1.accumulate(d_h1 * nn.relu_grad(a1))
-        return loss, [g.copy() for g in self.grads()]
+        d_a3 = d_u.reshape(a3.shape) * nn.relu_grad(a3)
+        d_a2 = (d_a3 @ self.decoder.W) * nn.relu_grad(h2)  # relu(a) > 0 exactly where a > 0
+        d_a1 = (s_rows.T @ (d_a2 @ self.prop2.W)) * nn.relu_grad(h1)
+        return loss, self.pack({
+            "prop1": self.prop1.grads(graph.p1, d_a1),
+            "prop2": self.prop2.grads(p2, d_a2),
+            "decoder": self.decoder.grads(h2, d_a3),
+        })
 
     def route(
         self,
@@ -609,16 +611,11 @@ class GraphRouterLite(nn.Layered):
         query_id: str = "query",
         task_id: str | None = None,
     ) -> RoutingDecision:
-        profiles = pool.profiles()  # one snapshot: ids and vectors of the same moment
-        if not profiles:
-            raise EmptyPool()
         if task_id is None:
             raise UnknownTask("<none>")
         if task_id not in self.tasks:
             raise UnknownTask(task_id)
-        query_vec = np.asarray(query_vec, dtype=np.float64)
-        if query_vec.shape != (self.dim,):
-            raise DimensionMismatch(self.dim, query_vec.shape[0], "query vector")
+        profiles, query_vec = _snapshot(pool, query_vec, self.dim)
         graph = self._frozen(profiles)
         u_x, u_m = self._attach(graph, query_vec, task_id)
         preds = nn.sigmoid((u_m * u_x).sum(axis=1))  # row-wise, as in ``MlpRouter.predict``
@@ -702,23 +699,7 @@ def graphrouter_fit(
     m_all = np.asarray([graph.index[("m", r.model_id)] for r in interactions])
     rewards = np.asarray([r.reward for r in interactions])
 
-    adam = nn.AdamState.for_params(router.params(), lr=lr)
-    n = len(interactions)
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            loss, grads = router.loss_and_grads(graph, q_all[batch], m_all[batch], rewards[batch])
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"epoch {epoch}")
-            nn.adam_step(adam, router.params(), grads)
-        # trace the full-dataset loss after the epoch's updates so the
-        # curve reflects optimization progress, not minibatch shuffling
-        u = router._forward(graph.p1, graph.s)
-        pred_all, _, _ = router._pair_scores(u, q_all, m_all)
-        epoch_loss, _ = nn.mse(pred_all, rewards)
-        router.loss_trace.append(float(epoch_loss))
-    return router
+    return _fit(router, (graph,), (q_all, m_all), rewards, rng, epochs, lr, batch_size)
 
 
 # --- checkpoints and integration -------------------------------------------

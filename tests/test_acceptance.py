@@ -43,6 +43,7 @@ from coldroute.routers import (
     RoutingDecision,
     graphrouter_fit,
     integrate_new_model,
+    mlp_fit,
 )
 from coldroute.service import make_server
 
@@ -162,6 +163,23 @@ def test_graphrouter_gradients_pass_finite_difference(fixture_world):
     # h = 1e-4: with h = 1e-5 the loss's rounding error over 2h (~1e-11) is
     # no longer small against prop1's smallest gradient entries (~1e-7)
     assert nn.finite_diff_check(loss_fn, router.params(), h=1e-4) < 1e-6
+
+
+def test_mlp_gradients_pass_finite_difference(fixture_world):
+    pool, query_vecs, _, interactions = fixture_world
+    # Checked at a trained point, as for the graph router above.
+    router = mlp_fit(interactions, query_vecs, pool, hidden=8, epochs=40, lr=3e-2)
+    batch = interactions[::3]
+    q = np.stack([query_vecs[r.query_id] for r in batch])
+    p = np.stack([pool.get(r.model_id).vector for r in batch])
+    rewards = np.asarray([r.reward for r in batch])
+
+    def loss_fn(_params):
+        return router.loss_and_grads(q, p, rewards)
+
+    _, grads = loss_fn(router.params())
+    assert len(grads) == 8 and all(np.any(g != 0.0) for g in grads)
+    assert nn.finite_diff_check(loss_fn, router.params()) < 1e-6
 
 
 def test_criterion_03_training_sanity():

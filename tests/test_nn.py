@@ -32,17 +32,17 @@ def test_affine_forward_hand_value():
     layer = nn.AffineLayer.create(2, 2, np.random.default_rng(0))
     layer.W = np.array([[1.0, 2.0], [3.0, 4.0]])
     layer.b = np.array([0.5, -0.5])
-    out = layer.forward(np.array([1.0, 1.0]))
-    assert np.allclose(out, [3.5, 6.5])
+    out = layer(np.array([[1.0, 1.0]]))
+    assert np.allclose(out, [[3.5, 6.5]])
     # 2-D batch goes through x @ W.T + b
-    batch = layer.forward(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    batch = layer(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert np.allclose(batch, [[3.5, 6.5], [2.5, 3.5]])
 
 
 def test_affine_identity():
     layer = nn.AffineLayer.identity(3)
     x = np.arange(6, dtype=np.float64).reshape(2, 3)
-    assert np.array_equal(layer.forward(x), x)
+    assert np.array_equal(layer(x), x)
 
 
 def test_affine_backward_matches_finite_difference():
@@ -53,18 +53,15 @@ def test_affine_backward_matches_finite_difference():
     target = rng.standard_normal(5)
 
     def loss_fn(_params):
-        layer1.zero_grad()
-        layer2.zero_grad()
-        a = layer1.forward(x)
+        a = layer1(x)
         h = nn.relu(a)
-        pred = layer2.forward(h).ravel()
+        pred = layer2(h).ravel()
         loss, d_pred = nn.mse(pred, target)
-        d_h = layer2.backward(d_pred.reshape(-1, 1))
-        layer1.backward(d_h * nn.relu_grad(a))
-        grads = [g.copy() for g in layer1.grads() + layer2.grads()]
-        return loss, grads
+        d_out = d_pred.reshape(-1, 1)
+        d_a = (d_out @ layer2.W) * nn.relu_grad(a)
+        return loss, [*layer1.grads(x, d_a), *layer2.grads(h, d_out)]
 
-    params = layer1.params() + layer2.params()
+    params = [layer1.W, layer1.b, layer2.W, layer2.b]
     assert nn.finite_diff_check(loss_fn, params) < 1e-6
 
 
@@ -75,13 +72,11 @@ def test_finite_diff_check_catches_wrong_gradients():
     target = rng.standard_normal((4, 2))
 
     def bad_loss_fn(_params):
-        layer.zero_grad()
-        pred = layer.forward(x)
+        pred = layer(x)
         loss, d_pred = nn.mse(pred, target)
-        layer.backward(d_pred)
-        return loss, [0.5 * g for g in layer.grads()]  # deliberately scaled wrong
+        return loss, [0.5 * g for g in layer.grads(x, d_pred)]  # deliberately scaled wrong
 
-    assert nn.finite_diff_check(bad_loss_fn, layer.params()) > 0.1
+    assert nn.finite_diff_check(bad_loss_fn, [layer.W, layer.b]) > 0.1
 
 
 def test_finite_diff_check_rejects_nonfinite_loss():

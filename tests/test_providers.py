@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from coldroute.errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyText,
     EncoderFailure,
@@ -258,6 +259,38 @@ def test_remote_summarizer_malformed_payload(stub_server):
 
 
 # --- batching, overlap and hardening ---------------------------------------
+
+def _embedder(**options):
+    return RemoteEmbedder("http://127.0.0.1:9/v1/embeddings", dim=4, **options)
+
+
+def _summarizer(**options):
+    return RemoteSummarizer("http://127.0.0.1:9/v1/chat/completions", **options)
+
+
+_OUT_OF_RANGE = [
+    pytest.param(make, options, id=f"{make.__name__[1:]}-{options}")
+    for options in (
+        {"max_in_flight": 0},
+        {"max_in_flight": -1},
+        {"retries": -1},
+        {"timeout": 0},
+        {"timeout": -1.0},
+        {"backoff": -0.5},
+        {"max_in_flight": "4"},  # a quoted number in a config
+        {"timeout": True},
+    )
+    for make in (_embedder, _summarizer)
+] + [pytest.param(_embedder, {"batch_size": 0}, id="embedder-{'batch_size': 0}")]
+
+
+@pytest.mark.parametrize("make, options", _OUT_OF_RANGE)
+def test_remote_provider_refuses_an_option_out_of_range_at_construction(make, options):
+    """Construction alone must refuse it; no request is sent, so a regression
+    (``max_in_flight: 0`` blocking on its gate forever) fails instead of hanging."""
+    with pytest.raises(ConfigError, match=next(iter(options))):
+        make(**options)
+
 
 def _tiny_graph(dim: int = 4):
     cards = tiny_cards()

@@ -16,7 +16,7 @@ from coldroute.errors import (
     UnknownTask,
 )
 from coldroute.graph import ModelCard
-from coldroute.profiles import Profile, ProfileSpec, traingnn_fit
+from coldroute.profiles import Profile, ProfileSpec, traingnn_fit, traingnn_states
 from coldroute.routers import (
     CandidatePool,
     GraphRouterLite,
@@ -261,11 +261,22 @@ def test_mlp_twins_score_exactly_equal(fixture_world):
         assert decision.chosen == "m_twin_00"  # equal scores resolve to the smallest id
 
 
+def test_inference_leaves_only_parameters_on_the_layers(fixture_world, fixture_graph):
+    pool, query_vecs, _, interactions = fixture_world
+    router = mlp_fit(interactions, query_vecs, pool, hidden=8, epochs=2, seed=0)
+    router.route(query_vecs["q_00_0000"], pool, query_id="q")
+    aggregator = traingnn_fit(fixture_graph, ProfileSpec.parse("train:2"), seed=0, epochs=2)
+    traingnn_states(aggregator, fixture_graph)
+    for model in (router, aggregator):
+        for name, layer in model.named_layers():
+            assert set(vars(layer)) == {"W", "b"}, name
+
+
 def test_checksum_reacts_to_any_weight_change(fixture_world):
     pool, query_vecs, _, interactions = fixture_world
     router = mlp_fit(interactions, query_vecs, pool, hidden=16, epochs=2, seed=0)
     before = router_checksum(router)
-    router.query_tower.first.W[0, 0] += 1e-9
+    router.q1.W[0, 0] += 1e-9
     assert router_checksum(router) != before
 
 

@@ -9,13 +9,16 @@ inputs are written to a temporary directory) and records:
 * ``integrate/graphrouter``: the graph router of ``eval integrate``
   (``emb:2``, old pool), with its scores for the integration world's eval
   queries after the new model is admitted;
+* ``integrate/mlp``: the same for the MLP router of ``eval integrate
+  --router mlp``;
 * ``coldstart/train:2``: the ``train:2`` aggregator of ``eval coldstart``,
   with the profile of every model;
 * ``coldstart/emb:2``: the ``emb:2`` profile of every model of ``eval
   coldstart``, hashed as the pool's JSON (there is no checkpoint);
-* ``reports``: the SHA-256 of each file that the benchmark's three eval
-  commands write: ``eval coldstart --spec emb:2`` and ``--spec train:2``,
-  and ``eval integrate --router graphrouter --spec emb:2``;
+* ``reports``: the SHA-256 of each file that four eval commands write:
+  the benchmark's ``eval coldstart --spec emb:2`` and ``--spec train:2``
+  and ``eval integrate --router graphrouter --spec emb:2``, and ``eval
+  integrate --router mlp --spec emb:2``;
 * ``report fields``: the SHA-256 of each top-level field of those JSON
   reports, so a differing report names the fields that moved.
 
@@ -66,8 +69,8 @@ def _sha(payload: dict) -> str:
     return hashlib.sha256(records.dumps(payload).encode("utf-8")).hexdigest()
 
 
-def _graphrouter(config: Path, queries: list[str] | None = None) -> dict:
-    """The configured graph router's checksum and its scores for ``queries``.
+def _router(config: Path, kind: str, queries: list[str] | None = None) -> dict:
+    """The configured ``kind`` router's checksum and its scores for ``queries``.
 
     ``queries`` default to the config's eval queries, routed after its new
     model is admitted, as ``eval integrate`` does.
@@ -75,7 +78,7 @@ def _graphrouter(config: Path, queries: list[str] | None = None) -> dict:
     pipe = Pipeline(load_config(config))
     new = pipe.new_card
     pool = pipe.pool(pipe.pool_ids(without=new.id if new else None))
-    router = pipe.router("graphrouter", pool)
+    router = pipe.router(kind, pool)
     sha = _sha(router.to_checkpoint())
     if new is not None:
         integrate_new_model(router, pool, pipe.graph, new, pipe.spec, pipe.providers)
@@ -122,15 +125,18 @@ def fingerprint(seed: int) -> dict:
         reports, fields = {}, {}
         runs = [(evals.coldstart_config, ["coldstart", "--spec", spec],
                  work / f"coldstart-{spec.replace(':', '')}") for spec in ("emb:2", "train:2")]
-        runs.append((evals.integrate_config, ["integrate", "--router", "graphrouter",
-                                              "--spec", "emb:2"], work / "integrate"))
+        runs += [(evals.integrate_config, ["integrate", "--router", kind, "--spec", "emb:2"],
+                  work / name)
+                 for kind, name in (("graphrouter", "integrate"), ("mlp", "integrate-mlp"))]
         for run in runs:
             files, keys = _reports(*run)
             reports.update(files)
             fields.update(keys)
         return {
-            "serve/graphrouter": _graphrouter(serve.config, [q for q, _, _ in serve.queries]),
-            "integrate/graphrouter": _graphrouter(evals.integrate_config),
+            "serve/graphrouter": _router(serve.config, "graphrouter",
+                                         [q for q, _, _ in serve.queries]),
+            "integrate/graphrouter": _router(evals.integrate_config, "graphrouter"),
+            "integrate/mlp": _router(evals.integrate_config, "mlp"),
             "coldstart/train:2": _profiles(evals.coldstart_config, "train:2"),
             "coldstart/emb:2": _profiles(evals.coldstart_config, "emb:2"),
             "reports": reports,
