@@ -16,9 +16,9 @@ Run from the repository root:  python3 demos/05_routing_service.py
 
 import json
 import threading
+import urllib.error
+import urllib.request
 from pathlib import Path
-
-import requests
 
 from coldroute.config import AppConfig
 from coldroute.service import make_server
@@ -28,6 +28,18 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def section(title: str) -> None:
     print(f"\n=== {title} ===")
+
+
+def call(url: str, body: dict | None = None) -> tuple[int, dict]:
+    """GET ``url``, or POST ``body`` to it as JSON: (status, JSON reply)."""
+    data = None if body is None else json.dumps(body).encode("utf-8")
+    request = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request) as reply:
+            return reply.status, json.load(reply)
+    except urllib.error.HTTPError as err:  # a 4xx or 5xx reply
+        with err:
+            return err.code, json.load(err)
 
 
 def main() -> None:
@@ -52,8 +64,8 @@ def main() -> None:
 
     try:
         section("GET /healthz and GET /pool")
-        print(f"/healthz -> {requests.get(base + '/healthz').json()}")
-        pool = requests.get(base + "/pool").json()
+        print(f"/healthz -> {call(base + '/healthz')[1]}")
+        pool = call(base + "/pool")[1]
         print(f"/pool    -> models {pool['models']}")
         print(f"            spec {pool['spec']}, router {pool['router']}, "
               f"checksum {pool['checksum'][:16]}...")
@@ -63,26 +75,26 @@ def main() -> None:
             "Factor the quadratic x^2 - 5x + 6 and explain each step.",
             "Why does this recursive makefile rebuild everything every time?",
         ):
-            reply = requests.post(base + "/route", json={"query_text": text}).json()
+            reply = call(base + "/route", {"query_text": text})[1]
             ranked = sorted(reply["scores"].items(), key=lambda kv: -kv[1])
             print(f"  {text[:52]:<54} -> {reply['model_id']}")
             print(f"      top scores: " + ", ".join(f"{m} {s:.3f}" for m, s in ranked[:2]))
 
         section("POST /models: frozen-pool registration")
         card = json.loads((FIXTURES / "new_model.json").read_text())
-        before = requests.get(base + "/pool").json()["checksum"]
-        reply = requests.post(base + "/models", json=card)
-        after = requests.get(base + "/pool").json()
-        print(f"registered {card['id']} -> HTTP {reply.status_code}")
+        before = call(base + "/pool")[1]["checksum"]
+        status, _ = call(base + "/models", card)
+        after = call(base + "/pool")[1]
+        print(f"registered {card['id']} -> HTTP {status}")
         print(f"pool now: {after['models']}")
         print(f"router checksum unchanged: {after['checksum'] == before}")
 
-        duplicate = requests.post(base + "/models", json=card)
-        print(f"registering {card['id']} again -> HTTP {duplicate.status_code} (conflict)")
+        duplicate, _ = call(base + "/models", card)
+        print(f"registering {card['id']} again -> HTTP {duplicate} (conflict)")
 
         section("The newcomer is immediately routable")
         text = "Refactor this module to remove the circular import."
-        reply = requests.post(base + "/route", json={"query_text": text}).json()
+        reply = call(base + "/route", {"query_text": text})[1]
         print(f"  {text} -> {reply['model_id']}")
         print(f"  {card['id']} scored: {reply['scores'][card['id']]:.3f}")
     finally:

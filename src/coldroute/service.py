@@ -44,6 +44,9 @@ from .routers import CandidatePool, integrate_new_model, router_checksum
 
 __all__ = ["RoutingService", "make_server", "serve"]
 
+# the largest request body read; a longer declared Content-Length gets 413 unread
+MAX_BODY_BYTES = 1 << 20
+
 
 class RoutingService:
     """In-memory pipeline state behind the HTTP endpoints."""
@@ -134,7 +137,13 @@ def _parse_state(state: dict) -> tuple[CandidatePool, list[dict], list[ModelCard
     return CandidatePool.from_dict(state["pool"]), entries, [parse_card(e) for e in entries]
 
 
+class _BodyTooLarge(ConfigError):
+    pass
+
+
 def _status_for(exc: Exception) -> int:
+    if isinstance(exc, _BodyTooLarge):
+        return 413
     seen: Exception | None = exc
     while seen is not None:
         if isinstance(seen, (TransportError, ProviderTimeout)):
@@ -148,10 +157,22 @@ def _status_for(exc: Exception) -> int:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """Serves HTTP/1.1: a connection stays open for the client's next request,
+    unless a reply goes out before the request's body was read in full."""
+
     server_version = f"coldroute/{__version__}"
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body are two writes; don't hold the second
 
     def log_message(self, fmt, *args):  # quiet by default
         pass
+
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False
+        declared = self.headers.get("Content-Length", "0")
+        self._unread_body = declared != "0" or "Transfer-Encoding" in self.headers
+        return True
 
     @property
     def service(self) -> RoutingService:
@@ -162,10 +183,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self._unread_body:  # what is left of it would be read as the next request
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _body(self) -> dict:
+        if "Transfer-Encoding" in self.headers:
+            raise ConfigError("request body needs a Content-Length, not a Transfer-Encoding")
         declared = self.headers.get("Content-Length") or "0"
         try:
             length = int(declared)
@@ -173,7 +198,10 @@ class _Handler(BaseHTTPRequestHandler):
             length = -1
         if length < 0:  # before any read: read(-1) would wait until the client hangs up
             raise ConfigError(f"Content-Length must be a byte count, got {declared!r}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"request body of {length} bytes is over {MAX_BODY_BYTES}")
         raw = self.rfile.read(length) if length else b""
+        self._unread_body = False
         try:
             payload = json.loads(raw.decode("utf-8") or "null")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

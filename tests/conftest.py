@@ -8,6 +8,10 @@ catch agreement bugs instead of reproducing them.
 
 from __future__ import annotations
 
+import json
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -328,3 +332,116 @@ def traingnn_full_step(model, s, x_masked, x_orig, node_batch, edge_pairs, edge_
         hop_grads[:0] = [d_a.T @ inputs[k], d_a.sum(axis=0)]
         d_h = s @ (d_a @ model.hop_layers[k].W)
     return loss, hop_grads + head_grads
+
+
+# --- remote provider stub --------------------------------------------------
+
+class StubHandler(BaseHTTPRequestHandler):
+    """OpenAI-shaped embeddings and chat replies, steered by ``server.stub``.
+
+    One handler serves one accepted socket, counted in ``sockets``.  It
+    speaks HTTP/1.0, so every connection closes after its reply; the
+    ``keepalive_stub`` fixture serves HTTP/1.1.  As a proxy it answers a
+    request for an absolute URL itself and records ``CONNECT`` targets.
+    """
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def setup(self):
+        super().setup()
+        with self.server.stub["lock"]:
+            self.server.stub["sockets"] += 1
+
+    def do_CONNECT(self):
+        self.server.stub["connects"].append(self.path)
+        self.send_response(200)
+        self.end_headers()
+        self.close_connection = True
+
+    def do_POST(self):
+        cfg = self.server.stub
+        with cfg["lock"]:
+            cfg["calls"] += 1
+            cfg["in_flight"] += 1
+            cfg["peak"] = max(cfg["peak"], cfg["in_flight"])
+            slow = cfg["slow_first"] > 0
+            cfg["slow_first"] -= slow
+        try:
+            time.sleep(cfg["delay"] + (cfg["slow"] if slow else 0.0))
+            length = int(self.headers.get("Content-Length") or 0)
+            body = json.loads(self.rfile.read(length))
+        finally:
+            with cfg["lock"]:
+                cfg["in_flight"] -= 1
+        cfg["last_body"] = body
+        cfg["last_path"] = self.path
+        cfg["proxy_auth"] = self.headers.get("Proxy-Authorization")
+        if cfg["fail_first"] > 0:
+            cfg["fail_first"] -= 1
+            self.send_response(cfg["fail_status"])
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        if cfg["raw"] is not None:
+            raw = cfg["raw"]
+        elif self.path.endswith("/v1/embeddings"):
+            dim = cfg["dim"]
+            data = [
+                {"index": i, "embedding": [float(i + 1)] * dim}
+                for i in range(len(body["input"]))
+            ]
+            # deliberately shuffled to prove the client re-sorts by index
+            data = list(reversed(data))
+            raw = json.dumps({"data": data}).encode()
+        else:
+            reply = body["messages"][-1]["content"] if cfg["echo"] else cfg["reply"]
+            raw = json.dumps({"choices": [{"message": {"content": reply}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+        if cfg["hang_up"]:  # close without saying so: the client keeps the socket as idle
+            self.close_connection = True
+
+
+class KeepAliveStubHandler(StubHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body go out as two writes
+
+
+class _QuietServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        pass  # a client that gave up on a slow reply is expected here
+
+
+def _run_stub(handler):
+    server = _QuietServer(("127.0.0.1", 0), handler)
+    server.stub = {
+        "calls": 0, "fail_first": 0, "fail_status": 500, "dim": 4, "reply": "a short summary",
+        "last_body": None, "last_path": None, "proxy_auth": None, "echo": False, "raw": None,
+        "delay": 0.0, "slow_first": 0, "slow": 0.0, "in_flight": 0, "peak": 0, "sockets": 0,
+        "connects": [], "hang_up": False, "lock": threading.Lock(),
+    }
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+@pytest.fixture()
+def stub_server():
+    yield from _run_stub(StubHandler)
+
+
+@pytest.fixture()
+def keepalive_stub():
+    yield from _run_stub(KeepAliveStubHandler)
+
+
+def stub_url(server, path: str) -> str:
+    host, port = server.server_address[:2]
+    return f"http://{host}:{port}{path}"

@@ -1,11 +1,11 @@
 """Encoders and summarizers: deterministic local doubles and remote clients."""
 
+import base64
 import json
 import math
+import socket
 import sys
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from coldroute.errors import (
     DimensionMismatch,
     EmptyText,
     EncoderFailure,
+    ProviderTimeout,
     SummarizerFailure,
     TransportError,
 )
@@ -32,7 +33,7 @@ from coldroute.providers import (
 
 from coldroute.service import _status_for
 
-from conftest import tiny_cards
+from conftest import stub_url as _url, tiny_cards
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -130,71 +131,7 @@ def test_echo_summarizer_identity():
     assert EchoSummarizer().summarize("whole prompt text") == "whole prompt text"
 
 
-# --- remote stubs ----------------------------------------------------------
-
-class _StubHandler(BaseHTTPRequestHandler):
-    def log_message(self, fmt, *args):
-        pass
-
-    def do_POST(self):
-        cfg = self.server.stub  # type: ignore[attr-defined]
-        with cfg["lock"]:
-            cfg["calls"] += 1
-            cfg["in_flight"] += 1
-            cfg["peak"] = max(cfg["peak"], cfg["in_flight"])
-        try:
-            time.sleep(cfg["delay"])
-            length = int(self.headers.get("Content-Length") or 0)
-            body = json.loads(self.rfile.read(length))
-        finally:
-            with cfg["lock"]:
-                cfg["in_flight"] -= 1
-        cfg["last_body"] = body
-        if cfg["fail_first"] > 0:
-            cfg["fail_first"] -= 1
-            self.send_response(500)
-            self.end_headers()
-            return
-        if cfg["raw"] is not None:
-            raw = cfg["raw"]
-        elif self.path == "/v1/embeddings":
-            dim = cfg["dim"]
-            data = [
-                {"index": i, "embedding": [float(i + 1)] * dim}
-                for i in range(len(body["input"]))
-            ]
-            # deliberately shuffled to prove the client re-sorts by index
-            data = list(reversed(data))
-            raw = json.dumps({"data": data}).encode()
-        else:
-            reply = body["messages"][-1]["content"] if cfg["echo"] else cfg["reply"]
-            raw = json.dumps({"choices": [{"message": {"content": reply}}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-
-@pytest.fixture()
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.stub = {
-        "calls": 0, "fail_first": 0, "dim": 4, "reply": "a short summary", "last_body": None,
-        "echo": False, "raw": None, "delay": 0.0, "in_flight": 0, "peak": 0,
-        "lock": threading.Lock(),
-    }
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-
-
-def _url(server, path):
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}{path}"
-
+# --- remote clients (the stub server is in conftest.py) ---------------------
 
 def test_remote_embedder_round_trip_and_sorting(stub_server):
     enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=1)
@@ -411,3 +348,118 @@ def test_cache_write_is_atomic(stub_server, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # no torn entry, no stray temp file
     assert np.allclose(enc.encode("cache me"), np.ones(4) / 2.0)
     assert stub_server.stub["calls"] == 2  # nothing was cached: the second call is a miss
+
+
+# --- transport contract ----------------------------------------------------
+
+def test_slow_reply_is_provider_timeout_and_a_retry_can_succeed(stub_server):
+    stub_server.stub.update(slow_first=1, slow=1.0)
+    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=0, timeout=0.3)
+    with pytest.raises(ProviderTimeout):
+        enc.encode("too slow")
+    stub_server.stub.update(slow_first=1, slow=1.0)
+    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=1, timeout=0.3,
+                         backoff=0.01)
+    assert np.allclose(enc.encode("fast the second time"), np.ones(4) / 2.0)
+    assert stub_server.stub["calls"] == 3
+
+
+def test_closed_port_is_transport_error():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    enc = RemoteEmbedder(f"http://127.0.0.1:{port}/v1/embeddings", dim=4, retries=0)
+    with pytest.raises(TransportError):
+        enc.encode("nobody listens")
+
+
+@pytest.mark.parametrize("status, calls", [(429, 3), (503, 3), (400, 1), (404, 1)])
+def test_429_and_5xx_are_retried_other_statuses_raised_at_once(stub_server, status, calls):
+    stub_server.stub.update(fail_first=99, fail_status=status)
+    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=2, backoff=0.01)
+    with pytest.raises(TransportError) as info:
+        enc.encode("refused")
+    assert info.value.status == status
+    assert stub_server.stub["calls"] == calls
+
+
+@pytest.fixture()
+def proxy_env(monkeypatch):
+    """A clean proxy environment; returns a setter for it."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch.setenv
+
+
+def test_http_proxy_gets_absolute_url_and_no_proxy_bypasses_it(stub_server, proxy_env):
+    host, port = stub_server.server_address[:2]
+    proxy_env("http_proxy", f"http://user:p%40ss@{host}:{port}")
+    enc = RemoteEmbedder("http://provider.invalid/v1/embeddings", dim=4, retries=0)
+    assert np.allclose(enc.encode("via the proxy"), np.ones(4) / 2.0)
+    assert stub_server.stub["last_path"] == "http://provider.invalid/v1/embeddings"
+    assert stub_server.stub["proxy_auth"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+    proxy_env("http_proxy", "http://127.0.0.1:9")  # nothing listens there
+    proxy_env("no_proxy", "localhost,127.0.0.1")
+    direct = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=0)
+    assert np.allclose(direct.encode("around the proxy"), np.ones(4) / 2.0)
+    assert stub_server.stub["last_path"] == "/v1/embeddings"
+    assert stub_server.stub["proxy_auth"] is None
+
+
+def test_https_goes_through_a_proxy_tunnel_and_checks_the_certificate(stub_server, proxy_env):
+    host, port = stub_server.server_address[:2]
+    proxy_env("https_proxy", f"http://{host}:{port}")
+    enc = RemoteEmbedder("https://provider.invalid/v1/embeddings", dim=4, retries=0)
+    with pytest.raises(TransportError):  # the stub is no TLS server
+        enc.encode("through the tunnel")
+    assert stub_server.stub["connects"] == ["provider.invalid:443"]
+    assert stub_server.stub["calls"] == 0
+
+
+# --- connection reuse --------------------------------------------------------
+
+def test_sequential_calls_share_one_connection(keepalive_stub):
+    enc = RemoteEmbedder(_url(keepalive_stub, "/v1/embeddings"), dim=4, retries=0)
+    try:
+        for i in range(6):
+            assert np.allclose(enc.encode(f"call {i}"), np.ones(4) / 2.0)
+    finally:
+        enc._http.close()
+    assert keepalive_stub.stub["calls"] == 6
+    assert keepalive_stub.stub["sockets"] == 1
+
+
+def test_concurrent_batches_open_at_most_max_in_flight_connections(keepalive_stub):
+    keepalive_stub.stub.update(echo=True, delay=0.01)
+    summ = RemoteSummarizer(_url(keepalive_stub, "/v1/chat/completions"), retries=0,
+                            max_in_flight=3)
+    try:
+        for batch in range(2):
+            prompts = [f"batch {batch} prompt {i}" for i in range(12)]
+            assert summ.summarize_batch(prompts) == prompts
+    finally:
+        summ._http.close()
+    assert keepalive_stub.stub["calls"] == 24
+    assert keepalive_stub.stub["sockets"] <= 3
+
+
+def test_http10_server_gets_a_connection_per_call(stub_server):
+    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=0)
+    for i in range(4):
+        assert np.allclose(enc.encode(f"call {i}"), np.ones(4) / 2.0)
+    assert stub_server.stub["calls"] == stub_server.stub["sockets"] == 4
+
+
+def test_idle_connection_closed_by_the_server_is_reopened_not_retried(keepalive_stub):
+    keepalive_stub.stub["hang_up"] = True  # closes each socket after its reply, unannounced
+    enc = RemoteEmbedder(_url(keepalive_stub, "/v1/embeddings"), dim=4, retries=0)
+    try:
+        enc.encode("first")
+        time.sleep(0.05)  # the server's close reaches the idle socket
+        assert np.allclose(enc.encode("second"), np.ones(4) / 2.0)
+    finally:
+        enc._http.close()
+    assert keepalive_stub.stub["calls"] == 2  # one request each: the dead socket got none
+    assert keepalive_stub.stub["sockets"] == 2

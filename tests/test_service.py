@@ -1,10 +1,14 @@
 """HTTP routing service: endpoints, status codes, frozen-pool registration,
 and crash recovery from the persisted state file."""
 
+import http.client
 import json
+import os
 import socket
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 import requests
@@ -12,10 +16,10 @@ import requests
 import coldroute
 from coldroute.config import AppConfig
 from coldroute.errors import ConfigError, SummarizerFailure, TransportError
-from coldroute.providers import Summarizer, TextEncoder
-from coldroute.service import RoutingService, make_server
+from coldroute.providers import RemoteEmbedder, Summarizer, TextEncoder
+from coldroute.service import MAX_BODY_BYTES, RoutingService, make_server
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, stub_url
 
 CATALOG = ["model_00_00", "model_00_01", "model_01_00", "model_01_01"]
 
@@ -308,7 +312,8 @@ def test_bad_content_length_is_400_without_reading_the_body(server, length):
     with socket.create_connection((host, int(port)), timeout=5) as sock:
         sock.sendall(request)  # and keep the connection open: no body follows
         reply = b"".join(iter(lambda: sock.recv(4096), b"")).decode()
-    assert reply.startswith("HTTP/1.0 400")
+    assert reply.startswith("HTTP/1.1 400")
+    assert "Connection: close" in reply
     assert "Content-Length must be a byte count" in reply
 
 
@@ -379,3 +384,103 @@ def test_concurrent_route_and_register_see_whole_pool_states(server):
     whole = [sorted(state) for state in states]
     assert all(ids in whole for ids in scored)
     assert requests.get(f"{base}/pool").json()["models"] == states[-1]
+
+
+# --- remote providers and connections ----------------------------------------
+
+def test_register_whose_provider_times_out_is_503(server, stub_server):
+    stub_server.stub.update(dim=64, slow_first=99, slow=1.0)
+
+    def remote_encoder(service):
+        service.providers.encoder = RemoteEmbedder(
+            stub_url(stub_server, "/v1/embeddings"), dim=64, retries=0, timeout=0.3
+        )
+
+    base = server(_config(), patch=remote_encoder)
+    reply = requests.post(f"{base}/models", json=NEW_CARD)
+    assert reply.status_code == 503
+    assert requests.get(f"{base}/pool").json()["models"] == CATALOG
+
+
+def test_service_with_remote_providers_does_not_import_requests(stub_server, tmp_path):
+    stub_server.stub["dim"] = 64
+    script = f"""
+import sys
+from coldroute.config import AppConfig
+from coldroute.service import RoutingService
+from pathlib import Path
+
+fixtures = Path({str(FIXTURE_DIR)!r})
+service = RoutingService(AppConfig(
+    base_dir=fixtures, cards_dir=fixtures / "cards", dim=64, spec="text:2", router="sim",
+    encoder={{"kind": "remote", "url": {stub_url(stub_server, "/v1/embeddings")!r}}},
+    summarizer={{"kind": "remote", "url": {stub_url(stub_server, "/v1/chat/completions")!r}}},
+    interactions=fixtures / "interactions.jsonl", tasks=fixtures / "tasks.jsonl", port=0,
+))
+service.register({NEW_CARD!r})
+print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
+"""
+    src = str(Path(coldroute.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert stub_server.stub["calls"] > 0
+
+
+def _connection(base: str) -> http.client.HTTPConnection:
+    host, port = base.removeprefix("http://").split(":")
+    return http.client.HTTPConnection(host, int(port), timeout=10)
+
+
+def test_requests_on_one_connection_share_its_socket(server):
+    conn = _connection(server(_config()))
+    try:
+        conn.request("GET", "/healthz")
+        assert conn.getresponse().read() and conn.sock is not None
+        sock = conn.sock
+        conn.request("POST", "/route", body=json.dumps({"query_text": "Sum the squares."}))
+        reply = conn.getresponse()
+        assert reply.status == 200 and json.loads(reply.read())["model_id"] in CATALOG
+        assert conn.sock is sock
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize(
+    "path, body, headers, status",
+    [
+        ("/nothing", b'{"query_text": "lost"}', {}, 404),
+        ("/route", b'{"query_text": "chunked"}', {"Transfer-Encoding": "chunked"}, 400),
+        ("/route", b"[1, 2]", {}, 400),
+    ],
+    ids=["404-with-body", "chunked-body", "read-body-400"],
+)
+def test_next_request_after_an_error_reply_is_answered_cleanly(server, path, body, headers, status):
+    conn = _connection(server(_config()))
+    try:
+        conn.request("POST", path, body=iter([body]) if headers else body, headers=headers,
+                     encode_chunked=bool(headers))
+        first = conn.getresponse()
+        assert first.status == status
+        first.read()
+        conn.request("POST", "/route", body=json.dumps({"query_text": "Sum the squares."}))
+        second = conn.getresponse()
+        assert second.status == 200 and json.loads(second.read())["model_id"] in CATALOG
+    finally:
+        conn.close()
+
+
+def test_oversized_body_is_413_before_any_read(server):
+    base = server(_config())
+    host, port = base.removeprefix("http://").split(":")
+    request = (
+        f"POST /models HTTP/1.1\r\nHost: {host}\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n"
+        "Content-Type: application/json\r\n\r\n"
+    ).encode()
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(request)  # and keep the connection open: no body follows
+        reply = b"".join(iter(lambda: sock.recv(4096), b"")).decode()
+    assert reply.startswith("HTTP/1.1 413")
+    assert "Connection: close" in reply
