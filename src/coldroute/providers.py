@@ -8,8 +8,8 @@ Two families of backends share each contract:
 * ``RemoteEmbedder`` / ``RemoteSummarizer`` speak the common JSON-over-HTTP
   embeddings / chat shapes (``POST /v1/embeddings``, ``POST
   /v1/chat/completions`` at temperature 0) with retry, backoff, an
-  in-flight cap, and an optional on-disk response cache, over
-  ``http.client`` connections kept open between requests.  The embedder
+  in-flight cap, and an optional on-disk response cache, over the
+  standard library's ``urllib.request``.  The embedder
   sends ``batch_size`` texts per request; the summarizer's batch call
   keeps up to ``max_in_flight`` requests open at once.
 
@@ -19,13 +19,11 @@ cosine scores and linear propagation mix features on a common scale.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import inspect
 import json
 import threading
 import time
-import urllib.parse
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,9 +43,8 @@ from .errors import (
 )
 from .graph import EvidenceGraph, NodeKind
 
-if TYPE_CHECKING:  # loaded on the first remote request: offline commands never need them
-    import http.client
-    import ssl
+if TYPE_CHECKING:  # loaded on the first remote request: offline commands never need it
+    import urllib.request
 
 __all__ = [
     "TextEncoder",
@@ -177,66 +174,15 @@ def _check_option(name: str, value, least: float, above: bool = False) -> None:
         raise ConfigError(f"{name} must be a number {'>' if above else '>='} {least}: {value!r}")
 
 
-def _split_url(url: str, what: str) -> tuple[urllib.parse.SplitResult, int]:
-    """The parts and the port of an ``http://`` or ``https://`` URL with a host."""
-    parts = urllib.parse.urlsplit(url)
-    try:
-        port = parts.port or {"http": 80, "https": 443}[parts.scheme]
-    except (ValueError, KeyError):
-        port = None
-    if port is None or not parts.hostname:
-        raise TransportError(f"{what} must be http(s)://host[:port]/...: {url!r}")
-    return parts, port
-
-
-@dataclass(frozen=True)
-class _Route:
-    """Where a POST to a URL goes: the socket's peer, the request target, any tunnel.
-
-    ``http_proxy`` / ``https_proxy`` / ``no_proxy`` are honoured: plain HTTP
-    goes to the proxy with the absolute URL as its target, HTTPS through a
-    ``CONNECT`` tunnel to the URL's host.  The proxy itself is spoken to in
-    plain HTTP, with the user and password of its URL, if any, as Basic
-    ``Proxy-Authorization``.
-    """
-
-    https: bool
-    host: str
-    port: int
-    target: str
-    tunnel: tuple[str, int] | None = None
-    proxy_auth: str | None = None
-
-    @classmethod
-    def of(cls, url: str) -> "_Route":
-        import urllib.request
-
-        parts, port = _split_url(url, "provider URL")
-        https = parts.scheme == "https"
-        target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        proxy = urllib.request.getproxies().get(parts.scheme)
-        if not proxy or urllib.request.proxy_bypass(parts.hostname):
-            return cls(https, parts.hostname, port, target)
-        via, via_port = _split_url(proxy if "://" in proxy else f"http://{proxy}", "proxy URL")
-        if via.scheme != "http":
-            raise TransportError(f"proxy URL must be http://host[:port]: {proxy!r}")
-        auth = None
-        if via.username is not None:
-            user = f"{urllib.parse.unquote(via.username)}:{urllib.parse.unquote(via.password or '')}"
-            auth = "Basic " + base64.b64encode(user.encode()).decode()
-        if https:
-            return cls(True, via.hostname, via_port, target, (parts.hostname, port), auth)
-        return cls(False, via.hostname, via_port, f"http://{parts.netloc}{target}", None, auth)
-
-
 @dataclass
 class _HttpJson:
     """Shared POST-JSON plumbing: retries, backoff, cap, optional disk cache.
 
-    Requests go over ``http.client`` connections.  Up to ``max_in_flight``
-    idle ones are kept for the next request, unless the server said it
-    would close them.  The proxy environment is read at the first request
-    to each URL.
+    Each request opens its own connection through ``urllib.request``, with
+    the proxies of the environment as they were at the client's first
+    request (``http_proxy`` / ``https_proxy`` / ``all_proxy``; ``no_proxy``
+    is read at each request).  HTTPS certificates are checked against the
+    system's trusted ones.
     """
 
     api_key: str | None = None
@@ -246,12 +192,7 @@ class _HttpJson:
     max_in_flight: int = 4
     cache_dir: str | None = None
     _gate: threading.Semaphore = field(init=False, repr=False)
-    _routes: dict[str, _Route] = field(init=False, repr=False, default_factory=dict)
-    _idle: list[tuple[_Route, http.client.HTTPConnection]] = field(
-        init=False, repr=False, default_factory=list
-    )
-    _idle_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
-    _tls: ssl.SSLContext | None = field(init=False, repr=False, default=None)
+    _opener: urllib.request.OpenerDirector | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         _check_option("max_in_flight", self.max_in_flight, 1)
@@ -275,20 +216,17 @@ class _HttpJson:
             if cached is not None:
                 return cached
 
-        route = self._routes.get(url) or self._routes.setdefault(url, _Route.of(url))
         raw = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        if route.proxy_auth and not route.tunnel:
-            headers["Proxy-Authorization"] = route.proxy_auth
         last: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
                 with self._gate:
-                    status, data = self._exchange(route, raw, headers)
+                    status, data = self._open(url, raw, headers)
             except (ProviderTimeout, TransportError) as exc:
                 last = exc
                 continue
@@ -312,74 +250,36 @@ class _HttpJson:
         assert last is not None
         raise last
 
-    def _exchange(self, route: _Route, raw: bytes, headers: dict) -> tuple[int, bytes]:
-        """(status, body) of one POST, on an idle connection if there is one.
+    def _open(self, url: str, raw: bytes, headers: dict) -> tuple[int, bytes]:
+        """(status, body) of one POST on a connection of its own.
 
-        A timeout raises ``ProviderTimeout``, any other socket or HTTP error
-        ``TransportError``.  The server may have closed an idle connection;
-        the request then fails before any reply byte arrives and is sent
-        once more on a new connection, which is not a retry.  Nothing is
-        sent again once reply bytes have arrived.
+        A reply outside 2xx is returned, not raised.  A timeout raises
+        ``ProviderTimeout``, any other socket, HTTP or request error
+        ``TransportError``.
         """
         import http.client
+        import urllib.error
+        import urllib.request
 
-        with self._idle_lock:
-            conn = next((c for r, c in reversed(self._idle) if r == route), None)
-            if conn is not None:
-                self._idle.remove((route, conn))
-        reused = conn is not None
-        while True:
-            if conn is None:
-                conn = self._connect(route)
-            sent = False
-            try:
-                conn.request("POST", route.target, body=raw, headers=headers)
-                sent = True
-                resp = conn.getresponse()
-                data = resp.read()
-                break
-            except BaseException as exc:
-                conn.close()
-                # a failed send, or a close before the status line: no reply byte arrived
-                if reused and isinstance(exc, http.client.RemoteDisconnected if sent else ConnectionError):
-                    conn, reused = None, False
-                    continue
-                if isinstance(exc, TimeoutError):
-                    raise ProviderTimeout(str(exc)) from exc
-                if isinstance(exc, (OSError, http.client.HTTPException)):
-                    raise TransportError(f"{type(exc).__name__}: {exc}") from exc
-                raise
-        with self._idle_lock:
-            if not resp.will_close and len(self._idle) < self.max_in_flight:
-                self._idle.append((route, conn))
-                return resp.status, data
-        conn.close()
-        return resp.status, data
-
-    def _connect(self, route: _Route) -> http.client.HTTPConnection:
-        """A new, not yet opened connection along ``route``."""
-        import http.client
-
-        if not route.https:
-            return http.client.HTTPConnection(route.host, route.port, timeout=self.timeout)
-        if self._tls is None:
-            import ssl
-
-            self._tls = ssl.create_default_context()  # verifies certificates and host names
-        conn = http.client.HTTPSConnection(
-            route.host, route.port, timeout=self.timeout, context=self._tls
-        )
-        if route.tunnel:
-            auth = {"Proxy-Authorization": route.proxy_auth} if route.proxy_auth else None
-            conn.set_tunnel(*route.tunnel, headers=auth)
-        return conn
-
-    def close(self) -> None:
-        """Close the idle connections."""
-        with self._idle_lock:
-            idle, self._idle = self._idle, []
-        for _, conn in idle:
-            conn.close()
+        if url.partition("://")[0].lower() not in ("http", "https"):
+            raise TransportError(f"provider URL must be http(s)://...: {url!r}")
+        if self._opener is None:
+            proxies = urllib.request.getproxies()
+            if "all" in proxies:  # all_proxy serves a scheme that has no proxy of its own
+                proxies = {"http": proxies["all"], "https": proxies["all"], **proxies}
+            self._opener = urllib.request.build_opener(urllib.request.ProxyHandler(proxies))
+        request = urllib.request.Request(url, raw, headers, method="POST")
+        try:
+            with self._opener.open(request, timeout=self.timeout) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            return exc.code, b""
+        except (OSError, ValueError, http.client.HTTPException) as exc:  # ValueError: a bad header
+            reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+            if isinstance(reason, TimeoutError):
+                raise ProviderTimeout(str(reason)) from exc
+            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _read_cache(path: Path) -> dict | None:

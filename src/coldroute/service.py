@@ -157,22 +157,10 @@ def _status_for(exc: Exception) -> int:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Serves HTTP/1.1: a connection stays open for the client's next request,
-    unless a reply goes out before the request's body was read in full."""
-
     server_version = f"coldroute/{__version__}"
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True  # headers and body are two writes; don't hold the second
 
     def log_message(self, fmt, *args):  # quiet by default
         pass
-
-    def parse_request(self) -> bool:
-        if not super().parse_request():
-            return False
-        declared = self.headers.get("Content-Length", "0")
-        self._unread_body = declared != "0" or "Transfer-Encoding" in self.headers
-        return True
 
     @property
     def service(self) -> RoutingService:
@@ -183,14 +171,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if self._unread_body:  # what is left of it would be read as the next request
-            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _body(self) -> dict:
-        if "Transfer-Encoding" in self.headers:
-            raise ConfigError("request body needs a Content-Length, not a Transfer-Encoding")
         declared = self.headers.get("Content-Length") or "0"
         try:
             length = int(declared)
@@ -201,7 +185,6 @@ class _Handler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             raise _BodyTooLarge(f"request body of {length} bytes is over {MAX_BODY_BYTES}")
         raw = self.rfile.read(length) if length else b""
-        self._unread_body = False
         try:
             payload = json.loads(raw.decode("utf-8") or "null")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

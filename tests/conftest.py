@@ -339,19 +339,13 @@ def traingnn_full_step(model, s, x_masked, x_orig, node_batch, edge_pairs, edge_
 class StubHandler(BaseHTTPRequestHandler):
     """OpenAI-shaped embeddings and chat replies, steered by ``server.stub``.
 
-    One handler serves one accepted socket, counted in ``sockets``.  It
-    speaks HTTP/1.0, so every connection closes after its reply; the
-    ``keepalive_stub`` fixture serves HTTP/1.1.  As a proxy it answers a
-    request for an absolute URL itself and records ``CONNECT`` targets.
+    It speaks HTTP/1.0, so every connection closes after its reply.  As a
+    proxy it answers a request for an absolute URL itself and records
+    ``CONNECT`` targets.
     """
 
     def log_message(self, fmt, *args):
         pass
-
-    def setup(self):
-        super().setup()
-        with self.server.stub["lock"]:
-            self.server.stub["sockets"] += 1
 
     def do_CONNECT(self):
         self.server.stub["connects"].append(self.path)
@@ -402,13 +396,6 @@ class StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
         self.wfile.write(raw)
-        if cfg["hang_up"]:  # close without saying so: the client keeps the socket as idle
-            self.close_connection = True
-
-
-class KeepAliveStubHandler(StubHandler):
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True  # headers and body go out as two writes
 
 
 class _QuietServer(ThreadingHTTPServer):
@@ -416,13 +403,14 @@ class _QuietServer(ThreadingHTTPServer):
         pass  # a client that gave up on a slow reply is expected here
 
 
-def _run_stub(handler):
-    server = _QuietServer(("127.0.0.1", 0), handler)
+@pytest.fixture()
+def stub_server():
+    server = _QuietServer(("127.0.0.1", 0), StubHandler)
     server.stub = {
         "calls": 0, "fail_first": 0, "fail_status": 500, "dim": 4, "reply": "a short summary",
         "last_body": None, "last_path": None, "proxy_auth": None, "echo": False, "raw": None,
-        "delay": 0.0, "slow_first": 0, "slow": 0.0, "in_flight": 0, "peak": 0, "sockets": 0,
-        "connects": [], "hang_up": False, "lock": threading.Lock(),
+        "delay": 0.0, "slow_first": 0, "slow": 0.0, "in_flight": 0, "peak": 0, "connects": [],
+        "lock": threading.Lock(),
     }
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
@@ -430,16 +418,6 @@ def _run_stub(handler):
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
-
-
-@pytest.fixture()
-def stub_server():
-    yield from _run_stub(StubHandler)
-
-
-@pytest.fixture()
-def keepalive_stub():
-    yield from _run_stub(KeepAliveStubHandler)
 
 
 def stub_url(server, path: str) -> str:

@@ -5,7 +5,6 @@ import json
 import math
 import socket
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -408,6 +407,14 @@ def test_http_proxy_gets_absolute_url_and_no_proxy_bypasses_it(stub_server, prox
     assert stub_server.stub["proxy_auth"] is None
 
 
+def test_all_proxy_serves_a_scheme_without_a_proxy_of_its_own(stub_server, proxy_env):
+    host, port = stub_server.server_address[:2]
+    proxy_env("all_proxy", f"http://{host}:{port}")
+    enc = RemoteEmbedder("http://provider.invalid/v1/embeddings", dim=4, retries=0)
+    assert np.allclose(enc.encode("via the proxy"), np.ones(4) / 2.0)
+    assert stub_server.stub["last_path"] == "http://provider.invalid/v1/embeddings"
+
+
 def test_https_goes_through_a_proxy_tunnel_and_checks_the_certificate(stub_server, proxy_env):
     host, port = stub_server.server_address[:2]
     proxy_env("https_proxy", f"http://{host}:{port}")
@@ -418,48 +425,14 @@ def test_https_goes_through_a_proxy_tunnel_and_checks_the_certificate(stub_serve
     assert stub_server.stub["calls"] == 0
 
 
-# --- connection reuse --------------------------------------------------------
-
-def test_sequential_calls_share_one_connection(keepalive_stub):
-    enc = RemoteEmbedder(_url(keepalive_stub, "/v1/embeddings"), dim=4, retries=0)
-    try:
-        for i in range(6):
-            assert np.allclose(enc.encode(f"call {i}"), np.ones(4) / 2.0)
-    finally:
-        enc._http.close()
-    assert keepalive_stub.stub["calls"] == 6
-    assert keepalive_stub.stub["sockets"] == 1
-
-
-def test_concurrent_batches_open_at_most_max_in_flight_connections(keepalive_stub):
-    keepalive_stub.stub.update(echo=True, delay=0.01)
-    summ = RemoteSummarizer(_url(keepalive_stub, "/v1/chat/completions"), retries=0,
-                            max_in_flight=3)
-    try:
-        for batch in range(2):
-            prompts = [f"batch {batch} prompt {i}" for i in range(12)]
-            assert summ.summarize_batch(prompts) == prompts
-    finally:
-        summ._http.close()
-    assert keepalive_stub.stub["calls"] == 24
-    assert keepalive_stub.stub["sockets"] <= 3
-
-
-def test_http10_server_gets_a_connection_per_call(stub_server):
-    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=0)
-    for i in range(4):
-        assert np.allclose(enc.encode(f"call {i}"), np.ones(4) / 2.0)
-    assert stub_server.stub["calls"] == stub_server.stub["sockets"] == 4
-
-
-def test_idle_connection_closed_by_the_server_is_reopened_not_retried(keepalive_stub):
-    keepalive_stub.stub["hang_up"] = True  # closes each socket after its reply, unannounced
-    enc = RemoteEmbedder(_url(keepalive_stub, "/v1/embeddings"), dim=4, retries=0)
-    try:
-        enc.encode("first")
-        time.sleep(0.05)  # the server's close reaches the idle socket
-        assert np.allclose(enc.encode("second"), np.ones(4) / 2.0)
-    finally:
-        enc._http.close()
-    assert keepalive_stub.stub["calls"] == 2  # one request each: the dead socket got none
-    assert keepalive_stub.stub["sockets"] == 2
+@pytest.mark.parametrize(
+    "url, api_key",
+    [("ftp://provider.invalid/v1/embeddings", None), (None, "key\r\nX-Injected: 1")],
+    ids=["not-http", "header-with-newline"],
+)
+def test_a_request_that_cannot_be_sent_is_transport_error(stub_server, url, api_key):
+    enc = RemoteEmbedder(url or _url(stub_server, "/v1/embeddings"), dim=4, api_key=api_key,
+                         retries=0)
+    with pytest.raises(TransportError):
+        enc.encode("never sent")
+    assert stub_server.stub["calls"] == 0

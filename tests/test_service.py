@@ -1,7 +1,6 @@
 """HTTP routing service: endpoints, status codes, frozen-pool registration,
 and crash recovery from the persisted state file."""
 
-import http.client
 import json
 import os
 import socket
@@ -312,8 +311,7 @@ def test_bad_content_length_is_400_without_reading_the_body(server, length):
     with socket.create_connection((host, int(port)), timeout=5) as sock:
         sock.sendall(request)  # and keep the connection open: no body follows
         reply = b"".join(iter(lambda: sock.recv(4096), b"")).decode()
-    assert reply.startswith("HTTP/1.1 400")
-    assert "Connection: close" in reply
+    assert reply.startswith("HTTP/1.0 400")
     assert "Content-Length must be a byte count" in reply
 
 
@@ -386,7 +384,7 @@ def test_concurrent_route_and_register_see_whole_pool_states(server):
     assert requests.get(f"{base}/pool").json()["models"] == states[-1]
 
 
-# --- remote providers and connections ----------------------------------------
+# --- remote providers and the body cap ---------------------------------------
 
 def test_register_whose_provider_times_out_is_503(server, stub_server):
     stub_server.stub.update(dim=64, slow_first=99, slow=1.0)
@@ -429,49 +427,6 @@ print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
     assert stub_server.stub["calls"] > 0
 
 
-def _connection(base: str) -> http.client.HTTPConnection:
-    host, port = base.removeprefix("http://").split(":")
-    return http.client.HTTPConnection(host, int(port), timeout=10)
-
-
-def test_requests_on_one_connection_share_its_socket(server):
-    conn = _connection(server(_config()))
-    try:
-        conn.request("GET", "/healthz")
-        assert conn.getresponse().read() and conn.sock is not None
-        sock = conn.sock
-        conn.request("POST", "/route", body=json.dumps({"query_text": "Sum the squares."}))
-        reply = conn.getresponse()
-        assert reply.status == 200 and json.loads(reply.read())["model_id"] in CATALOG
-        assert conn.sock is sock
-    finally:
-        conn.close()
-
-
-@pytest.mark.parametrize(
-    "path, body, headers, status",
-    [
-        ("/nothing", b'{"query_text": "lost"}', {}, 404),
-        ("/route", b'{"query_text": "chunked"}', {"Transfer-Encoding": "chunked"}, 400),
-        ("/route", b"[1, 2]", {}, 400),
-    ],
-    ids=["404-with-body", "chunked-body", "read-body-400"],
-)
-def test_next_request_after_an_error_reply_is_answered_cleanly(server, path, body, headers, status):
-    conn = _connection(server(_config()))
-    try:
-        conn.request("POST", path, body=iter([body]) if headers else body, headers=headers,
-                     encode_chunked=bool(headers))
-        first = conn.getresponse()
-        assert first.status == status
-        first.read()
-        conn.request("POST", "/route", body=json.dumps({"query_text": "Sum the squares."}))
-        second = conn.getresponse()
-        assert second.status == 200 and json.loads(second.read())["model_id"] in CATALOG
-    finally:
-        conn.close()
-
-
 def test_oversized_body_is_413_before_any_read(server):
     base = server(_config())
     host, port = base.removeprefix("http://").split(":")
@@ -482,5 +437,4 @@ def test_oversized_body_is_413_before_any_read(server):
     with socket.create_connection((host, int(port)), timeout=5) as sock:
         sock.sendall(request)  # and keep the connection open: no body follows
         reply = b"".join(iter(lambda: sock.recv(4096), b"")).decode()
-    assert reply.startswith("HTTP/1.1 413")
-    assert "Connection: close" in reply
+    assert reply.startswith("HTTP/1.0 413")
