@@ -40,7 +40,7 @@ from .graph import (
     QueryRecord,
 )
 from .profiles import ProfileSpec, TrainGnnModel, traingnn_fit
-from .providers import Providers, encode_all
+from .providers import Providers
 from .routers import (
     InteractionRecord,
     RoutingDecision,
@@ -496,8 +496,10 @@ def run_coldstart(
     random_seeds=DEFAULT_RANDOM_SEEDS,
     templates=None,
 ) -> EvalReport:
-    """Training-free protocol: profiles + similarity routing, no interactions."""
-    encode_all(graph, providers.encoder, only_missing=True)
+    """Training-free protocol: profiles + similarity routing, no interactions.
+
+    ``graph`` must be encoded (``providers.encode_all``).
+    """
     candidate_pool = profile_pool(graph, spec, pool, providers, seed=seed, templates=templates)
     vecs = query_vectors(graph, queries)
     decisions = [sim_route(vecs[qid], candidate_pool, qid) for qid in queries]
@@ -529,9 +531,9 @@ def run_integration(
     ``train_interactions`` may be None (no data) for the ``sim`` router
     only.  ``new_profile_override`` substitutes the integrated model's
     profile vector after integration (used by ablation runs, e.g. a zero
-    vector); the router is never touched either way.
+    vector); the router is never touched either way.  ``graph`` must be
+    encoded (``providers.encode_all``); the new model is encoded on admission.
     """
-    encode_all(graph, providers.encoder, only_missing=True)
     aggregator: TrainGnnModel | None = None
     if spec.learning == "trainable":
         aggregator = traingnn_fit(graph, spec, seed)

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import records
 from .errors import (
+    ConfigError,
     DanglingReference,
     DuplicateId,
     InvalidGraph,
@@ -122,6 +123,10 @@ class BenchmarkCard:
     description: str
     score_scale: str = "unit"  # "unit" for [0,1], "percent" for [0,100]
 
+    def __post_init__(self) -> None:
+        if self.score_scale not in ("unit", "percent"):
+            raise ConfigError(f"score_scale must be 'unit' or 'percent': {self.score_scale!r}")
+
 
 @dataclass(frozen=True)
 class DomainCard:
@@ -190,22 +195,15 @@ class EvidenceGraph:
         self._adj: dict[str, dict[str, Edge]] = {nid: {} for nid in self._nodes}
         for edge in sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst)):
             self._insert_edge(edge)
-        self.validate()
 
     # -- construction internals --
 
     def _insert_edge(self, edge: Edge) -> None:
-        for endpoint in (edge.src, edge.dst):
-            if endpoint not in self._nodes:
-                raise DanglingReference(endpoint, "edge endpoint")
-        if edge.src == edge.dst:
-            raise InvalidGraph(f"self edge on {edge.src!r}; self loops are implicit")
-        want = _EDGE_ENDPOINTS[edge.kind]
-        got = (self._nodes[edge.src].kind, self._nodes[edge.dst].kind)
-        if got != want:
-            raise InvalidGraph(
-                f"edge kind {edge.kind.value} cannot connect {got[0].value} to {got[1].value}"
-            )
+        """Add one edge; each endpoint must be a node of the kind its edge kind names."""
+        for endpoint, kind in zip((edge.src, edge.dst), _EDGE_ENDPOINTS[edge.kind]):
+            node = self._nodes.get(endpoint)
+            if node is None or node.kind is not kind:
+                raise DanglingReference(endpoint, f"{kind.value} of {edge.src!r}")
         if edge.dst in self._adj[edge.src]:
             raise InvalidGraph(f"multi-edge between {edge.src!r} and {edge.dst!r}")
         if edge.kind is EdgeKind.MODEL_BENCHMARK:
@@ -216,18 +214,6 @@ class EvidenceGraph:
         self._edges.append(edge)
         self._adj[edge.src][edge.dst] = edge
         self._adj[edge.dst][edge.src] = edge
-
-    def validate(self) -> None:
-        """Re-check every structural invariant; raises on the first violation."""
-        for node in self._nodes.values():
-            if node.embedding is not None:
-                emb = np.asarray(node.embedding)
-                if emb.shape != (self.dim,):
-                    raise InvalidGraph(
-                        f"embedding of {node.id!r} has shape {emb.shape}, expected ({self.dim},)"
-                    )
-                if not np.all(np.isfinite(emb)):
-                    raise InvalidGraph(f"embedding of {node.id!r} has non-finite entries")
 
     # -- read access --
 
@@ -287,27 +273,8 @@ class EvidenceGraph:
             "score_scales": dict(sorted(self.score_scales.items())),
         }
 
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "EvidenceGraph":
-        kinds = {"nodes": list, "edges": list, "dim": int, "score_scales": dict[str, str] | None}
-        snapshot = records.check(snapshot, kinds)
-        nodes = []
-        for entry in snapshot["nodes"]:
-            e = records.check(entry, {"id": str, "kind": str, "embedding": list[float] | None})
-            emb = None if e.get("embedding") is None else np.asarray(e["embedding"])
-            nodes.append(Node(e["id"], NodeKind(e["kind"]), e.get("text", ""), emb))
-        edges = []
-        for entry in snapshot["edges"]:
-            e = records.check(entry, {"src": str, "dst": str, "kind": str, "weight": float | None})
-            edges.append(Edge(e["src"], e["dst"], EdgeKind(e["kind"]), e.get("weight")))
-        return cls(nodes, edges, snapshot["dim"], snapshot.get("score_scales"))
-
     def save(self, path: str | Path) -> None:
         records.write(path, self.to_snapshot())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "EvidenceGraph":
-        return records.read(path, "doc", None, cls.from_snapshot)
 
 
 # --- operations ------------------------------------------------------------
@@ -324,54 +291,17 @@ def build_graph(
 
     Embeddings start unset; run ``providers.encode_all`` afterwards.
     """
-    nodes: list[Node] = []
-    seen: set[str] = set()
-
-    def push(node: Node) -> None:
-        if node.id in seen:
-            raise DuplicateId(node.id)
-        seen.add(node.id)
-        nodes.append(node)
-
-    for fam in families:
-        push(Node(fam.id, NodeKind.MODEL_FAMILY, fam.description))
-    for dom in domains:
-        push(Node(dom.id, NodeKind.DOMAIN, dom.description))
-    bench_by_id = {b.id: b for b in benchmarks}
-    if len(bench_by_id) != len(benchmarks):
-        raise DuplicateId("benchmark collection contains repeated ids")
-    for bench in benchmarks:
-        push(Node(bench.id, NodeKind.BENCHMARK, bench.description))
+    nodes = [Node(f.id, NodeKind.MODEL_FAMILY, f.description) for f in families]
+    nodes += [Node(d.id, NodeKind.DOMAIN, d.description) for d in domains]
+    nodes += [Node(b.id, NodeKind.BENCHMARK, b.description) for b in benchmarks]
+    nodes += [Node(m.id, NodeKind.MODEL, m.description) for m in models]
+    nodes += [Node(q.id, NodeKind.QUERY, q.text) for q in queries]
+    edges = [Edge(b.id, b.domain_id, EdgeKind.BENCHMARK_DOMAIN) for b in benchmarks]
+    edges += [Edge(q.id, q.benchmark_id, EdgeKind.QUERY_BENCHMARK) for q in queries]
+    graph = EvidenceGraph(nodes, edges, dim, {b.id: b.score_scale for b in benchmarks})
     for model in models:
-        push(Node(model.id, NodeKind.MODEL, model.description))
-    for query in queries:
-        push(Node(query.id, NodeKind.QUERY, query.text))
-
-    edges: list[Edge] = []
-    fam_ids = {f.id for f in families}
-    dom_ids = {d.id for d in domains}
-    for bench in benchmarks:
-        if bench.domain_id not in dom_ids:
-            raise DanglingReference(bench.domain_id, f"domain of benchmark {bench.id!r}")
-        edges.append(Edge(bench.id, bench.domain_id, EdgeKind.BENCHMARK_DOMAIN))
-    for model in models:
-        if model.family_id not in fam_ids:
-            raise DanglingReference(model.family_id, f"family of model {model.id!r}")
-        edges.append(Edge(model.id, model.family_id, EdgeKind.MODEL_FAMILY))
-        for bench_id in sorted(model.scores):
-            if bench_id not in bench_by_id:
-                raise DanglingReference(bench_id, f"benchmark scored by model {model.id!r}")
-            weight = normalize_score(
-                model.scores[bench_id], bench_by_id[bench_id].score_scale, model.id, bench_id
-            )
-            edges.append(Edge(model.id, bench_id, EdgeKind.MODEL_BENCHMARK, weight))
-    for query in queries:
-        if query.benchmark_id not in bench_by_id:
-            raise DanglingReference(query.benchmark_id, f"benchmark of query {query.id!r}")
-        edges.append(Edge(query.id, query.benchmark_id, EdgeKind.QUERY_BENCHMARK))
-
-    scales = {b.id: b.score_scale for b in benchmarks}
-    return EvidenceGraph(nodes, edges, dim, scales)
+        _link_model(graph, model)
+    return graph
 
 
 def closed_neighborhood(graph: EvidenceGraph, v: str) -> list[str]:
@@ -439,33 +369,32 @@ def add_model_node(graph: EvidenceGraph, card: ModelCard) -> str:
     """Insert a new model node plus its family and score edges.
 
     Existing nodes and embeddings are untouched; the new node's embedding
-    stays unset until encoded.
+    stays unset until encoded.  A card the graph rejects leaves it as it was.
     """
     if card.id in graph:
         raise DuplicateId(card.id)
-    if card.family_id not in graph or graph.node(card.family_id).kind is not NodeKind.MODEL_FAMILY:
-        raise DanglingReference(card.family_id, f"family of model {card.id!r}")
-    for bench_id in card.scores:
-        if bench_id not in graph or graph.node(bench_id).kind is not NodeKind.BENCHMARK:
-            raise DanglingReference(bench_id, f"benchmark scored by model {card.id!r}")
-    weights = {}
-    for bench_id in sorted(card.scores):
-        scale = graph.score_scales.get(bench_id, "unit")
-        weights[bench_id] = normalize_score(card.scores[bench_id], scale, card.id, bench_id)
-
-    node = Node(card.id, NodeKind.MODEL, card.description)
-    graph._nodes[card.id] = node
+    graph._nodes[card.id] = Node(card.id, NodeKind.MODEL, card.description)
     graph._adj[card.id] = {}
     try:
-        graph._insert_edge(Edge(card.id, card.family_id, EdgeKind.MODEL_FAMILY))
-        for bench_id in sorted(weights):
-            graph._insert_edge(
-                Edge(card.id, bench_id, EdgeKind.MODEL_BENCHMARK, weights[bench_id])
-            )
+        _link_model(graph, card)
     except Exception:
         remove_node(graph, card.id)
         raise
     return card.id
+
+
+def _link_model(graph: EvidenceGraph, card: ModelCard) -> None:
+    """Insert the family edge of a model node and its scores as normalized score edges.
+
+    A score on an id with no recorded scale keeps its raw value:
+    ``_insert_edge`` rejects the edge unless the id names a benchmark, and
+    then reads the score on the unit scale.
+    """
+    graph._insert_edge(Edge(card.id, card.family_id, EdgeKind.MODEL_FAMILY))
+    for bench_id, score in sorted(card.scores.items()):
+        scale = graph.score_scales.get(bench_id)
+        weight = float(score) if scale is None else normalize_score(score, scale, card.id, bench_id)
+        graph._insert_edge(Edge(card.id, bench_id, EdgeKind.MODEL_BENCHMARK, weight))
 
 
 def remove_node(graph: EvidenceGraph, node_id: str) -> None:

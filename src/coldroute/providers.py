@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import re
 import threading
 import time
 from collections import Counter
@@ -71,18 +72,8 @@ def _truncate_utf8(text: str, max_bytes: int) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase word tokens; everything non-alphanumeric separates."""
-    out: list[str] = []
-    word: list[str] = []
-    for ch in text.lower():
-        if ch.isalnum():
-            word.append(ch)
-        elif word:
-            out.append("".join(word))
-            word = []
-    if word:
-        out.append("".join(word))
-    return out
+    """Lowercase word tokens: the runs of alphanumeric characters (``str.isalnum``)."""
+    return re.findall(r"[^\W_]+", text.lower())
 
 
 class TextEncoder:
@@ -437,10 +428,10 @@ def encode_all(
     Non-query nodes must carry text; query nodes use their raw query text
     as-is.  Every node is checked before the first request, then all texts
     go through one ``encoder.encode_batch`` call, and embeddings are set
-    only once every vector has the graph's dimension.  With
-    ``only_missing`` nodes that already have an embedding are left alone
-    (used when a node is added to an encoded graph).  Returns the same
-    graph for chaining.
+    only once every vector has the graph's dimension and finite entries.
+    With ``only_missing`` nodes that already have an embedding are left
+    alone (used when a node is added to an encoded graph).  Returns the
+    same graph for chaining.
     """
     nodes = [
         graph.node(nid)
@@ -464,7 +455,8 @@ def encode_all(
                 raise EncoderFailure(
                     node.id, DimensionMismatch(graph.dim, int(vec.shape[0]), "encode_all")
                 )
+            if not np.isfinite(vec).all():
+                raise EncoderFailure(node.id, "non-finite entries")
         for node, vec in zip(nodes, vectors):
             node.embedding = vec
-    graph.validate()
     return graph

@@ -107,8 +107,6 @@ class RoutingService:
     def register(self, entry: dict) -> dict:
         card = parse_card(entry)
         with self._write_lock:
-            if card.id in self.pool:
-                raise DuplicateId(card.id)
             integrate_new_model(
                 self.router, self.pool, self.graph, card, self.spec, self.providers,
                 trained=self.trained, templates=self.templates,

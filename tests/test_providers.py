@@ -42,6 +42,8 @@ def test_tokenize_lowercase_alnum_runs():
     assert tokenize("") == []
     assert tokenize("  --  ") == []
     assert tokenize("eq2solve") == ["eq2solve"]
+    # letters and digits of any script; "_" and combining marks separate
+    assert tokenize("Straße_ÜBER café-Ω2 x\u0301y") == ["straße", "über", "café", "ω2", "x", "y"]
 
 
 # --- deterministic embedder ------------------------------------------------
@@ -118,6 +120,18 @@ def test_encode_all_only_missing_preserves_existing(tiny_graph):
     tiny_graph.node("model_00").text = "A very different description now."
     encode_all(tiny_graph, DeterministicEmbedder(dim=4, seed=0), only_missing=True)
     assert np.array_equal(np.asarray(tiny_graph.node("model_00").embedding), before)
+
+
+def test_encode_all_rejects_a_non_finite_vector_and_sets_nothing(tiny_graph):
+    class NanFor(DeterministicEmbedder):
+        def encode(self, text):
+            vec = super().encode(text)
+            return np.full(self.dim, np.nan) if text.startswith("A quiet") else vec
+
+    before = {nid: tiny_graph.node(nid).embedding for nid in tiny_graph.node_ids}
+    with pytest.raises(EncoderFailure, match="model_01"):
+        encode_all(tiny_graph, NanFor(dim=4, seed=1))
+    assert all(tiny_graph.node(nid).embedding is before[nid] for nid in tiny_graph.node_ids)
 
 
 def test_providers_deterministic_bundle():
