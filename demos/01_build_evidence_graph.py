@@ -69,7 +69,7 @@ def main() -> None:
 
     section("Embedding node features")
     encode_all(graph, DeterministicEmbedder(dim=64, seed=0))
-    vec = graph.node("model_00_00").embedding
+    vec = graph.embedding("model_00_00")
     print(f"every node now carries a unit-norm 64-d feature vector")
     print(f"model_00_00 embedding head: {[round(float(x), 4) for x in vec[:4]]}")
 

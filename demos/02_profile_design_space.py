@@ -63,12 +63,12 @@ def main() -> None:
     print(f"the nodes within distance 2: {mentions}")
 
     section("emb:K: linear propagation, training-free")
-    base = {nid: np.asarray(graph.node(nid).embedding) for nid in graph.node_ids}
+    row = graph.index  # states are rows in graph.index order
     for depth in (1, 2, 3):
         states = embgnn_propagate(graph, depth)
         # the scoreless model drifts toward its family as evidence flows in
-        drift = cosine(states["model_01_01"], base["fam_01"])
-        agree = cosine(states["model_01_00"], states["model_01_01"])
+        drift = cosine(states[row["model_01_01"]], graph.embedding("fam_01"))
+        agree = cosine(states[row["model_01_00"]], states[row["model_01_01"]])
         print(f"  depth {depth}: cos(model_01_01, fam_01 card) = {drift:.3f}; "
               f"cos(siblings 01_00, 01_01) = {agree:.3f}")
     print("model_01_01 has no benchmark scores, yet inherits its family's signal.")

@@ -39,7 +39,7 @@ def main() -> None:
     profiles = make_profiles(graph, ProfileSpec.parse("emb:2"), pool_ids, providers)
     pool = CandidatePool([profiles[m] for m in pool_ids])
     qid = world.eval_queries[0]
-    decision = sim_route(graph.node(qid).embedding, pool, query_id=qid)
+    decision = sim_route(graph.embedding(qid), pool, query_id=qid)
     print(f"query {qid} ({graph.node(qid).text[:40]}...)")
     for mid in pool_ids:
         marker = " <- chosen" if mid == decision.chosen else ""

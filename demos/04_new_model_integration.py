@@ -57,7 +57,7 @@ def main() -> None:
     profiles = make_profiles(graph, spec, old_ids, providers)
     pool = CandidatePool([profiles[m] for m in old_ids])
     train_q = sorted({r.query_id for r in world.interactions})
-    query_vecs = {q: np.asarray(graph.node(q).embedding) for q in train_q}
+    query_vecs = {q: graph.embedding(q) for q in train_q}
     tasks = {q: world.tasks[q] for q in train_q}
     router = graphrouter_fit(tasks, query_vecs, world.interactions, pool, seed=0)
     print(f"training loss {router.loss_trace[0]:.4f} -> {router.loss_trace[-1]:.4f}")
@@ -76,7 +76,7 @@ def main() -> None:
 
     def route_all():
         return [
-            router.route(np.asarray(graph.node(q).embedding), pool,
+            router.route(graph.embedding(q), pool,
                          query_id=q, task_id=world.tasks[q])
             for q in world.eval_queries
         ]

@@ -70,7 +70,7 @@ def _cmd_graph(args) -> dict:
     graph = build_world_graph(load_cards(cards_dir), dim, make_providers(cfg) if encode else None)
     info = {
         "nodes": len(graph),
-        "edges": len(graph.edges),
+        "edges": len(graph.pairs),
         "dim": graph.dim,
         "valid": True,
     }

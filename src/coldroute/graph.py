@@ -32,6 +32,7 @@ from .errors import (
     InvalidGraph,
     NotAdjacent,
     ScoreOutOfRange,
+    UninitializedEmbedding,
     UnknownNode,
 )
 
@@ -89,7 +90,6 @@ class Node:
     id: str
     kind: NodeKind
     text: str = ""
-    embedding: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -166,12 +166,16 @@ def normalize_score(value: float, scale: str, model_id: str, benchmark_id: str) 
 
 
 class EvidenceGraph:
-    """Typed heterogeneous graph with deterministic ordering.
+    """Typed heterogeneous graph over indexed nodes.
 
-    Nodes are stored by id; edges keep the canonical builder direction
-    (model->family, model->benchmark, benchmark->domain, query->benchmark)
-    and are undirected for adjacency.  The graph is immutable after
-    construction except through :func:`add_model_node` / :func:`remove_node`.
+    A node's row is its place in id order at construction, or the next row
+    when added later; ``index`` maps id -> row and ``ids`` row -> id.  The
+    graph owns ``features`` (n × dim, NaN until encoded) and, per edge in
+    insertion order, ``pairs`` (endpoint rows in the canonical builder
+    direction: model->family, model->benchmark, benchmark->domain,
+    query->benchmark), ``weights`` (the score, else 1) and ``scored``.
+    Adjacency is undirected.  Only :func:`add_model_node` /
+    :func:`remove_node` change the graph.
     """
 
     def __init__(
@@ -187,33 +191,62 @@ class EvidenceGraph:
         # benchmark id -> "unit" | "percent"; how raw scores map onto [0,1]
         self.score_scales: dict[str, str] = dict(score_scales or {})
         self._nodes: dict[str, Node] = {}
-        for node in sorted(nodes, key=lambda n: n.id):
-            if node.id in self._nodes:
+        self._adj: dict[str, dict[str, Edge]] = {}
+        self.ids: list[str] = []
+        self.index: dict[str, int] = {}
+        self.features = np.empty((0, self.dim))
+        self.pairs = np.empty((0, 2), dtype=np.intp)
+        self.weights = np.empty(0)
+        self.scored = np.empty(0, dtype=bool)
+        self._add(
+            sorted(nodes, key=lambda n: n.id),
+            sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst)),
+        )
+
+    def _add(self, nodes: list[Node], edges: list[Edge]) -> None:
+        """Append ``nodes`` as the next rows and ``edges`` after the existing ones.
+
+        Node ids must be new, each endpoint a node of the kind its edge kind
+        names, no two edges may join one pair, and only a score edge carries
+        a weight, in [0, 1].  A rejected call writes nothing.
+        """
+        new: dict[str, Node] = {}
+        for node in nodes:
+            if node.id in self._nodes or node.id in new:
                 raise DuplicateId(node.id)
-            self._nodes[node.id] = node
-        self._edges: list[Edge] = []
-        self._adj: dict[str, dict[str, Edge]] = {nid: {} for nid in self._nodes}
-        for edge in sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst)):
-            self._insert_edge(edge)
+            new[node.id] = node
+        rows = {nid: len(self.ids) + i for i, nid in enumerate(new)}
+        seen: set[tuple[str, str]] = set()
+        pairs, weights, scored = [], [], []
+        for edge in edges:
+            for endpoint, kind in zip((edge.src, edge.dst), _EDGE_ENDPOINTS[edge.kind]):
+                node = new.get(endpoint) or self._nodes.get(endpoint)
+                if node is None or node.kind is not kind:
+                    raise DanglingReference(endpoint, f"{kind.value} of {edge.src!r}")
+            # endpoint kinds fix each edge's direction, so (src, dst) names its pair
+            if (edge.src, edge.dst) in seen or edge.dst in self._adj.get(edge.src, ()):
+                raise InvalidGraph(f"multi-edge between {edge.src!r} and {edge.dst!r}")
+            seen.add((edge.src, edge.dst))
+            if edge.kind is EdgeKind.MODEL_BENCHMARK:
+                if edge.weight is None or not (0.0 <= edge.weight <= 1.0):
+                    raise ScoreOutOfRange(edge.src, edge.dst, float("nan") if edge.weight is None else edge.weight)
+            elif edge.weight is not None:
+                raise InvalidGraph(f"edge kind {edge.kind.value} carries no weight")
+            pairs.append([rows[e] if e in rows else self.index[e] for e in (edge.src, edge.dst)])
+            weights.append(1.0 if edge.weight is None else edge.weight)
+            scored.append(edge.weight is not None)
 
-    # -- construction internals --
-
-    def _insert_edge(self, edge: Edge) -> None:
-        """Add one edge; each endpoint must be a node of the kind its edge kind names."""
-        for endpoint, kind in zip((edge.src, edge.dst), _EDGE_ENDPOINTS[edge.kind]):
-            node = self._nodes.get(endpoint)
-            if node is None or node.kind is not kind:
-                raise DanglingReference(endpoint, f"{kind.value} of {edge.src!r}")
-        if edge.dst in self._adj[edge.src]:
-            raise InvalidGraph(f"multi-edge between {edge.src!r} and {edge.dst!r}")
-        if edge.kind is EdgeKind.MODEL_BENCHMARK:
-            if edge.weight is None or not (0.0 <= edge.weight <= 1.0):
-                raise ScoreOutOfRange(edge.src, edge.dst, float("nan") if edge.weight is None else edge.weight)
-        elif edge.weight is not None:
-            raise InvalidGraph(f"edge kind {edge.kind.value} carries no weight")
-        self._edges.append(edge)
-        self._adj[edge.src][edge.dst] = edge
-        self._adj[edge.dst][edge.src] = edge
+        self.index.update(rows)
+        self.ids.extend(new)
+        self._nodes.update(new)
+        self._adj.update((nid, {}) for nid in new)
+        for edge in edges:
+            self._adj[edge.src][edge.dst] = edge
+            self._adj[edge.dst][edge.src] = edge
+        self.features = np.vstack([self.features, np.full((len(new), self.dim), np.nan)])
+        self.pairs = np.concatenate([self.pairs, np.asarray(pairs, dtype=np.intp).reshape(-1, 2)])
+        self.weights = np.concatenate([self.weights, np.asarray(weights, dtype=np.float64)])
+        self.scored = np.concatenate([self.scored, np.asarray(scored, dtype=bool)])
 
     # -- read access --
 
@@ -223,19 +256,28 @@ class EvidenceGraph:
 
     @property
     def edges(self) -> list[Edge]:
-        return sorted(self._edges, key=lambda e: (e.kind.value, e.src, e.dst))
+        edges = [e for nid, adj in self._adj.items() for e in adj.values() if e.src == nid]
+        return sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst))
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.ids)
 
     def node(self, node_id: str) -> Node:
         try:
             return self._nodes[node_id]
         except KeyError:
             raise UnknownNode(node_id) from None
+
+    def embedding(self, node_id: str) -> np.ndarray:
+        """A copy of the node's feature row; an unencoded node raises ``UninitializedEmbedding``."""
+        self.node(node_id)  # an unknown id raises UnknownNode
+        row = self.features[self.index[node_id]]
+        if np.isnan(row).any():
+            raise UninitializedEmbedding(node_id)
+        return row.copy()
 
     def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
         return [self._nodes[nid] for nid in self.node_ids if self._nodes[nid].kind is kind]
@@ -257,8 +299,9 @@ class EvidenceGraph:
         for nid in self.node_ids:
             node = self._nodes[nid]
             entry: dict = {"id": node.id, "kind": node.kind.value, "text": node.text}
-            if node.embedding is not None:
-                entry["embedding"] = [float(x) for x in node.embedding]
+            row = self.features[self.index[nid]]
+            if not np.isnan(row).any():
+                entry["embedding"] = [float(x) for x in row]
             nodes.append(entry)
         edges = []
         for edge in self.edges:
@@ -296,31 +339,25 @@ def build_graph(
     nodes += [Node(b.id, NodeKind.BENCHMARK, b.description) for b in benchmarks]
     nodes += [Node(m.id, NodeKind.MODEL, m.description) for m in models]
     nodes += [Node(q.id, NodeKind.QUERY, q.text) for q in queries]
+    scales = {b.id: b.score_scale for b in benchmarks}
     edges = [Edge(b.id, b.domain_id, EdgeKind.BENCHMARK_DOMAIN) for b in benchmarks]
     edges += [Edge(q.id, q.benchmark_id, EdgeKind.QUERY_BENCHMARK) for q in queries]
-    graph = EvidenceGraph(nodes, edges, dim, {b.id: b.score_scale for b in benchmarks})
-    for model in models:
-        _link_model(graph, model)
-    return graph
+    edges += [e for m in models for e in _model_edges(m, scales)]
+    return EvidenceGraph(nodes, edges, dim, scales)
 
 
 def closed_neighborhood(graph: EvidenceGraph, v: str) -> list[str]:
     """All nodes sharing an edge with v, plus v itself, sorted."""
-    neighbors = graph.neighbors(v)
-    return sorted(set(neighbors) | {v})
+    return sorted({*graph.neighbors(v), v})
 
 
 def propagation_coefficient(graph: EvidenceGraph, u: str, v: str) -> float:
     """Symmetric normalization coefficient between adjacent nodes (or u = v)."""
-    if u == v:
-        graph.node(v)
-        weight = 1.0
-    else:
-        edge = graph.edge_between(u, v)
-        graph.node(v)
-        if edge is None:
-            raise NotAdjacent(u, v)
-        weight = 1.0 if edge.weight is None else float(edge.weight)
+    edge = graph.edge_between(u, v)  # None for u = v: there are no self loops
+    graph.node(v)
+    if u != v and edge is None:
+        raise NotAdjacent(u, v)
+    weight = 1.0 if edge is None or edge.weight is None else float(edge.weight)
     size_u = len(closed_neighborhood(graph, u))
     size_v = len(closed_neighborhood(graph, v))
     return weight / math.sqrt(size_u * size_v)
@@ -365,47 +402,44 @@ class Propagation:
         return s
 
 
-def add_model_node(graph: EvidenceGraph, card: ModelCard) -> str:
-    """Insert a new model node plus its family and score edges.
+def add_model_node(graph: EvidenceGraph, card: ModelCard) -> None:
+    """Insert a new model node, as the next row, plus its family and score edges.
 
-    Existing nodes and embeddings are untouched; the new node's embedding
-    stays unset until encoded.  A card the graph rejects leaves it as it was.
+    Existing nodes and features are untouched; the new row stays unset
+    until encoded.  A card the graph rejects leaves it as it was.
     """
-    if card.id in graph:
-        raise DuplicateId(card.id)
-    graph._nodes[card.id] = Node(card.id, NodeKind.MODEL, card.description)
-    graph._adj[card.id] = {}
-    try:
-        _link_model(graph, card)
-    except Exception:
-        remove_node(graph, card.id)
-        raise
-    return card.id
+    graph._add([Node(card.id, NodeKind.MODEL, card.description)], _model_edges(card, graph.score_scales))
 
 
-def _link_model(graph: EvidenceGraph, card: ModelCard) -> None:
-    """Insert the family edge of a model node and its scores as normalized score edges.
+def _model_edges(card: ModelCard, scales: dict[str, str]) -> list[Edge]:
+    """The family edge of a model card, then its scores as normalized score edges.
 
-    A score on an id with no recorded scale keeps its raw value:
-    ``_insert_edge`` rejects the edge unless the id names a benchmark, and
-    then reads the score on the unit scale.
+    A score on an id with no recorded scale keeps its raw value: the graph
+    rejects the edge unless the id names a benchmark, and then reads the
+    score on the unit scale.
     """
-    graph._insert_edge(Edge(card.id, card.family_id, EdgeKind.MODEL_FAMILY))
+    edges = [Edge(card.id, card.family_id, EdgeKind.MODEL_FAMILY)]
     for bench_id, score in sorted(card.scores.items()):
-        scale = graph.score_scales.get(bench_id)
+        scale = scales.get(bench_id)
         weight = float(score) if scale is None else normalize_score(score, scale, card.id, bench_id)
-        graph._insert_edge(Edge(card.id, bench_id, EdgeKind.MODEL_BENCHMARK, weight))
+        edges.append(Edge(card.id, bench_id, EdgeKind.MODEL_BENCHMARK, weight))
+    return edges
 
 
 def remove_node(graph: EvidenceGraph, node_id: str) -> None:
-    """Remove a node and its incident edges (plumbing for rollback/tests)."""
+    """Remove a node and its incident edges; the rows after it move up by one."""
     if node_id not in graph:
         raise UnknownNode(node_id)
-    incident = set(graph._adj[node_id])
-    graph._edges = [e for e in graph._edges if node_id not in (e.src, e.dst)]
-    for other in incident:
-        graph._adj[other].pop(node_id, None)
-    del graph._adj[node_id]
+    row = graph.index.pop(node_id)
+    keep = (graph.pairs != row).all(axis=1)
+    graph.pairs = graph.pairs[keep] - (graph.pairs[keep] > row)
+    graph.weights, graph.scored = graph.weights[keep], graph.scored[keep]
+    graph.features = np.delete(graph.features, row, axis=0)
+    del graph.ids[row]
+    for i, nid in enumerate(graph.ids[row:], row):
+        graph.index[nid] = i
+    for other in graph._adj.pop(node_id):
+        del graph._adj[other][node_id]
     del graph._nodes[node_id]
 
 

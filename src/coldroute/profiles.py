@@ -186,47 +186,29 @@ def flat_profile(graph: EvidenceGraph, model_id: str, encoder: TextEncoder) -> P
 
 # --- embedding propagation -------------------------------------------------
 
-@dataclass
-class _GraphTensors:
-    ids: list[str]
-    features: np.ndarray  # (n, d) original node features
-    edge_pairs: np.ndarray  # (edges, 2) endpoint indices of every edge
-    edge_weights: np.ndarray  # weight per edge (1.0 where unscored)
-    scored_idx: np.ndarray  # positions in edge_pairs that carry a score
+def _encoded(graph: EvidenceGraph) -> np.ndarray:
+    """The graph's feature matrix; a node not yet encoded raises ``UninitializedEmbedding``."""
+    unset = np.flatnonzero(np.isnan(graph.features).any(axis=1))
+    if len(unset):
+        raise UninitializedEmbedding(graph.ids[unset[0]])
+    return graph.features
 
 
-def _graph_tensors(graph: EvidenceGraph) -> _GraphTensors:
-    ids = graph.node_ids
-    index = {nid: i for i, nid in enumerate(ids)}
-    rows = []
-    for nid in ids:
-        emb = graph.node(nid).embedding
-        if emb is None:
-            raise UninitializedEmbedding(nid)
-        rows.append(np.asarray(emb, dtype=np.float64))
-    features = np.stack(rows)
-    edges = graph.edges
-    pairs = np.asarray([(index[e.src], index[e.dst]) for e in edges], dtype=np.intp).reshape(-1, 2)
-    weights = np.asarray([1.0 if e.weight is None else float(e.weight) for e in edges])
-    scored = np.asarray([pos for pos, e in enumerate(edges) if e.weight is not None], dtype=int)
-    return _GraphTensors(ids, features, pairs, weights, scored)
-
-
-def embgnn_propagate(graph: EvidenceGraph, depth: int) -> dict[str, np.ndarray]:
+def embgnn_propagate(graph: EvidenceGraph, depth: int) -> np.ndarray:
     """Parameter-free propagation: K rounds of normalized weighted averaging.
 
     Each round every node (queries included) becomes the coefficient-weighted
     sum of its closed neighborhood's previous states: ``h ← S h``.  The self
-    term uses weight 1; scored edges use their score.
+    term uses weight 1; scored edges use their score.  Returns the (n, d)
+    states, a row per node in ``graph.index`` order.
     """
     if depth < 1:
         raise InvalidSpec(f"propagation depth must be >= 1, got {depth}")
-    gt = _graph_tensors(graph)
-    s = Propagation.of(len(gt.ids), gt.edge_pairs, gt.edge_weights)
-    h = gt.features
+    h = _encoded(graph)
+    s = Propagation.of(len(graph), graph.pairs, graph.weights)
     for _ in range(depth):
         h = s @ h
-    return dict(zip(gt.ids, h))
+    return h
 
 
 # --- text propagation ------------------------------------------------------
@@ -542,32 +524,31 @@ def traingnn_fit(
     """
     if spec.learning != "trainable":
         raise InvalidSpec(f"spec {spec.short()!r} is not trainable")
-    gt = _graph_tensors(graph)
-    if gt.features.shape[1] != graph.dim:
-        raise DimensionMismatch(graph.dim, gt.features.shape[1], "graph features")
+    features = _encoded(graph)
     rng = np.random.default_rng(seed)
     model = TrainGnnModel.create(spec.depth, graph.dim, rng, mask_ratio)
     adam = nn.AdamState.for_params(model.params(), lr=lr)
 
-    n = len(gt.ids)
-    n_scored = len(gt.scored_idx)
-    mean_scored = float(gt.edge_weights[gt.scored_idx].mean()) if n_scored else 0.0
+    n = len(graph)
+    scored_idx = np.flatnonzero(graph.scored)
+    n_scored = len(scored_idx)
+    mean_scored = float(graph.weights[scored_idx].mean()) if n_scored else 0.0
     n_mask_nodes = int(round(mask_ratio * n))
     n_mask_edges = int(round(mask_ratio * n_scored))
 
     for epoch in range(epochs):
         masked_nodes = np.sort(rng.choice(n, size=n_mask_nodes, replace=False))
         masked_edge_pos = np.sort(rng.choice(n_scored, size=n_mask_edges, replace=False)) if n_scored else np.asarray([], dtype=int)
-        masked_edges = gt.scored_idx[masked_edge_pos] if n_mask_edges else np.asarray([], dtype=int)
+        masked_edges = scored_idx[masked_edge_pos] if n_mask_edges else np.asarray([], dtype=int)
 
-        x_masked = gt.features.copy()
+        x_masked = features.copy()
         x_masked[masked_nodes] = 0.0
-        weights = gt.edge_weights.copy()
+        weights = graph.weights.copy()
         weights[masked_edges] = mean_scored
-        s = Propagation.of(n, gt.edge_pairs, weights).dense()
+        s = Propagation.of(n, graph.pairs, weights).dense()
         first_hop = s @ x_masked  # the same for every minibatch of the epoch
-        edge_pairs = gt.edge_pairs[masked_edges]
-        edge_targets = gt.edge_weights[masked_edges]
+        edge_pairs = graph.pairs[masked_edges]
+        edge_targets = graph.weights[masked_edges]
 
         order = rng.permutation(masked_nodes)
         batches = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
@@ -576,7 +557,7 @@ def traingnn_fit(
         losses = []
         for batch in batches:
             loss, grads = model.loss_and_grads(
-                s, x_masked, gt.features, np.sort(batch), edge_pairs, edge_targets, first_hop
+                s, x_masked, features, np.sort(batch), edge_pairs, edge_targets, first_hop
             )
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"epoch {epoch}")
@@ -586,14 +567,10 @@ def traingnn_fit(
     return model
 
 
-def traingnn_states(model: TrainGnnModel, graph: EvidenceGraph) -> dict[str, np.ndarray]:
-    """Clean forward pass (no masking) over the current graph."""
-    gt = _graph_tensors(graph)
-    if gt.features.shape[1] != model.dim:
-        raise DimensionMismatch(model.dim, gt.features.shape[1], "trained aggregator input")
-    s = Propagation.of(len(gt.ids), gt.edge_pairs, gt.edge_weights)
-    h = model.states(s, gt.features)
-    return {nid: h[i] for i, nid in enumerate(gt.ids)}
+def traingnn_states(model: TrainGnnModel, graph: EvidenceGraph) -> np.ndarray:
+    """Clean forward pass (no masking): the (n, d) states in ``graph.index`` order."""
+    s = Propagation.of(len(graph), graph.pairs, graph.weights)
+    return model.states(s, _encoded(graph))
 
 
 # --- dispatcher ------------------------------------------------------------
@@ -629,8 +606,7 @@ def make_profiles(
 
     if spec.learning == "training_free":
         states = embgnn_propagate(graph, spec.depth)
-        return {m: Profile(m, spec, states[m]) for m in sorted(pool)}
-
-    model = trained if trained is not None else traingnn_fit(graph, spec, seed)
-    states = traingnn_states(model, graph)
-    return {m: Profile(m, spec, states[m]) for m in sorted(pool)}
+    else:
+        model = trained if trained is not None else traingnn_fit(graph, spec, seed)
+        states = traingnn_states(model, graph)
+    return {m: Profile(m, spec, states[graph.index[m]]) for m in sorted(pool)}

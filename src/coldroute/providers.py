@@ -423,21 +423,19 @@ class Providers:
 def encode_all(
     graph: EvidenceGraph, encoder: TextEncoder, only_missing: bool = False
 ) -> EvidenceGraph:
-    """Set every node's embedding to its text's ``encoder`` vector in place.
+    """Set every row of ``graph.features`` to its node text's ``encoder`` vector.
 
     Non-query nodes must carry text; query nodes use their raw query text
     as-is.  Every node is checked before the first request, then all texts
-    go through one ``encoder.encode_batch`` call, and embeddings are set
-    only once every vector has the graph's dimension and finite entries.
-    With ``only_missing`` nodes that already have an embedding are left
-    alone (used when a node is added to an encoded graph).  Returns the
-    same graph for chaining.
+    go through one ``encoder.encode_batch`` call, and rows are set only
+    once every vector has the graph's dimension and finite entries.  With
+    ``only_missing`` only the unset (NaN) rows are encoded (used when a
+    node is added to an encoded graph).  Returns the same graph for
+    chaining.
     """
-    nodes = [
-        graph.node(nid)
-        for nid in graph.node_ids
-        if not (only_missing and graph.node(nid).embedding is not None)
-    ]
+    unset = np.isnan(graph.features).any(axis=1)
+    rows = np.flatnonzero(unset) if only_missing else np.arange(len(graph))
+    nodes = [graph.node(graph.ids[row]) for row in rows]
     for node in nodes:
         if node.kind is not NodeKind.QUERY and not node.text.strip():
             raise EmptyText(node.id)
@@ -457,6 +455,5 @@ def encode_all(
                 )
             if not np.isfinite(vec).all():
                 raise EncoderFailure(node.id, "non-finite entries")
-        for node, vec in zip(nodes, vectors):
-            node.embedding = vec
+        graph.features[rows] = vectors
     return graph

@@ -38,13 +38,12 @@ from .errors import (
     LeakedInteraction,
     NonFiniteLoss,
     UnassignedQuery,
-    UninitializedEmbedding,
     UnknownModelInInteractions,
     UnknownTask,
 )
-from .graph import EvidenceGraph, ModelCard, Propagation
+from .graph import EvidenceGraph, ModelCard, Propagation, add_model_node, remove_node
 from .profiles import Profile, ProfileSpec, TrainGnnModel, make_profiles
-from .providers import Providers
+from .providers import Providers, encode_all
 
 __all__ = [
     "InteractionRecord",
@@ -734,13 +733,7 @@ def load_router(path: str | Path):
 
 def query_vectors(graph: EvidenceGraph, query_ids) -> dict[str, np.ndarray]:
     """Encoded features of the given query nodes, each once, in id order."""
-    out = {}
-    for qid in sorted(set(query_ids)):
-        vec = graph.node(qid).embedding
-        if vec is None:
-            raise UninitializedEmbedding(qid)
-        out[qid] = vec
-    return out
+    return {qid: graph.embedding(qid) for qid in sorted(set(query_ids))}
 
 
 def fit_router(
@@ -818,9 +811,6 @@ def integrate_new_model(
         raise DuplicateId(card.id)
     if spec.learning == "trainable" and trained is None:
         raise InvalidSpec("integration under a trainable spec requires the frozen aggregator")
-    from .graph import add_model_node, remove_node
-    from .providers import encode_all
-
     add_model_node(graph, card)
     try:
         encode_all(graph, providers.encoder, only_missing=True)

@@ -58,9 +58,10 @@ class RoutingService:
         self.graph = pipe.graph
         self.trained = pipe.aggregator
         self.pool = pipe.pool(pipe.pool_ids())
+        # fit on the configured pool, as before the restart: recovery adds to the pool
+        self.router = pipe.router(cfg.router, self.pool)
         self._registered: list[dict] = []
         self._recover_state(pipe)
-        self.router = pipe.router(cfg.router, self.pool)
         self._route_ids = itertools.count(1)  # next() on a count is atomic
         self._write_lock = threading.Lock()
 

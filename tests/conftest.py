@@ -73,7 +73,7 @@ def fixture_world(fixture_graph, providers):
     tasks = load_tasks(FIXTURE_DIR / "tasks.jsonl")
     interactions = load_interactions(FIXTURE_DIR / "interactions.jsonl")
     query_vecs = {
-        qid: np.asarray(fixture_graph.node(qid).embedding)
+        qid: fixture_graph.embedding(qid)
         for qid in tasks
     }
     return pool, query_vecs, tasks, interactions
@@ -176,7 +176,7 @@ def dense_propagation_oracle(graph: EvidenceGraph, depth: int) -> dict[str, np.n
     """S^K X computed densely and independently of the library's code path."""
     ids = graph.node_ids
     s = dense_propagation_matrix(graph)
-    x = np.stack([np.asarray(graph.node(nid).embedding, dtype=np.float64) for nid in ids])
+    x = np.stack([graph.embedding(nid) for nid in ids])
     out = np.linalg.matrix_power(s, depth) @ x
     return {nid: out[i] for i, nid in enumerate(ids)}
 

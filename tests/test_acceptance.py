@@ -31,7 +31,6 @@ from coldroute.evaluation import (
 from coldroute.profiles import (
     ProfileSpec,
     TrainGnnModel,
-    _graph_tensors,
     embgnn_propagate,
     make_profiles,
     textgnn_run,
@@ -97,7 +96,7 @@ def test_criterion_01_propagation_oracle():
             states = embgnn_propagate(graph, depth)
             reference = dense_propagation_oracle(graph, depth)
             for nid in graph.node_ids:
-                worst = max(worst, float(np.max(np.abs(states[nid] - reference[nid]))))
+                worst = max(worst, float(np.max(np.abs(states[graph.index[nid]] - reference[nid]))))
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -119,15 +118,14 @@ def test_criterion_02_gradient_correctness():
         cards.families, cards.models, cards.benchmarks, cards.domains, cards.queries, dim=4
     )
     encode_all(graph, DeterministicEmbedder(dim=4, seed=0))
-    gt = _graph_tensors(graph)
-    s = Propagation.of(len(gt.ids), gt.edge_pairs, gt.edge_weights).dense()
+    s = Propagation.of(len(graph), graph.pairs, graph.weights).dense()
     model = TrainGnnModel.create(depth=2, dim=4, rng=np.random.default_rng(0))
-    x = gt.features.copy()
+    x = graph.features.copy()
     node_batch = np.asarray([0, 3])
     x_masked = x.copy()
     x_masked[node_batch] = 0.0
-    edge_pairs = [gt.edge_pairs[i] for i in gt.scored_idx]
-    edge_targets = np.asarray([gt.edge_weights[i] for i in gt.scored_idx])
+    edge_pairs = graph.pairs[graph.scored]
+    edge_targets = graph.weights[graph.scored]
 
     def loss_fn(_params):
         return model.loss_and_grads(s, x_masked, x, node_batch, edge_pairs, edge_targets)
@@ -318,7 +316,7 @@ def test_criterion_07_integration_directional():
     profiles = make_profiles(graph, spec, old_ids, providers)
     pool = CandidatePool([profiles[m] for m in old_ids])
     train_q = sorted({r.query_id for r in world.interactions})
-    query_vecs = {q: np.asarray(graph.node(q).embedding) for q in train_q}
+    query_vecs = {q: graph.embedding(q) for q in train_q}
     tasks = {q: world.tasks[q] for q in train_q}
     router = graphrouter_fit(tasks, query_vecs, world.interactions, pool, seed=0)
 
@@ -329,7 +327,7 @@ def test_criterion_07_integration_directional():
     def route_all():
         return [
             router.route(
-                np.asarray(graph.node(q).embedding), pool, query_id=q, task_id=world.tasks[q]
+                graph.embedding(q), pool, query_id=q, task_id=world.tasks[q]
             )
             for q in world.eval_queries
         ]

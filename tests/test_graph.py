@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from coldroute.errors import (
     DanglingReference,
     DuplicateId,
+    InvalidGraph,
     NotAdjacent,
     ScoreOutOfRange,
     UnknownNode,
@@ -279,12 +281,41 @@ def test_add_model_node_rejects_duplicates_and_dangling(fixture_cards):
     assert not any(nid.startswith("model_77") for nid in graph.node_ids)
 
 
+def test_graph_rejects_multi_edges_and_stray_weights():
+    nodes = [Node("m", NodeKind.MODEL), Node("f", NodeKind.MODEL_FAMILY)]
+    once = [Edge("m", "f", EdgeKind.MODEL_FAMILY)]
+    with pytest.raises(InvalidGraph, match="multi-edge"):
+        EvidenceGraph(nodes, once * 2, dim=4)
+    with pytest.raises(InvalidGraph, match="carries no weight"):
+        EvidenceGraph(nodes, [Edge("m", "f", EdgeKind.MODEL_FAMILY, 0.5)], dim=4)
+    graph = EvidenceGraph(nodes, once, dim=4)
+    with pytest.raises(InvalidGraph, match="multi-edge"):
+        graph._add([Node("g", NodeKind.MODEL_FAMILY)], once)  # the edge is already there
+    assert graph.ids == ["f", "m"] and len(graph.pairs) == 1 and "g" not in graph
+
+
 def test_remove_node_drops_incident_edges(tiny_graph):
     remove_node(tiny_graph, "model_00")
     assert "model_00" not in tiny_graph
     assert all("model_00" not in (e.src, e.dst) for e in tiny_graph.edges)
     with pytest.raises(UnknownNode):
         remove_node(tiny_graph, "model_00")
+
+
+def test_remove_node_leaves_the_arrays_of_a_graph_built_without_it(fixture_cards):
+    from coldroute.providers import DeterministicEmbedder, encode_all
+
+    graph = _build(fixture_cards, dim=8)
+    encode_all(graph, DeterministicEmbedder(dim=8, seed=0))
+    add_model_node(graph, ModelCard("model_00_02", "fam_00", "Late.", {"bench_00_a": 0.5}))
+    remove_node(graph, "model_00_02")  # the last row, as a rollback removes it
+    remove_node(graph, "model_00_01")  # a row in the middle
+    models = [m for m in fixture_cards.models if m.id != "model_00_01"]
+    want = _build(replace(fixture_cards, models=models), dim=8)
+    encode_all(want, DeterministicEmbedder(dim=8, seed=0))
+    assert graph.ids == want.ids and graph.index == want.index
+    for name in ("features", "pairs", "weights", "scored"):
+        assert np.array_equal(getattr(graph, name), getattr(want, name)), name
 
 
 # --- queries over the graph ------------------------------------------------
@@ -315,4 +346,4 @@ def test_snapshot_round_trip(fixture_cards, tmp_path):
         assert (e1.src, e1.dst, e1.kind.value, e1.weight) == (
             e2["src"], e2["dst"], e2["kind"], e2.get("weight"))
     for entry in doc["nodes"]:
-        assert np.array_equal(graph.node(entry["id"]).embedding, entry["embedding"])
+        assert np.array_equal(graph.embedding(entry["id"]), entry["embedding"])

@@ -20,7 +20,6 @@ from coldroute.profiles import (
     Profile,
     ProfileSpec,
     TrainGnnModel,
-    _graph_tensors,
     default_templates,
     embgnn_propagate,
     flat_profile,
@@ -102,7 +101,7 @@ def test_embgnn_matches_dense_oracle_on_fixture(fixture_graph):
         states = embgnn_propagate(fixture_graph, depth)
         oracle = dense_propagation_oracle(fixture_graph, depth)
         for nid in fixture_graph.node_ids:
-            assert np.max(np.abs(states[nid] - oracle[nid])) < 1e-9
+            assert np.max(np.abs(states[fixture_graph.index[nid]] - oracle[nid])) < 1e-9
 
 
 def test_embgnn_one_hop_hand_value():
@@ -112,11 +111,11 @@ def test_embgnn_one_hop_hand_value():
     cards.models[0] = type(cards.models[0])("model_00", "fam_00", "A careful first model.", {})
     graph = build_graph(cards.families, cards.models, [], [], [], dim=4)
     encode_all(graph, DeterministicEmbedder(dim=4, seed=0))
-    x_m = np.asarray(graph.node("model_00").embedding)
-    x_f = np.asarray(graph.node("fam_00").embedding)
+    x_m = graph.embedding("model_00")
+    x_f = graph.embedding("fam_00")
     states = embgnn_propagate(graph, 1)
     # two-node pair: self coefficient 1/2, cross coefficient 1/sqrt(4)
-    assert np.allclose(states["model_00"], 0.5 * x_m + 0.5 * x_f)
+    assert np.allclose(states[graph.index["model_00"]], 0.5 * x_m + 0.5 * x_f)
 
 
 def test_embgnn_insertion_order_invariance(fixture_cards, providers):
@@ -141,13 +140,13 @@ def test_embgnn_insertion_order_invariance(fixture_cards, providers):
     sa = embgnn_propagate(graph_a, 2)
     sb = embgnn_propagate(graph_b, 2)
     for nid in graph_a.node_ids:
-        assert np.array_equal(sa[nid], sb[nid])
+        assert np.array_equal(sa[graph_a.index[nid]], sb[graph_b.index[nid]])
 
 
 def test_embgnn_depth_and_embedding_guards(tiny_graph):
     with pytest.raises(InvalidSpec):
         embgnn_propagate(tiny_graph, 0)
-    tiny_graph.node("model_00").embedding = None
+    tiny_graph.features[tiny_graph.index["model_00"]] = np.nan
     with pytest.raises(UninitializedEmbedding):
         embgnn_propagate(tiny_graph, 1)
 
@@ -286,8 +285,7 @@ def test_traingnn_identity_layers_reduce_to_one_hop_propagation(tiny_graph):
     model.hop_layers[0] = nn.AffineLayer.identity(4)
     states = traingnn_states(model, tiny_graph)
     reference = embgnn_propagate(tiny_graph, 1)
-    for nid in tiny_graph.node_ids:
-        assert np.allclose(states[nid], reference[nid], atol=1e-12)
+    assert np.allclose(states, reference, atol=1e-12)
 
 
 def test_propagation_allocates_no_dense_matrix():
@@ -327,15 +325,15 @@ def test_traingnn_same_seed_same_parameters(fixture_graph):
 
 
 def test_traingnn_gradients_pass_finite_difference(tiny_graph):
-    gt = _graph_tensors(tiny_graph)
-    s = Propagation.of(len(gt.ids), gt.edge_pairs, gt.edge_weights).dense()
+    graph = tiny_graph
+    s = Propagation.of(len(graph), graph.pairs, graph.weights).dense()
     model = TrainGnnModel.create(depth=2, dim=4, rng=np.random.default_rng(0))
-    x = gt.features.copy()
+    x = graph.features.copy()
     node_batch = np.asarray([0, 2])
     x_masked = x.copy()
     x_masked[node_batch] = 0.0
-    edge_pairs = [gt.edge_pairs[i] for i in gt.scored_idx]
-    edge_targets = np.asarray([gt.edge_weights[i] for i in gt.scored_idx])
+    edge_pairs = graph.pairs[graph.scored]
+    edge_targets = graph.weights[graph.scored]
 
     def loss_fn(_params):
         return model.loss_and_grads(s, x_masked, x, node_batch, edge_pairs, edge_targets)
@@ -344,14 +342,14 @@ def test_traingnn_gradients_pass_finite_difference(tiny_graph):
 
 
 def test_propagation_matrix_matches_the_dense_oracle(fixture_graph):
-    gt = _graph_tensors(fixture_graph)
-    s = Propagation.of(len(gt.ids), gt.edge_pairs, gt.edge_weights).dense()
+    graph = fixture_graph
+    s = Propagation.of(len(graph), graph.pairs, graph.weights).dense()
     assert np.max(np.abs(s - dense_propagation_matrix(fixture_graph))) <= 1e-15
 
 
-def _masked_batches(gt, rng):
+def _masked_batches(graph, rng):
     """(node batch, masked edge positions) cases: random ones, edges only, and nothing."""
-    n, scored = len(gt.ids), gt.scored_idx
+    n, scored = len(graph), np.flatnonzero(graph.scored)
     cases = [
         (np.sort(rng.choice(n, size=size, replace=False)), np.sort(rng.choice(scored, size=k, replace=False)))
         for size, k in ((1, 0), (5, 3), (30, len(scored) // 2))
@@ -361,21 +359,21 @@ def _masked_batches(gt, rng):
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_traingnn_step_matches_the_full_graph_step(fixture_graph, depth):
-    gt = _graph_tensors(fixture_graph)
+    graph = fixture_graph
     rng = np.random.default_rng(depth)
-    model = TrainGnnModel.create(depth, fixture_graph.dim, rng)
-    for nodes, edges in _masked_batches(gt, rng):
-        x_masked = gt.features.copy()
+    model = TrainGnnModel.create(depth, graph.dim, rng)
+    for nodes, edges in _masked_batches(graph, rng):
+        x_masked = graph.features.copy()
         x_masked[nodes] = 0.0
-        weights = gt.edge_weights.copy()
+        weights = graph.weights.copy()
         weights[edges] = 0.5
-        s = Propagation.of(len(gt.ids), gt.edge_pairs, weights).dense()
-        pairs, targets = gt.edge_pairs[edges], gt.edge_weights[edges]
-        want_loss, want = traingnn_full_step(model, s, x_masked, gt.features, nodes, pairs, targets)
+        s = Propagation.of(len(graph), graph.pairs, weights).dense()
+        pairs, targets = graph.pairs[edges], graph.weights[edges]
+        want_loss, want = traingnn_full_step(model, s, x_masked, graph.features, nodes, pairs, targets)
         assert (want_loss == 0.0) == (len(nodes) + len(edges) == 0)
         for first_hop in (None, s @ x_masked):
             loss, grads = model.loss_and_grads(
-                s, x_masked, gt.features, nodes, pairs, targets, first_hop
+                s, x_masked, graph.features, nodes, pairs, targets, first_hop
             )
             assert abs(loss - want_loss) <= 1e-12
             for got, ref in zip(grads, want, strict=True):
@@ -406,8 +404,7 @@ def test_traingnn_checkpoint_round_trip(fixture_graph):
     for pa, pb in zip(model.params(), back.params()):
         assert np.array_equal(pa, pb)
     sa, sb = traingnn_states(model, fixture_graph), traingnn_states(back, fixture_graph)
-    for nid in fixture_graph.node_ids:
-        assert np.array_equal(sa[nid], sb[nid])
+    assert np.array_equal(sa, sb)
 
 
 def test_traingnn_create_guards():

@@ -99,8 +99,7 @@ def test_encode_batch_matches_single_calls():
 
 def test_encode_all_fills_every_node(tiny_graph):
     for nid in tiny_graph.node_ids:
-        emb = tiny_graph.node(nid).embedding
-        assert emb is not None and np.asarray(emb).shape == (4,)
+        assert tiny_graph.embedding(nid).shape == (4,)  # an unset row raises
 
 
 def test_encode_all_rejects_blank_non_query_text():
@@ -116,10 +115,10 @@ def test_encode_all_rejects_blank_non_query_text():
 
 
 def test_encode_all_only_missing_preserves_existing(tiny_graph):
-    before = np.asarray(tiny_graph.node("model_00").embedding).copy()
+    before = tiny_graph.embedding("model_00")
     tiny_graph.node("model_00").text = "A very different description now."
     encode_all(tiny_graph, DeterministicEmbedder(dim=4, seed=0), only_missing=True)
-    assert np.array_equal(np.asarray(tiny_graph.node("model_00").embedding), before)
+    assert np.array_equal(tiny_graph.embedding("model_00"), before)
 
 
 def test_encode_all_rejects_a_non_finite_vector_and_sets_nothing(tiny_graph):
@@ -128,10 +127,10 @@ def test_encode_all_rejects_a_non_finite_vector_and_sets_nothing(tiny_graph):
             vec = super().encode(text)
             return np.full(self.dim, np.nan) if text.startswith("A quiet") else vec
 
-    before = {nid: tiny_graph.node(nid).embedding for nid in tiny_graph.node_ids}
+    before = tiny_graph.features.copy()
     with pytest.raises(EncoderFailure, match="model_01"):
         encode_all(tiny_graph, NanFor(dim=4, seed=1))
-    assert all(tiny_graph.node(nid).embedding is before[nid] for nid in tiny_graph.node_ids)
+    assert np.array_equal(tiny_graph.features, before, equal_nan=True)
 
 
 def test_providers_deterministic_bundle():
@@ -257,7 +256,7 @@ def test_encode_all_sends_one_request_per_batch(stub_server, batch_size):
     encode_all(graph, enc)
     assert stub_server.stub["calls"] == math.ceil(len(graph) / batch_size)
     for nid in graph.node_ids:
-        assert np.linalg.norm(graph.node(nid).embedding) == pytest.approx(1.0)
+        assert np.linalg.norm(graph.embedding(nid)) == pytest.approx(1.0)
 
 
 def test_encode_all_checks_every_text_before_any_request(stub_server):
@@ -272,7 +271,7 @@ def test_encode_all_checks_every_text_before_any_request(stub_server):
     with pytest.raises(EmptyText):
         encode_all(graph, enc)
     assert stub_server.stub["calls"] == 0
-    assert all(graph.node(nid).embedding is None for nid in graph.node_ids)
+    assert np.isnan(graph.features).all()
 
 
 def test_encode_all_failure_is_encoder_failure_and_sets_nothing(stub_server):
@@ -283,7 +282,7 @@ def test_encode_all_failure_is_encoder_failure_and_sets_nothing(stub_server):
         encode_all(graph, enc)
     assert isinstance(info.value.__cause__, TransportError)
     assert _status_for(info.value) == 503
-    assert all(graph.node(nid).embedding is None for nid in graph.node_ids)
+    assert np.isnan(graph.features).all()
 
 
 def test_summarize_batch_keeps_order_and_caps_in_flight(stub_server):

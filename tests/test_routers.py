@@ -15,7 +15,7 @@ from coldroute.errors import (
     UnknownModelInInteractions,
     UnknownTask,
 )
-from coldroute.graph import ModelCard
+from coldroute.graph import EvidenceGraph, ModelCard
 from coldroute.profiles import Profile, ProfileSpec, traingnn_fit, traingnn_states
 from coldroute.routers import (
     CandidatePool,
@@ -542,3 +542,25 @@ def test_integrate_trainable_requires_frozen_aggregator(fixture_graph, providers
         SimRouter(pool.dim), pool, fixture_graph, _new_card(), spec, providers, trained=trained
     )
     assert profile.vector.shape == (pool.dim,)
+
+
+@pytest.mark.parametrize("short", ["flat", "emb:2", "train:2"])
+def test_registration_reads_no_whole_graph_view(
+    fixture_graph, providers, fixture_world, monkeypatch, short
+):
+    """Admission under ``flat``, ``emb:K`` and ``train:K`` reads the graph's
+    index, its arrays and the new node's neighbours, never a sorted view of
+    every node or edge.  ``text:K`` is exempt: its cost is the summarizer's."""
+    pool, *_ = fixture_world
+    spec = ProfileSpec.parse(short)
+    trained = traingnn_fit(fixture_graph, spec, seed=0, epochs=1) if short == "train:2" else None
+
+    def whole_graph_view(_graph):
+        raise AssertionError("registration read a whole-graph view")
+
+    monkeypatch.setattr(EvidenceGraph, "node_ids", property(whole_graph_view))
+    monkeypatch.setattr(EvidenceGraph, "edges", property(whole_graph_view))
+    profile = integrate_new_model(
+        SimRouter(pool.dim), pool, fixture_graph, _new_card(), spec, providers, trained=trained
+    )
+    assert pool.ids[-1] == profile.model_id == "model_02_00"

@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -145,17 +146,21 @@ def test_register_duplicate_is_409_and_invalid_card_400(server):
 
 
 def test_state_file_recovers_registered_models(server, tmp_path):
-    state = tmp_path / "state.json"
-    base = server(_config(state_path=state))
-    requests.post(f"{base}/models", json=NEW_CARD)
-    saved = json.loads(state.read_text())
-    assert [c["id"] for c in saved["registered_cards"]] == ["model_01_02"]
+    for router, hidden in (("mlp", 16), ("graphrouter", 64)):
+        state = tmp_path / f"{router}.json"
+        cfg = replace(_config(router=router, state_path=state), hidden=hidden)
+        base = server(cfg)
+        checksum = requests.post(f"{base}/models", json=NEW_CARD).json()["checksum"]
+        saved = json.loads(state.read_text())
+        assert [c["id"] for c in saved["registered_cards"]] == ["model_01_02"]
 
-    # a fresh service over the same config resumes with the expanded pool
-    revived = RoutingService(_config(state_path=state))
-    assert revived.pool.ids == CATALOG + ["model_01_02"]
-    decision = revived.route("Patch the build pipeline.", None)
-    assert sorted(decision["scores"]) == sorted(CATALOG + ["model_01_02"])
+        # a fresh service over the same config resumes with the expanded pool and
+        # the same router: it is fitted on the configured pool, as the first one was
+        revived = RoutingService(cfg)
+        assert revived.pool.ids == CATALOG + ["model_01_02"]
+        assert revived.checksum() == checksum, router
+        decision = revived.route("Patch the build pipeline.", "task_01")
+        assert sorted(decision["scores"]) == sorted(CATALOG + ["model_01_02"])
 
 
 @pytest.mark.parametrize("spec, dim", [("flat", 64), ("emb:2", 32)])

@@ -15,6 +15,10 @@ inputs are written to a temporary directory) and records:
   with the profile of every model;
 * ``coldstart/emb:2``: the ``emb:2`` profile of every model of ``eval
   coldstart``, hashed as the pool's JSON (there is no checkpoint);
+* ``admit/flat``, ``admit/text:2``, ``admit/emb:2``, ``admit/train:2``:
+  the profile of the integration world's new model under each spec, after
+  ``integrate_new_model`` admits it to the old pool of the ``eval
+  integrate`` config, hashed as the profile's JSON;
 * ``reports``: the SHA-256 of each file that four eval commands write:
   the benchmark's ``eval coldstart --spec emb:2`` and ``--spec train:2``
   and ``eval integrate --router graphrouter --spec emb:2``, and ``eval
@@ -63,6 +67,7 @@ from coldroute.routers import integrate_new_model, query_vectors  # noqa: E402
 from worlds import eval_inputs, serve_inputs  # noqa: E402
 
 TOLERANCE = 1e-12
+ADMIT_SPECS = ("flat", "text:2", "emb:2", "train:2")
 
 
 def _sha(payload: dict) -> str:
@@ -103,6 +108,18 @@ def _profiles(config: Path, spec: str) -> dict:
     return {"sha256": _sha(hashed), "vector": vector.tolist()}
 
 
+def _admitted(config: Path, spec: str) -> dict:
+    """The profile of the config's new model under ``spec``, once admitted to the old pool."""
+    cfg = load_config(config)
+    cfg.spec = spec
+    pipe = Pipeline(cfg)
+    new = pipe.new_card
+    pool = pipe.pool(pipe.pool_ids(without=new.id))
+    profile = integrate_new_model(None, pool, pipe.graph, new, pipe.spec, pipe.providers,
+                                  trained=pipe.aggregator, templates=pipe.templates)
+    return {"sha256": _sha(profile.to_dict()), "vector": profile.vector.tolist()}
+
+
 def _reports(config: Path, args: list[str], out: Path) -> tuple[dict, dict]:
     """The SHA-256 of the JSON and CSV report of ``coldroute eval ARGS``, and
     of each top-level field of the JSON report."""
@@ -139,6 +156,7 @@ def fingerprint(seed: int) -> dict:
             "integrate/mlp": _router(evals.integrate_config, "mlp"),
             "coldstart/train:2": _profiles(evals.coldstart_config, "train:2"),
             "coldstart/emb:2": _profiles(evals.coldstart_config, "emb:2"),
+            **{f"admit/{spec}": _admitted(evals.integrate_config, spec) for spec in ADMIT_SPECS},
             "reports": reports,
             "report fields": fields,
         }
