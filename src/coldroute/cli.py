@@ -171,7 +171,6 @@ def _cmd_eval_coldstart(args) -> dict:
         pipe.providers,
         seed=pipe.cfg.seed,
         random_seeds=pipe.cfg.random_seeds,
-        templates=pipe.templates,
     )
     return _write_report(report, out_base, args.json)
 
@@ -195,7 +194,6 @@ def _cmd_eval_integrate(args) -> dict:
         tasks=pipe.tasks,
         threshold=cfg.threshold,
         random_seeds=cfg.random_seeds,
-        templates=pipe.templates,
         hidden=cfg.hidden,
     )
     return _write_report(report, out_base, args.json)
@@ -210,10 +208,7 @@ def _cmd_integrate(args) -> dict:
         pool = pipe.pool(pipe.pool_ids(without=card.id))
     router = load_router(args.router) if args.router else SimRouter(dim=pipe.cfg.dim)
     before = router_checksum(router)
-    integrate_new_model(
-        router, pool, pipe.graph, card, pipe.spec, pipe.providers,
-        trained=pipe.aggregator, templates=pipe.templates,
-    )
+    integrate_new_model(pool, pipe.graph, card, pipe.spec, pipe.providers, trained=pipe.aggregator)
     after = router_checksum(router)
     state = Path(args.pool_state) if args.pool_state else pipe.cfg.base_dir / "pool_state.json"
     pool.save(state)

@@ -8,8 +8,8 @@ environment (``RP_EMBED_URL``, ``RP_LLM_URL``, ``RP_API_KEY``); the
 config path itself may come from ``RP_CONFIG``.
 
 ``Pipeline`` turns a config into everything routing needs: providers,
-spec, templates, the encoded graph, the aggregator, the pool and the
-router.  The CLI and the service both build through it.
+spec, the encoded graph, the aggregator, the pool and the router.  The
+CLI and the service both build through it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from . import records
 from .errors import ConfigError
 from .graph import CardSet, EvidenceGraph, ModelCard, NodeKind, build_graph, load_cards, read_card
-from .profiles import ProfileSpec, TrainGnnModel, load_templates, traingnn_fit
+from .profiles import ProfileSpec, TrainGnnModel, traingnn_fit
 from .providers import (
     DeterministicEmbedder,
     EchoSummarizer,
@@ -81,7 +81,6 @@ class AppConfig:
     host: str = "127.0.0.1"
     port: int = 8777
     state_path: Path | None = None
-    templates_dir: Path | None = None
 
 
 # keys of the config's "service" object; every other field is a top-level key
@@ -161,7 +160,7 @@ def build_world_graph(
 class Pipeline:
     """One config's path from model cards to a router.
 
-    Providers, spec and templates are made at once.  Every other stage is
+    Providers and spec are made at once.  Every other stage is
     built on first use and then kept, so a command pays only for what it
     reads, and each stage runs at most once.
     """
@@ -170,7 +169,6 @@ class Pipeline:
         self.cfg = cfg
         self.providers = make_providers(cfg)
         self.spec = ProfileSpec.parse(cfg.spec)
-        self.templates = load_templates(cfg.templates_dir) if cfg.templates_dir else None
 
     @cached_property
     def graph(self) -> EvidenceGraph:
@@ -226,8 +224,7 @@ class Pipeline:
 
     def pool(self, ids: list[str]) -> CandidatePool:
         return profile_pool(
-            self.graph, self.spec, ids, self.providers,
-            seed=self.cfg.seed, templates=self.templates, trained=self.aggregator,
+            self.graph, self.spec, ids, self.providers, seed=self.cfg.seed, trained=self.aggregator
         )
 
     def router(self, kind: str, pool: CandidatePool):

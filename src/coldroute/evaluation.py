@@ -494,13 +494,12 @@ def run_coldstart(
     *,
     seed: int = 0,
     random_seeds=DEFAULT_RANDOM_SEEDS,
-    templates=None,
 ) -> EvalReport:
     """Training-free protocol: profiles + similarity routing, no interactions.
 
     ``graph`` must be encoded (``providers.encode_all``).
     """
-    candidate_pool = profile_pool(graph, spec, pool, providers, seed=seed, templates=templates)
+    candidate_pool = profile_pool(graph, spec, pool, providers, seed=seed)
     vecs = query_vectors(graph, queries)
     decisions = [sim_route(vecs[qid], candidate_pool, qid) for qid in queries]
     table = rewards.restrict(queries, pool)
@@ -522,24 +521,18 @@ def run_integration(
     tasks: dict[str, str] | None = None,
     threshold: float = 1.0,
     random_seeds=DEFAULT_RANDOM_SEEDS,
-    templates=None,
     hidden: int = 64,
-    new_profile_override: np.ndarray | None = None,
 ) -> EvalReport:
     """Frozen-router protocol: train on the old pool, freeze, integrate, route.
 
     ``train_interactions`` may be None (no data) for the ``sim`` router
-    only.  ``new_profile_override`` substitutes the integrated model's
-    profile vector after integration (used by ablation runs, e.g. a zero
-    vector); the router is never touched either way.  ``graph`` must be
-    encoded (``providers.encode_all``); the new model is encoded on admission.
+    only.  ``graph`` must be encoded (``providers.encode_all``); the new
+    model is encoded on admission.
     """
     aggregator: TrainGnnModel | None = None
     if spec.learning == "trainable":
         aggregator = traingnn_fit(graph, spec, seed)
-    pool = profile_pool(
-        graph, spec, old_pool, providers, seed=seed, templates=templates, trained=aggregator
-    )
+    pool = profile_pool(graph, spec, old_pool, providers, seed=seed, trained=aggregator)
     router = fit_router(
         router_kind,
         train_interactions,
@@ -552,11 +545,7 @@ def run_integration(
     )
     checksum_before = router_checksum(router)
 
-    integrate_new_model(
-        router, pool, graph, new_card, spec, providers, trained=aggregator, templates=templates
-    )
-    if new_profile_override is not None:
-        pool.get(new_card.id).vector = np.asarray(new_profile_override, dtype=np.float64)
+    integrate_new_model(pool, graph, new_card, spec, providers, trained=aggregator)
 
     vecs = query_vectors(graph, queries)
     decisions = [

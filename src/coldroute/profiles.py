@@ -7,7 +7,7 @@ K, and whether aggregation is learned.  The four shipped instantiations:
 * ``flat``      — concatenate the model's own card signals into one text,
                   then encode it.  No graph structure, K = 0.
 * ``text:K``    — message passing in text space: round k rewrites a
-                  non-query node's text from a kind-specific prompt over
+                  non-query node's text from one fixed prompt over
                   its neighbors' previous texts, via a summarizer, for the
                   nodes within distance K − k of the profiled models (the
                   only texts the profiles depend on).
@@ -46,9 +46,6 @@ __all__ = [
     "Profile",
     "flat_profile",
     "embgnn_propagate",
-    "PromptTemplate",
-    "default_templates",
-    "load_templates",
     "render_prompt",
     "textgnn_run",
     "TrainGnnModel",
@@ -213,9 +210,7 @@ def embgnn_propagate(graph: EvidenceGraph, depth: int) -> np.ndarray:
 
 # --- text propagation ------------------------------------------------------
 
-_TEMPLATE_FIELDS = ("node_id", "kind", "hop", "sentence_range", "self_text", "neighbor_block")
-
-_DEFAULT_BODY = """\
+_PROMPT = string.Template("""\
 [input] Capability card refresh for ${node_id} (kind: ${kind}, round ${hop}).
 Current summary of ${node_id}:
 ${self_text}
@@ -225,7 +220,7 @@ ${neighbor_block}
 merging the current summary with the neighbor evidence above. Keep concrete \
 strengths, domains, and scores; drop repetition.
 [output] The rewritten summary text only.
-"""
+""")
 
 _SENTENCE_RANGE = {
     NodeKind.MODEL: "3-5",
@@ -235,45 +230,11 @@ _SENTENCE_RANGE = {
 }
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    kind: NodeKind
-    body: str
-
-    def render(self, **fields: str) -> str:
-        return string.Template(self.body).substitute(**fields)
-
-
-def default_templates() -> dict[NodeKind, PromptTemplate]:
-    return {
-        kind: PromptTemplate(kind, _DEFAULT_BODY)
-        for kind in (NodeKind.MODEL, NodeKind.MODEL_FAMILY, NodeKind.BENCHMARK, NodeKind.DOMAIN)
-    }
-
-
-def load_templates(directory: str | Path) -> dict[NodeKind, PromptTemplate]:
-    """Override built-ins with ``<kind>.txt`` files from a directory."""
-    templates = default_templates()
-    directory = Path(directory)
-    for kind in list(templates):
-        path = directory / f"{kind.value}.txt"
-        if path.exists():
-            templates[kind] = PromptTemplate(kind, path.read_text())
-    return templates
-
-
-def render_prompt(
-    graph: EvidenceGraph,
-    node_id: str,
-    texts: dict[str, str],
-    hop: int,
-    templates: dict[NodeKind, PromptTemplate] | None = None,
-) -> str:
+def render_prompt(graph: EvidenceGraph, node_id: str, texts: dict[str, str], hop: int) -> str:
     """Deterministic prompt: self text plus one line per neighbor, sorted by id."""
     node = graph.node(node_id)
     if node.kind is NodeKind.QUERY:
         raise QueryNodeUpdateAttempt(node_id)
-    templates = templates or default_templates()
     lines = []
     for nb in graph.neighbors(node_id):
         other = graph.node(nb)
@@ -281,7 +242,7 @@ def render_prompt(
         score = "" if edge.weight is None else f", score {edge.weight:.3f}"
         lines.append(f"- {nb} ({other.kind.value}{score}): {texts[nb]}")
     neighbor_block = "\n".join(lines) if lines else "(no connected neighbors)"
-    return templates[node.kind].render(
+    return _PROMPT.substitute(
         node_id=node_id,
         kind=node.kind.value,
         hop=str(hop),
@@ -297,10 +258,9 @@ def _summarize_round(
     texts: dict[str, str],
     hop: int,
     summarizer: Summarizer,
-    templates: dict[NodeKind, PromptTemplate] | None,
 ) -> list[str]:
     """New texts of ``node_ids`` for one round, through one batch call."""
-    prompts = [render_prompt(graph, nid, texts, hop, templates) for nid in node_ids]
+    prompts = [render_prompt(graph, nid, texts, hop) for nid in node_ids]
     try:
         outs = summarizer.summarize_batch(prompts)
     except SummarizerFailure:
@@ -341,7 +301,6 @@ def textgnn_run(
     graph: EvidenceGraph,
     depth: int,
     summarizer: Summarizer,
-    templates: dict[NodeKind, PromptTemplate] | None = None,
     targets: list[str] | None = None,
 ) -> dict[str, str]:
     """K synchronous text rounds; query nodes keep their raw text throughout.
@@ -369,7 +328,7 @@ def textgnn_run(
             for nid in graph.node_ids
             if dist.get(nid, depth) <= depth - hop and graph.node(nid).kind is not NodeKind.QUERY
         ]
-        outs = _summarize_round(graph, rewrite, texts, hop, summarizer, templates)
+        outs = _summarize_round(graph, rewrite, texts, hop, summarizer)
         texts = {**texts, **dict(zip(rewrite, outs))}
     if targets is None:
         return texts
@@ -582,7 +541,6 @@ def make_profiles(
     providers: Providers,
     *,
     seed: int = 0,
-    templates: dict[NodeKind, PromptTemplate] | None = None,
     trained: TrainGnnModel | None = None,
 ) -> dict[str, Profile]:
     """Dispatch to the four instantiations; output keyed by model id.
@@ -600,7 +558,7 @@ def make_profiles(
 
     if spec.representation == "text":
         ids = sorted(pool)
-        texts = textgnn_run(graph, spec.depth, providers.summarizer, templates, targets=ids)
+        texts = textgnn_run(graph, spec.depth, providers.summarizer, targets=ids)
         vectors = providers.encoder.encode_batch([texts[m] for m in ids])
         return {m: Profile(m, spec, vec, texts[m]) for m, vec in zip(ids, vectors)}
 

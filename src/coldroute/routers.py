@@ -778,18 +778,14 @@ def profile_pool(
     providers: Providers,
     *,
     seed: int = 0,
-    templates=None,
     trained: TrainGnnModel | None = None,
 ) -> CandidatePool:
     """The pool of ``ids``, in that order, profiled by ``make_profiles``."""
-    profiles = make_profiles(
-        graph, spec, ids, providers, seed=seed, templates=templates, trained=trained
-    )
+    profiles = make_profiles(graph, spec, ids, providers, seed=seed, trained=trained)
     return CandidatePool([profiles[m] for m in ids])
 
 
 def integrate_new_model(
-    router,
     pool: CandidatePool,
     graph: EvidenceGraph,
     card: ModelCard,
@@ -797,7 +793,6 @@ def integrate_new_model(
     providers: Providers,
     *,
     trained: TrainGnnModel | None = None,
-    templates=None,
 ) -> Profile:
     """Add a model to the evidence graph and the pool; router untouched.
 
@@ -814,9 +809,7 @@ def integrate_new_model(
     add_model_node(graph, card)
     try:
         encode_all(graph, providers.encoder, only_missing=True)
-        profile = make_profiles(
-            graph, spec, [card.id], providers, templates=templates, trained=trained
-        )[card.id]
+        profile = make_profiles(graph, spec, [card.id], providers, trained=trained)[card.id]
         pool.add(profile)
     except BaseException:
         remove_node(graph, card.id)

@@ -54,7 +54,7 @@ class RoutingService:
     def __init__(self, cfg: AppConfig):
         self.cfg = cfg
         pipe = Pipeline(cfg)
-        self.providers, self.spec, self.templates = pipe.providers, pipe.spec, pipe.templates
+        self.providers, self.spec = pipe.providers, pipe.spec
         self.graph = pipe.graph
         self.trained = pipe.aggregator
         self.pool = pipe.pool(pipe.pool_ids())
@@ -99,6 +99,8 @@ class RoutingService:
     def route(self, query_text: str, task_id: str | None = None) -> dict:
         if not isinstance(query_text, str) or not query_text.strip():
             raise ConfigError("query_text must be a nonempty string")
+        if task_id is not None and not isinstance(task_id, str):
+            raise ConfigError("task_id must be a string")
         vec = np.asarray(self.providers.encoder.encode(query_text))
         decision = self.router.route(
             vec, self.pool, query_id=f"srv_{next(self._route_ids):06d}", task_id=task_id
@@ -109,8 +111,7 @@ class RoutingService:
         card = parse_card(entry)
         with self._write_lock:
             integrate_new_model(
-                self.router, self.pool, self.graph, card, self.spec, self.providers,
-                trained=self.trained, templates=self.templates,
+                self.pool, self.graph, card, self.spec, self.providers, trained=self.trained
             )
             try:
                 self._persist([*self._registered, entry])

@@ -321,7 +321,7 @@ def test_criterion_07_integration_directional():
     router = graphrouter_fit(tasks, query_vecs, world.interactions, pool, seed=0)
 
     blob_before = json.dumps(router.to_checkpoint(), sort_keys=True).encode()
-    integrate_new_model(router, pool, graph, world.new_card, spec, providers)
+    integrate_new_model(pool, graph, world.new_card, spec, providers)
     blob_after = json.dumps(router.to_checkpoint(), sort_keys=True).encode()
 
     def route_all():

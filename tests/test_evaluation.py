@@ -31,7 +31,7 @@ from coldroute.evaluation import (
 )
 from coldroute.profiles import ProfileSpec
 from coldroute.providers import Providers
-from coldroute.routers import InteractionRecord, RoutingDecision
+from coldroute.routers import InteractionRecord, RoutingDecision, integrate_new_model
 
 
 def _decision(qid: str, chosen: str) -> RoutingDecision:
@@ -319,7 +319,14 @@ def test_run_integration_frozen_router_and_ncir(small_world):
     assert 0.0 <= report.ncir <= report.average_performance <= report.oracle
 
 
-def test_run_integration_zero_profile_override_never_selects_new(small_world):
+def test_run_integration_zero_profile_override_never_selects_new(small_world, monkeypatch):
+    def integrate_zeroed(*args, **kwargs):
+        # the pool holds this same profile, so the router sees the zero vector
+        profile = integrate_new_model(*args, **kwargs)
+        profile.vector = np.zeros_like(profile.vector)
+        return profile
+
+    monkeypatch.setattr("coldroute.evaluation.integrate_new_model", integrate_zeroed)
     world_cfg = SynthWorldConfig(
         seed=0, num_domains=2, models_per_specialty=2, queries_per_domain=6, noise=0.0
     )
@@ -339,7 +346,6 @@ def test_run_integration_zero_profile_override_never_selects_new(small_world):
         providers,
         tasks=world.tasks,
         hidden=16,
-        new_profile_override=np.zeros(32),
     )
     assert report.ncir == 0.0
     assert all(row["chosen"] != world.new_card.id for row in report.decisions)

@@ -20,7 +20,6 @@ from coldroute.profiles import (
     Profile,
     ProfileSpec,
     TrainGnnModel,
-    default_templates,
     embgnn_propagate,
     flat_profile,
     load_profiles,
@@ -265,17 +264,45 @@ def test_render_prompt_isolated_node_placeholder(tiny_graph):
     assert "(no connected neighbors)" in prompt
 
 
-def test_template_override_from_directory(fixture_graph, tmp_path):
-    (tmp_path / "model.txt").write_text("CUSTOM ${node_id} ${self_text} ${neighbor_block}")
-    from coldroute.profiles import load_templates
+_PINNED_PROMPTS = {
+    "model_00_00": (
+        "[input] Capability card refresh for model_00_00 (kind: model, round 1).\n"
+        "Current summary of model_00_00:\n"
+        "The flagship quantitative assistant of its family, strongest on algebra and equation rewriting.\n"
+        "Evidence from directly connected graph neighbors:\n"
+        "- bench_00_a (benchmark, score 0.880): A benchmark of multi step arithmetic and algebra word problems graded for exact numeric answers.\n"
+        "- bench_00_b (benchmark, score 0.850): A percent graded suite of symbolic equation rewriting and simplification exercises.\n"
+        "- bench_01_a (benchmark, score 0.200): A benchmark of debugging and refactoring tasks drawn from real compiler error logs.\n"
+        "- fam_00 (model_family): A family of assistants tuned for quantitative reasoning and careful step by step arithmetic.\n"
+        "[instruction] Rewrite the summary of model_00_00 in 3-5 sentences, merging the current summary with the neighbor evidence above. Keep concrete strengths, domains, and scores; drop repetition.\n"
+        "[output] The rewritten summary text only.\n"
+    ),
+    "bench_00_a": (
+        "[input] Capability card refresh for bench_00_a (kind: benchmark, round 1).\n"
+        "Current summary of bench_00_a:\n"
+        "A benchmark of multi step arithmetic and algebra word problems graded for exact numeric answers.\n"
+        "Evidence from directly connected graph neighbors:\n"
+        "- dom_00 (domain): Mathematical problem solving: arithmetic drills, algebra word problems, and careful equation manipulation.\n"
+        "- model_00_00 (model, score 0.880): The flagship quantitative assistant of its family, strongest on algebra and equation rewriting.\n"
+        "- model_00_01 (model, score 0.810): A compact quantitative assistant that trades a little accuracy for much faster answers.\n"
+        "- model_01_00 (model, score 0.310): A code oriented assistant that excels at debugging and at refactoring long source files.\n"
+        "- q_00_0000 (query): Solve for x: 3x + 7 = 22, showing each algebra step.\n"
+        "- q_00_0002 (query): Rewrite the equation 2(y - 4) = 10 in slope intercept form.\n"
+        "- q_00_0004 (query): Factor the quadratic x squared minus 5x plus 6.\n"
+        "- q_00_0006 (query): If 4a - 9 = 3a + 5, what is the value of a?\n"
+        "- q_00_0008 (query): Two numbers sum to 30 and differ by 4; set up and solve the equations.\n"
+        "- q_00_0010 (query): Convert the repeating decimal 0.727272... into a fraction.\n"
+        "[instruction] Rewrite the summary of bench_00_a in 2-4 sentences, merging the current summary with the neighbor evidence above. Keep concrete strengths, domains, and scores; drop repetition.\n"
+        "[output] The rewritten summary text only.\n"
+    ),
+}
 
-    templates = load_templates(tmp_path)
+
+@pytest.mark.parametrize("node_id", sorted(_PINNED_PROMPTS))
+def test_render_prompt_is_pinned_byte_for_byte(fixture_graph, node_id):
+    # the text:K profiles and the admit_text stub both read these exact bytes
     texts = {nid: fixture_graph.node(nid).text for nid in fixture_graph.node_ids}
-    prompt = render_prompt(fixture_graph, "model_00_00", texts, hop=1, templates=templates)
-    assert prompt.startswith("CUSTOM model_00_00")
-    # non-overridden kinds keep the default
-    prompt_f = render_prompt(fixture_graph, "fam_00", texts, hop=1, templates=templates)
-    assert "Capability card refresh" in prompt_f
+    assert render_prompt(fixture_graph, node_id, texts, hop=1) == _PINNED_PROMPTS[node_id]
 
 
 # --- trainable aggregator --------------------------------------------------

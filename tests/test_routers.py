@@ -433,7 +433,7 @@ def test_graphrouter_scores_match_full_assembly_oracle(fixture_graph, providers,
     _assert_oracle_scores(router, pool, probes)
 
     spec = ProfileSpec.parse("emb:2")
-    integrate_new_model(router, pool, fixture_graph, _new_card(), spec, providers)
+    integrate_new_model(pool, fixture_graph, _new_card(), spec, providers)
     _assert_oracle_scores(router, pool, probes)
 
     # same ids, new profiles: the compiled graph must not be reused
@@ -506,7 +506,7 @@ def test_integrate_grows_pool_and_freezes_everything_else(fixture_graph, provide
     nodes_before = len(fixture_graph.node_ids)
 
     profile = integrate_new_model(
-        router, pool, fixture_graph, _new_card(), ProfileSpec.parse("emb:2"), providers
+        pool, fixture_graph, _new_card(), ProfileSpec.parse("emb:2"), providers
     )
     assert profile.model_id == "model_02_00"
     assert pool.ids[-1] == "model_02_00" and len(pool) == len(old_vectors) + 1
@@ -525,21 +525,17 @@ def test_integrate_rejects_duplicates(fixture_graph, providers, fixture_world):
     pool, *_ = fixture_world
     card = ModelCard("model_00_00", "fam_00", "Already present.", {})
     with pytest.raises(DuplicateId):
-        integrate_new_model(
-            SimRouter(pool.dim), pool, fixture_graph, card, ProfileSpec.parse("emb:1"), providers
-        )
+        integrate_new_model(pool, fixture_graph, card, ProfileSpec.parse("emb:1"), providers)
 
 
 def test_integrate_trainable_requires_frozen_aggregator(fixture_graph, providers, fixture_world):
     pool, *_ = fixture_world
     spec = ProfileSpec.parse("train:1")
     with pytest.raises(InvalidSpec):
-        integrate_new_model(
-            SimRouter(pool.dim), pool, fixture_graph, _new_card(), spec, providers
-        )
+        integrate_new_model(pool, fixture_graph, _new_card(), spec, providers)
     trained = traingnn_fit(fixture_graph, spec, seed=0, epochs=2)
     profile = integrate_new_model(
-        SimRouter(pool.dim), pool, fixture_graph, _new_card(), spec, providers, trained=trained
+        pool, fixture_graph, _new_card(), spec, providers, trained=trained
     )
     assert profile.vector.shape == (pool.dim,)
 
@@ -561,6 +557,6 @@ def test_registration_reads_no_whole_graph_view(
     monkeypatch.setattr(EvidenceGraph, "node_ids", property(whole_graph_view))
     monkeypatch.setattr(EvidenceGraph, "edges", property(whole_graph_view))
     profile = integrate_new_model(
-        SimRouter(pool.dim), pool, fixture_graph, _new_card(), spec, providers, trained=trained
+        pool, fixture_graph, _new_card(), spec, providers, trained=trained
     )
     assert pool.ids[-1] == profile.model_id == "model_02_00"

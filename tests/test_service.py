@@ -91,6 +91,9 @@ def test_route_endpoint_and_input_validation(server):
     assert requests.post(f"{base}/route", json=["not", "an", "object"]).status_code == 400
     raw = requests.post(f"{base}/route", data=b"{nope", headers={"Content-Type": "application/json"})
     assert raw.status_code == 400
+    for task_id in (["task_00"], {"id": "task_00"}):
+        bad_task = {"query_text": "Trace the segfault.", "task_id": task_id}
+        assert requests.post(f"{base}/route", json=bad_task).status_code == 400
 
 
 def test_unknown_paths_are_404(server):
@@ -108,6 +111,12 @@ def test_graphrouter_service_requires_task(server):
     )
     assert with_task.status_code == 200
     assert with_task.json()["model_id"] in CATALOG
+    for task_id in (["task_00"], {"id": "task_00"}):
+        bad_task = requests.post(
+            f"{base}/route", json={"query_text": "Sum the squares.", "task_id": task_id}
+        )
+        assert bad_task.status_code == 400
+        assert "task_id" in bad_task.json()["error"]
 
 
 def test_routing_never_changes_pool_or_checksum(server):

@@ -86,7 +86,7 @@ def _router(config: Path, kind: str, queries: list[str] | None = None) -> dict:
     router = pipe.router(kind, pool)
     sha = _sha(router.to_checkpoint())
     if new is not None:
-        integrate_new_model(router, pool, pipe.graph, new, pipe.spec, pipe.providers)
+        integrate_new_model(pool, pipe.graph, new, pipe.spec, pipe.providers)
     queries = queries or pipe.cfg.eval_queries
     vecs = query_vectors(pipe.graph, queries)
     scores = []
@@ -115,8 +115,8 @@ def _admitted(config: Path, spec: str) -> dict:
     pipe = Pipeline(cfg)
     new = pipe.new_card
     pool = pipe.pool(pipe.pool_ids(without=new.id))
-    profile = integrate_new_model(None, pool, pipe.graph, new, pipe.spec, pipe.providers,
-                                  trained=pipe.aggregator, templates=pipe.templates)
+    profile = integrate_new_model(pool, pipe.graph, new, pipe.spec, pipe.providers,
+                                  trained=pipe.aggregator)
     return {"sha256": _sha(profile.to_dict()), "vector": profile.vector.tolist()}
 
 
