@@ -19,19 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, records
-from .config import ENV_CONFIG, AppConfig, Pipeline, build_world_graph, load_config, make_providers
+from .config import (ENV_CONFIG, AppConfig, Pipeline, PoolState, build_world_graph, load_config,
+                     make_providers)
 from .errors import ColdRouteError, ConfigError
 from .evaluation import RewardTable, run_coldstart, run_integration
 from .graph import load_cards, read_card
 from .profiles import load_profiles, save_profiles
-from .routers import (
-    CandidatePool,
-    SimRouter,
-    integrate_new_model,
-    load_router,
-    router_checksum,
-    save_router,
-)
+from .routers import CandidatePool, SimRouter, load_router, router_checksum, save_router
 
 __all__ = ["main"]
 
@@ -101,7 +95,7 @@ def _cmd_router_train(args) -> dict:
     out = Path(args.out) if args.out else pipe.cfg.base_dir / f"router_{args.kind}.json"
     save_router(router, out)
     pool_out = Path(args.pool_out) if args.pool_out else out.with_name(out.stem + "_pool.json")
-    pool.save(pool_out)
+    PoolState(pipe, pool, pool_out).write()
     return {
         "router": args.kind,
         "path": str(out),
@@ -116,7 +110,7 @@ def _cmd_route(args) -> dict:
     providers = make_providers(cfg)
     router = load_router(args.router) if args.router else SimRouter(dim=cfg.dim)
     if args.pool_state:
-        pool = CandidatePool.load(args.pool_state)
+        pool, _ = PoolState.read(args.pool_state)
     elif args.profiles:
         profiles = load_profiles(args.profiles)
         pool = CandidatePool([profiles[m] for m in sorted(profiles)])
@@ -202,20 +196,16 @@ def _cmd_eval_integrate(args) -> dict:
 def _cmd_integrate(args) -> dict:
     pipe = _pipeline(args)
     card = read_card(args.card)
-    if args.pool_state and Path(args.pool_state).exists():
-        pool = pipe.check_pool(CandidatePool.load(args.pool_state), f"pool state {args.pool_state}")
-    else:
-        pool = pipe.pool(pipe.pool_ids(without=card.id))
+    path = Path(args.pool_state) if args.pool_state else pipe.cfg.base_dir / "pool_state.json"
+    state = PoolState.recover(pipe, path, lambda: pipe.pool(pipe.pool_ids(without=card.id)))
     router = load_router(args.router) if args.router else SimRouter(dim=pipe.cfg.dim)
     before = router_checksum(router)
-    integrate_new_model(pool, pipe.graph, card, pipe.spec, pipe.providers, trained=pipe.aggregator)
+    state.admit(card)
     after = router_checksum(router)
-    state = Path(args.pool_state) if args.pool_state else pipe.cfg.base_dir / "pool_state.json"
-    pool.save(state)
     return {
         "integrated": card.id,
-        "pool": pool.ids,
-        "pool_state": str(state),
+        "pool": state.pool.ids,
+        "pool_state": str(path),
         "checksum_before": before,
         "checksum_after": after,
         "frozen": before == after,
@@ -268,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("kind", choices=["sim", "mlp", "graphrouter"])
     p_train.add_argument("--spec", help="profile spec for the pool")
     p_train.add_argument("--out", help="router checkpoint path")
-    p_train.add_argument("--pool-out", dest="pool_out", help="pool state output path")
+    p_train.add_argument("--pool-out", dest="pool_out", help="pool-state output path")
     add_common(p_train)
     p_train.set_defaults(func=_cmd_router_train)
 
@@ -277,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--task", help="task id (graph router only)")
     p_route.add_argument("--router", help="router checkpoint path")
     p_route.add_argument("--profiles", help="profiles JSONL path")
-    p_route.add_argument("--pool-state", dest="pool_state", help="pool state path")
+    p_route.add_argument("--pool-state", dest="pool_state", help="pool-state path")
     add_common(p_route)
     p_route.set_defaults(func=_cmd_route)
 
@@ -297,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--card", required=True, help="new model card JSON")
     p_int.add_argument("--spec", help="profile spec override")
     p_int.add_argument("--router", help="router checkpoint path")
-    p_int.add_argument("--pool-state", dest="pool_state", help="pool state path")
+    p_int.add_argument("--pool-state", dest="pool_state", help="pool-state path to grow")
     add_common(p_int)
     p_int.set_defaults(func=_cmd_integrate)
 
@@ -314,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.func(args)
-    except ColdRouteError as exc:
+    except (ColdRouteError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(payload, args.json)

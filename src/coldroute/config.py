@@ -9,19 +9,22 @@ config path itself may come from ``RP_CONFIG``.
 
 ``Pipeline`` turns a config into everything routing needs: providers,
 spec, the encoded graph, the aggregator, the pool and the router.  The
-CLI and the service both build through it.
+CLI and the service both build through it, and recover and grow a pool
+through ``PoolState``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
 from . import records
 from .errors import ConfigError
-from .graph import CardSet, EvidenceGraph, ModelCard, NodeKind, build_graph, load_cards, read_card
+from .graph import (CardSet, EvidenceGraph, ModelCard, NodeKind, add_model_node, build_graph,
+                    load_cards, parse_card, read_card, remove_node)
 from .profiles import ProfileSpec, TrainGnnModel, traingnn_fit
 from .providers import (
     DeterministicEmbedder,
@@ -36,6 +39,7 @@ from .routers import (
     CandidatePool,
     InteractionRecord,
     fit_router,
+    integrate_new_model,
     load_interactions,
     load_tasks,
     profile_pool,
@@ -45,6 +49,7 @@ from .routers import (
 __all__ = [
     "AppConfig",
     "Pipeline",
+    "PoolState",
     "build_world_graph",
     "load_config",
     "make_providers",
@@ -211,17 +216,6 @@ class Pipeline:
         ids = self.cfg.pool or [n.id for n in self.graph.nodes_of_kind(NodeKind.MODEL)]
         return [m for m in ids if m != without]
 
-    def check_pool(self, pool: CandidatePool, source: str) -> CandidatePool:
-        """``pool`` itself, if each of its profiles has the configured spec and dim."""
-        want = f"{self.spec.short()} with dim {self.cfg.dim}"
-        for p in pool.profiles():
-            got = f"{p.spec.short()} with dim {p.vector.shape[0]}"
-            if got != want:
-                raise ConfigError(
-                    f"{source} holds {p.model_id!r} as {got}, but the config asks for {want}"
-                )
-        return pool
-
     def pool(self, ids: list[str]) -> CandidatePool:
         return profile_pool(
             self.graph, self.spec, ids, self.providers, seed=self.cfg.seed, trained=self.aggregator
@@ -243,3 +237,70 @@ class Pipeline:
             seed=self.cfg.seed,
             held_out=self.new_card.id if self.new_card else None,
         )
+
+
+@dataclass
+class PoolState:
+    """A pool, the model cards admitted to it, and the file that keeps both.
+
+    The file holds ``pool`` (``{"models": [profile rows]}``) and ``registered_cards``.
+    """
+
+    pipe: Pipeline
+    pool: CandidatePool
+    path: Path | None = None
+    cards: list[ModelCard] = field(default_factory=list)
+
+    @staticmethod
+    def read(path: Path) -> tuple[CandidatePool, list[ModelCard]]:
+        """The pool and the cards of a state file; a bad file raises ``ConfigError`` naming it."""
+        schema = {"pool": dict, "registered_cards": list | None}
+        return records.read(path, "doc", schema, lambda doc: (
+            CandidatePool.from_dict(doc["pool"]),
+            [parse_card(c) for c in doc.get("registered_cards") or []],
+        ))
+
+    def write(self) -> None:
+        """Write the file whole and durably (``records.write_atomic``)."""
+        doc = {"registered_cards": [asdict(c) for c in self.cards], "pool": self.pool.to_dict()}
+        records.write_atomic(Path(self.path), records.dumps(doc), durable=True)
+
+    @classmethod
+    def recover(cls, pipe: Pipeline, path: Path | None, fresh: Callable[[], CandidatePool]):
+        """The state in the file at ``path``, else ``fresh()`` with no cards.
+
+        The profiles must have the configured spec and dim.  A trainable
+        spec's aggregator is made first, on the cards directory's graph;
+        then the cards join the graph, and each pool model must be a model
+        node of it.  Else, or if the file cannot be read, ``ConfigError``.
+        """
+        if path is None or not Path(path).exists():
+            return cls(pipe, fresh(), path)
+        pool, cards = cls.read(path)
+        want = f"{pipe.spec.short()} with dim {pipe.cfg.dim}"
+        for p in pool.profiles():
+            if (got := f"{p.spec.short()} with dim {p.vector.shape[0]}") != want:
+                raise ConfigError(f"state file {path} holds {p.model_id!r} as {got}, not {want}")
+        pipe.aggregator  # noqa: B018 - fitted or loaded before the graph grows
+        for card in (c for c in cards if c.id not in pipe.graph):
+            add_model_node(pipe.graph, card)
+        models = {n.id for n in pipe.graph.nodes_of_kind(NodeKind.MODEL)}
+        if stray := [m for m in pool.ids if m not in models]:
+            raise ConfigError(f"state file {path} holds {stray[0]!r}, not a model of the graph")
+        encode_all(pipe.graph, pipe.providers.encoder, only_missing=True)
+        return cls(pipe, pool, path, cards)
+
+    def admit(self, card: ModelCard) -> None:
+        """Add ``card``'s model, then write the file; a failure leaves everything as it was."""
+        pipe = self.pipe
+        integrate_new_model(self.pool, pipe.graph, card, pipe.spec, pipe.providers,
+                            trained=pipe.aggregator)
+        self.cards.append(card)
+        try:
+            if self.path is not None:
+                self.write()
+        except BaseException:
+            self.cards.pop()
+            self.pool.remove(card.id)
+            remove_node(pipe.graph, card.id)
+            raise

@@ -149,9 +149,13 @@ def write_atomic(path: Path, text: str, *, durable: bool) -> None:
 
     With ``durable`` the data reach the disk before the file takes its
     name, so a crash leaves the old file or the new one, never a torn one.
-    A cache entry needs no such care: a lost entry is only a miss.
+    A cache entry needs no such care: a lost entry is only a miss.  A
+    directory that cannot take the file raises an ``OSError`` naming ``path``.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    except OSError as exc:  # it names the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

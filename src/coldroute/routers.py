@@ -169,13 +169,6 @@ class CandidatePool:
         models = records.check(payload, {"models": list})["models"]
         return cls([Profile.from_dict(entry) for entry in models])
 
-    def save(self, path: str | Path) -> None:
-        records.write(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CandidatePool":
-        return records.read(path, "doc", None, cls.from_dict)
-
 
 @dataclass
 class RoutingDecision:

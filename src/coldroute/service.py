@@ -9,13 +9,12 @@ Endpoints:
 * ``GET /pool``     current pool ids, profile spec, and router checksum.
 * ``GET /healthz``  liveness and version.
 
-Routing is side-effect free; registration is serialized behind a lock and
-persists the pool (plus the registered cards) to a JSON snapshot, written
-atomically and reloaded on startup for crash recovery.  A snapshot that
-cannot be read, or that holds profiles of another spec or dimension than
-the config's, stops start-up with ``ConfigError``.  A card is validated
-before it touches the graph, and a registration that fails later, the
-state write included, leaves the graph and the pool as they were.
+Routing is side-effect free; registration is serialized behind a lock.
+Start-up recovery and registration go through ``config.PoolState``, as
+``coldroute integrate`` does: the pool and the registered cards persist
+atomically and durably to the state file, a file it refuses stops
+start-up with ``ConfigError``, and a registration that fails, the state
+write included, leaves the graph and the pool as they were.
 """
 
 from __future__ import annotations
@@ -25,12 +24,11 @@ import json
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import numpy as np
 
-from . import __version__, records
-from .config import AppConfig, Pipeline
+from . import __version__
+from .config import AppConfig, Pipeline, PoolState
 from .errors import (
     ColdRouteError,
     ConfigError,
@@ -38,9 +36,8 @@ from .errors import (
     ProviderTimeout,
     TransportError,
 )
-from .graph import ModelCard, add_model_node, parse_card, remove_node
-from .providers import encode_all
-from .routers import CandidatePool, integrate_new_model, router_checksum
+from .graph import parse_card
+from .routers import router_checksum
 
 __all__ = ["RoutingService", "make_server", "serve"]
 
@@ -54,44 +51,14 @@ class RoutingService:
     def __init__(self, cfg: AppConfig):
         self.cfg = cfg
         pipe = Pipeline(cfg)
-        self.providers, self.spec = pipe.providers, pipe.spec
-        self.graph = pipe.graph
-        self.trained = pipe.aggregator
-        self.pool = pipe.pool(pipe.pool_ids())
+        self.providers, self.spec, self.graph = pipe.providers, pipe.spec, pipe.graph
+        pool = pipe.pool(pipe.pool_ids())
         # fit on the configured pool, as before the restart: recovery adds to the pool
-        self.router = pipe.router(cfg.router, self.pool)
-        self._registered: list[dict] = []
-        self._recover_state(pipe)
+        self.router = pipe.router(cfg.router, pool)
+        self.state = PoolState.recover(pipe, cfg.state_path, lambda: pool)
+        self.pool = self.state.pool
         self._route_ids = itertools.count(1)  # next() on a count is atomic
         self._write_lock = threading.Lock()
-
-    # -- persistence --
-
-    def _recover_state(self, pipe: Pipeline) -> None:
-        """Resume the pool and the registered cards of the state file, if there is one.
-
-        A file that cannot be read, or that holds profiles of another spec
-        or dimension than the config's, raises ``ConfigError``.
-        """
-        path = self.cfg.state_path
-        if not path or not Path(path).exists():
-            return
-        pool, entries, cards = records.read(path, "doc", None, _parse_state)
-        pipe.check_pool(pool, f"state file {path}")
-        for card in cards:
-            if card.id not in self.graph:
-                add_model_node(self.graph, card)
-        encode_all(self.graph, self.providers.encoder, only_missing=True)
-        self.pool = pool
-        self._registered = entries
-
-    def _persist(self, registered: list[dict]) -> None:
-        if not self.cfg.state_path:
-            return
-        state = {"registered_cards": registered, "pool": self.pool.to_dict()}
-        records.write_atomic(Path(self.cfg.state_path), records.dumps(state), durable=True)
-
-    # -- operations --
 
     def checksum(self) -> str:
         return router_checksum(self.router)
@@ -110,16 +77,7 @@ class RoutingService:
     def register(self, entry: dict) -> dict:
         card = parse_card(entry)
         with self._write_lock:
-            integrate_new_model(
-                self.pool, self.graph, card, self.spec, self.providers, trained=self.trained
-            )
-            try:
-                self._persist([*self._registered, entry])
-            except BaseException:
-                self.pool.remove(card.id)
-                remove_node(self.graph, card.id)
-                raise
-            self._registered.append(entry)
+            self.state.admit(card)
         return self.pool_info()
 
     def pool_info(self) -> dict:
@@ -129,12 +87,6 @@ class RoutingService:
             "router": self.cfg.router,
             "checksum": self.checksum(),
         }
-
-
-def _parse_state(state: dict) -> tuple[CandidatePool, list[dict], list[ModelCard]]:
-    state = records.check(state, {"pool": dict, "registered_cards": list | None})
-    entries = state.get("registered_cards") or []
-    return CandidatePool.from_dict(state["pool"]), entries, [parse_card(e) for e in entries]
 
 
 class _BodyTooLarge(ConfigError):

@@ -2,14 +2,19 @@
 
 import json
 import shutil
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coldroute.cli import main
-from coldroute.config import ENV_CONFIG, build_world_graph
+from coldroute.config import ENV_CONFIG, PoolState, build_world_graph, load_config
+from coldroute.errors import ConfigError
 from coldroute.graph import load_cards
 from coldroute.profiles import load_profiles
-from coldroute.routers import CandidatePool, load_router
+from coldroute.routers import load_router
+from coldroute.service import RoutingService
 
 from conftest import FIXTURE_DIR
 
@@ -105,8 +110,8 @@ def test_router_train_writes_checkpoint_and_pool(tmp_path, capsys, kind):
     assert len(payload["checksum"]) == 64 and int(payload["checksum"], 16) >= 0
     router = load_router(out)
     assert router.to_checkpoint()["kind"] == kind
-    pool = CandidatePool.load(pool_out)
-    assert pool.ids == CATALOG
+    pool, cards = PoolState.read(pool_out)
+    assert pool.ids == CATALOG and cards == []
 
 
 def test_route_command_uses_trained_router(tmp_path, capsys):
@@ -217,7 +222,9 @@ def test_integrate_command_grows_pool_and_stays_frozen(tmp_path, capsys):
     assert payload["integrated"] == "model_01_02"
     assert payload["frozen"] is True
     assert payload["pool"] == CATALOG + ["model_01_02"]
-    assert CandidatePool.load(state).ids == CATALOG + ["model_01_02"]
+    pool, cards = PoolState.read(state)
+    assert pool.ids == CATALOG + ["model_01_02"]
+    assert [c.id for c in cards] == ["model_01_02"]
 
 
 def _integrate_cfg(tmp_path, **overrides) -> str:
@@ -229,6 +236,56 @@ def _integrate_cfg(tmp_path, **overrides) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+SECOND_CARD = {
+    "id": "model_01_03",
+    "family_id": "fam_01",
+    "description": "A code assistant focused on dependency upgrades and build scripts.",
+    "scores": {"bench_01_a": 0.6},
+}
+
+
+@pytest.mark.parametrize("spec", ["emb:2", "text:2", "train:1"])
+def test_integrate_twice_into_one_state_profiles_as_the_service_does(tmp_path, capsys, spec):
+    cfg = _integrate_cfg(tmp_path, spec=spec, router="sim")
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps(SECOND_CARD))
+    state = tmp_path / "state.json"
+    for card in (FIXTURE_DIR / "new_model.json", second):
+        assert main(["integrate", "--config", cfg, "--card", str(card),
+                     "--pool-state", str(state)]) == 0
+    capsys.readouterr()
+    service = RoutingService(load_config(cfg))
+    for entry in (json.loads((FIXTURE_DIR / "new_model.json").read_text()), SECOND_CARD):
+        service.register(entry)
+    pool, _ = PoolState.read(state)
+    assert pool.ids == service.pool.ids == CATALOG + ["model_01_02", "model_01_03"]
+    for model_id in ("model_01_02", "model_01_03"):
+        delta = np.abs(pool.get(model_id).vector - service.pool.get(model_id).vector).max()
+        assert delta == 0.0, (model_id, delta)
+
+
+def test_state_naming_a_model_outside_the_graph_is_refused(tmp_path, capsys):
+    """A state written under another cards directory, by the CLI or the service."""
+    cards = tmp_path / "cards"
+    shutil.copytree(FIXTURE_DIR / "cards", cards)
+    _edit_json(cards / "models.json", lambda rows: rows.append(dict(rows[0], id="model_00_02")))
+    other = Path(_integrate_cfg(tmp_path, cards_dir=str(cards))).rename(tmp_path / "other.json")
+    own = _integrate_cfg(tmp_path)
+    state = tmp_path / "state.json"
+    assert main(["router", "train", "sim", "--config", str(other),
+                 "--out", str(tmp_path / "r.json"), "--pool-out", str(state)]) == 0
+    saved = state.read_bytes()
+    capsys.readouterr()
+    assert main(["integrate", "--config", own, "--card", str(FIXTURE_DIR / "new_model.json"),
+                 "--pool-state", str(state)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(state) in err and "model_00_02" in err
+    assert state.read_bytes() == saved
+    with pytest.raises(ConfigError) as refused:
+        RoutingService(replace(load_config(own), router="sim", state_path=state))
+    assert str(state) in str(refused.value) and "model_00_02" in str(refused.value)
 
 
 BAD_CARDS = {
@@ -261,6 +318,7 @@ def test_bad_card_file_exits_1_with_an_error_line(tmp_path, capsys, command, bad
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert command != "integrate" or str(card) in err
     assert not state.exists() and not (tmp_path / "report.json").exists()
 
 
@@ -345,7 +403,14 @@ def _profile_without_vector(fx):
 def _pool_state_without_spec(fx):
     row = _profile_row("model_00_00")
     del row["spec"]
-    (fx / "pool.json").write_text(json.dumps({"models": [row]}))
+    (fx / "pool.json").write_text(json.dumps({"pool": {"models": [row]}}))
+    argv = ["integrate", "--config", str(fx / "integrate.json"),
+            "--card", str(fx / "new_model.json"), "--pool-state", str(fx / "pool.json")]
+    return argv, "pool.json"
+
+
+def _bare_pool_state(fx):
+    (fx / "pool.json").write_text(json.dumps({"models": [_profile_row("model_00_00")]}))
     argv = ["integrate", "--config", str(fx / "integrate.json"),
             "--card", str(fx / "new_model.json"), "--pool-state", str(fx / "pool.json")]
     return argv, "pool.json"
@@ -382,6 +447,7 @@ MALFORMED = [
     _reward_is_a_word,
     _profile_without_vector,
     _pool_state_without_spec,
+    _bare_pool_state,
     _missing_profiles_file,
     _checkpoint_without_hidden,
     _pool_is_a_string,
@@ -393,11 +459,29 @@ def test_malformed_input_file_exits_1_with_one_error_line_naming_it(tmp_path, ca
     fx = tmp_path / "fixtures"
     shutil.copytree(FIXTURE_DIR, fx)
     argv, where = make(fx)
+    files = {path: path.read_bytes() for path in fx.rglob("*") if path.is_file()}
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     (line,) = err.splitlines()
     assert line.startswith("error: ") and f"{fx}/" in line and where in line
+    assert {path: path.read_bytes() for path in fx.rglob("*") if path.is_file()} == files
+
+
+@pytest.mark.parametrize("command", ["profile", "integrate"])
+def test_unwritable_output_exits_1_with_one_error_line_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.json"  # its directory does not exist
+    if command == "profile":
+        argv = ["profile", "--config", COLDSTART_CFG, "--out", str(out)]
+    else:
+        argv = ["integrate", "--config", INTEGRATE_CFG,
+                "--card", str(FIXTURE_DIR / "new_model.json"), "--pool-state", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and str(out) in line and ".tmp" not in line
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("spec, dim", [("flat", 64), ("emb:2", 32)])

@@ -4,6 +4,7 @@ frozen-router integration of new models."""
 import numpy as np
 import pytest
 
+from coldroute.config import Pipeline, PoolState, load_config
 from coldroute.errors import (
     ConfigError,
     DanglingReference,
@@ -37,7 +38,7 @@ from coldroute.routers import (
     sim_route,
 )
 
-from conftest import graph_router_full_step, graph_router_oracle
+from conftest import FIXTURE_DIR, graph_router_full_step, graph_router_oracle
 
 
 def _profile(model_id: str, vec) -> Profile:
@@ -87,14 +88,17 @@ def test_pool_order_lookup_and_guards():
         _ = CandidatePool().dim
 
 
-def test_pool_save_load_round_trip(tmp_path):
+def test_pool_state_round_trip(tmp_path):
     pool = CandidatePool([_profile("m_00", [0.25, -0.5]), _profile("m_01", [1.0, 0.125])])
-    path = tmp_path / "pool.json"
-    pool.save(path)
-    back = CandidatePool.load(path)
+    card = ModelCard("m_01", "fam_00", "A model.", {"bench_00_a": 0.5})
+    path = tmp_path / "state.json"
+    pipe = Pipeline(load_config(FIXTURE_DIR / "integrate.json"))
+    PoolState(pipe, pool, path, [card]).write()
+    back, cards = PoolState.read(path)
     assert back.ids == pool.ids
     assert np.array_equal(back.matrix(), pool.matrix())
     assert back.get("m_00").spec.short() == "emb:1"
+    assert cards == [card]
 
 
 # --- decisions -------------------------------------------------------------
