@@ -22,7 +22,7 @@ from coldroute.graph import build_graph, load_cards
 from coldroute.profiles import (
     ProfileSpec,
     embgnn_propagate,
-    flat_profile,
+    flat_text,
     make_profiles,
     render_prompt,
     textgnn_run,
@@ -50,8 +50,7 @@ def main() -> None:
     encode_all(graph, providers.encoder)
 
     section("flat: one text block per model")
-    profile = flat_profile(graph, "model_00_00", providers.encoder)
-    print(profile.text)
+    print(flat_text(graph, "model_00_00"))
 
     section("text:K: summarize neighborhoods, K rounds")
     print("The prompt sent to the summarizer for model_00_00 (hop 1):\n")

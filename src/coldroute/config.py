@@ -159,7 +159,9 @@ def build_world_graph(
     graph = build_graph(
         cards.families, cards.models, cards.benchmarks, cards.domains, cards.queries, dim
     )
-    return graph if providers is None else encode_all(graph, providers.encoder)
+    if providers is not None:
+        encode_all(graph, providers.encoder)
+    return graph
 
 
 class Pipeline:

@@ -49,7 +49,6 @@ __all__ = [
     "QueryRecord",
     "CardSet",
     "build_graph",
-    "closed_neighborhood",
     "propagation_coefficient",
     "Propagation",
     "add_model_node",
@@ -346,11 +345,6 @@ def build_graph(
     return EvidenceGraph(nodes, edges, dim, scales)
 
 
-def closed_neighborhood(graph: EvidenceGraph, v: str) -> list[str]:
-    """All nodes sharing an edge with v, plus v itself, sorted."""
-    return sorted({*graph.neighbors(v), v})
-
-
 def propagation_coefficient(graph: EvidenceGraph, u: str, v: str) -> float:
     """Symmetric normalization coefficient between adjacent nodes (or u = v)."""
     edge = graph.edge_between(u, v)  # None for u = v: there are no self loops
@@ -358,9 +352,8 @@ def propagation_coefficient(graph: EvidenceGraph, u: str, v: str) -> float:
     if u != v and edge is None:
         raise NotAdjacent(u, v)
     weight = 1.0 if edge is None or edge.weight is None else float(edge.weight)
-    size_u = len(closed_neighborhood(graph, u))
-    size_v = len(closed_neighborhood(graph, v))
-    return weight / math.sqrt(size_u * size_v)
+    # closed-neighbourhood sizes: there are no self loops
+    return weight / math.sqrt((len(graph.neighbors(u)) + 1) * (len(graph.neighbors(v)) + 1))
 
 
 @dataclass(frozen=True)

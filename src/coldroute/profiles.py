@@ -39,12 +39,12 @@ from .errors import (
     UnknownNode,
 )
 from .graph import EvidenceGraph, NodeKind, Propagation
-from .providers import Providers, Summarizer, TextEncoder
+from .providers import Providers, Summarizer
 
 __all__ = [
     "ProfileSpec",
     "Profile",
-    "flat_profile",
+    "flat_text",
     "embgnn_propagate",
     "render_prompt",
     "textgnn_run",
@@ -52,6 +52,7 @@ __all__ = [
     "traingnn_fit",
     "traingnn_states",
     "make_profiles",
+    "profile_texts",
     "save_profiles",
     "load_profiles",
 ]
@@ -156,7 +157,7 @@ def load_profiles(path: str | Path) -> dict[str, Profile]:
 
 # --- flat ------------------------------------------------------------------
 
-def flat_profile(graph: EvidenceGraph, model_id: str, encoder: TextEncoder) -> Profile:
+def flat_text(graph: EvidenceGraph, model_id: str) -> str:
     """Family description, model description, then one sorted line per score."""
     node = graph.node(model_id)
     if node.kind is not NodeKind.MODEL:
@@ -176,9 +177,7 @@ def flat_profile(graph: EvidenceGraph, model_id: str, encoder: TextEncoder) -> P
             score_lines.append((nb, f"{nb} - {domain_id} - {edge.weight:.3f}"))
     parts = [family_text, node.text]
     parts.extend(line for _, line in sorted(score_lines))
-    text = "\n".join(p for p in parts if p)
-    spec = ProfileSpec("flat", "text", 0, "training_free")
-    return Profile(model_id, spec, encoder.encode(text), text)
+    return "\n".join(p for p in parts if p)
 
 
 # --- embedding propagation -------------------------------------------------
@@ -306,28 +305,23 @@ def textgnn_run(
     """K synchronous text rounds; query nodes keep their raw text throughout.
 
     Only the final texts of ``targets`` are computed (every node when
-    None).  Round k rewrites the non-query nodes within distance K − k of
-    a target, the only ones whose round-k text a target's final text
-    depends on.  Prompts still list every neighbor from the full graph, so
-    each text equals the one a run over every node gives.  A round's
-    prompts go to the summarizer as one batch.  Returns the final texts
-    of ``targets``, or of every node.
+    None): round k rewrites the non-query nodes within distance K − k of a
+    target, and reads the texts within distance K.  Prompts still list
+    every neighbor from the full graph, so each text equals the one a run
+    over every node gives.  A round's prompts go to the summarizer as one
+    batch.  Returns the final texts of ``targets``, or of every node.
     """
     if not (1 <= depth <= MAX_DEPTH):
         raise InvalidSpec(f"text propagation depth must be in [1, {MAX_DEPTH}], got {depth}")
-    texts = {nid: graph.node(nid).text for nid in graph.node_ids}
     if targets is None:
-        dist = dict.fromkeys(texts, 0)
-    else:
-        for nid in targets:
-            graph.node(nid)
-        dist = _distances(graph, list(targets), depth - 1)
+        dist = dict.fromkeys(graph.node_ids, 0)
+    else:  # the nodes a rewrite reads; an unknown target raises UnknownNode
+        dist = _distances(graph, list(targets), depth)
+    ids = sorted(dist)
+    texts = {nid: graph.node(nid).text for nid in ids}
     for hop in range(1, depth + 1):
-        rewrite = [
-            nid
-            for nid in graph.node_ids
-            if dist.get(nid, depth) <= depth - hop and graph.node(nid).kind is not NodeKind.QUERY
-        ]
+        rewrite = [nid for nid in ids
+                   if dist[nid] <= depth - hop and graph.node(nid).kind is not NodeKind.QUERY]
         outs = _summarize_round(graph, rewrite, texts, hop, summarizer)
         texts = {**texts, **dict(zip(rewrite, outs))}
     if targets is None:
@@ -547,18 +541,15 @@ def make_profiles(
 
     For trainable specs a pre-fit aggregator can be passed in (the frozen
     path used when profiling a newly added model); otherwise one is fit
-    here with the given seed.
+    here with the given seed.  Text forms make one ``encode_batch`` call.
     """
     for model_id in pool:
         if model_id not in graph or graph.node(model_id).kind is not NodeKind.MODEL:
             raise UnknownNode(model_id)
 
-    if spec.form == "flat":
-        return {m: flat_profile(graph, m, providers.encoder) for m in sorted(pool)}
-
     if spec.representation == "text":
         ids = sorted(pool)
-        texts = textgnn_run(graph, spec.depth, providers.summarizer, targets=ids)
+        texts = profile_texts(graph, spec, ids, providers.summarizer)
         vectors = providers.encoder.encode_batch([texts[m] for m in ids])
         return {m: Profile(m, spec, vec, texts[m]) for m, vec in zip(ids, vectors)}
 
@@ -568,3 +559,12 @@ def make_profiles(
         model = trained if trained is not None else traingnn_fit(graph, spec, seed)
         states = traingnn_states(model, graph)
     return {m: Profile(m, spec, states[graph.index[m]]) for m in sorted(pool)}
+
+
+def profile_texts(
+    graph: EvidenceGraph, spec: ProfileSpec, ids: list[str], summarizer: Summarizer
+) -> dict[str, str]:
+    """The profile text of each model of ``ids`` under a text spec (``flat`` or ``text:K``)."""
+    if spec.form == "flat":
+        return {m: flat_text(graph, m) for m in ids}
+    return textgnn_run(graph, spec.depth, summarizer, targets=ids)

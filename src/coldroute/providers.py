@@ -10,8 +10,8 @@ Two families of backends share each contract:
   /v1/chat/completions`` at temperature 0) with retry, backoff, an
   in-flight cap, and an optional on-disk response cache, over the
   standard library's ``urllib.request``.  The embedder
-  sends ``batch_size`` texts per request; the summarizer's batch call
-  keeps up to ``max_in_flight`` requests open at once.
+  sends ``batch_size`` texts per request and the summarizer one prompt;
+  each batch call keeps up to ``max_in_flight`` requests open at once.
 
 Every encoder returns unit-norm vectors (zero vector for empty text) so
 cosine scores and linear propagation mix features on a common scale.
@@ -26,6 +26,7 @@ import re
 import threading
 import time
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -241,6 +242,38 @@ class _HttpJson:
         assert last is not None
         raise last
 
+    def map(self, call: Callable, items: list) -> list:
+        """``call(item)`` for each item in order, up to ``max_in_flight`` at once; the first
+        failure in input order is raised.  One item starts no thread.  Plain threads, since
+        ``concurrent.futures`` imports ``logging``, which every process would pay for."""
+        width = min(self.max_in_flight, len(items))
+        if width < 2:
+            return [call(item) for item in items]
+        results: list = [None] * len(items)
+        failures: dict[int, Exception] = {}
+        pending = iter(enumerate(items))
+        lock = threading.Lock()
+
+        def work() -> None:
+            while not failures:
+                with lock:
+                    index, item = next(pending, (None, None))
+                if index is None:
+                    return
+                try:
+                    results[index] = call(item)
+                except Exception as exc:  # noqa: BLE001 - raised below, in input order
+                    failures[index] = exc
+
+        workers = [threading.Thread(target=work) for _ in range(width)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        if failures:
+            raise failures[min(failures)]
+        return results
+
     def _open(self, url: str, raw: bytes, headers: dict) -> tuple[int, bytes]:
         """(status, body) of one POST on a connection of its own.
 
@@ -319,22 +352,27 @@ class RemoteEmbedder(TextEncoder):
         return self.encode_batch([text])[0]
 
     def encode_batch(self, texts: list[str]) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for start in range(0, len(texts), self.batch_size):
-            chunk = [_truncate_utf8(t, self.max_bytes) for t in texts[start : start + self.batch_size]]
-            body = self._http.post(self.url, {"input": chunk, "model": self.model})
-            rows = sorted(body["data"], key=lambda r: r["index"])
-            if len(rows) != len(chunk):
-                raise TransportError(
-                    f"embeddings response has {len(rows)} rows for {len(chunk)} inputs"
-                )
-            for row in rows:
-                vec = np.asarray(row["embedding"], dtype=np.float64)
-                if vec.shape != (self.dim,):
-                    raise DimensionMismatch(self.dim, vec.shape[0], "remote embedding")
-                norm = np.linalg.norm(vec)
-                out.append(vec / norm if norm > 0 else np.zeros(self.dim))
-        return out
+        """One request per ``batch_size`` texts, up to ``max_in_flight`` at once."""
+        chunks = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
+        return [vec for vectors in self._http.map(self._encode_chunk, chunks) for vec in vectors]
+
+    def _encode_chunk(self, chunk: list[str]) -> list[np.ndarray]:
+        """The unit-norm vectors of one request.  A reply that is not one row
+        per input, indexed 0..n-1, of finite numbers raises ``TransportError``."""
+        inputs = [_truncate_utf8(t, self.max_bytes) for t in chunk]
+        body = self._http.post(self.url, {"input": inputs, "model": self.model})
+        try:
+            rows = sorted(body["data"], key=lambda row: row["index"])
+            if [row["index"] for row in rows] != list(range(len(inputs))):
+                raise ValueError(f"row indexes for {len(inputs)} inputs")
+            vectors = [np.asarray(row["embedding"], dtype=np.float64) for row in rows]
+            if not all(vec.ndim == 1 and np.isfinite(vec).all() for vec in vectors):
+                raise ValueError("an embedding that is not a list of finite numbers")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TransportError(f"malformed embeddings reply: {exc!r}", 200) from None
+        if wrong := [vec.shape[0] for vec in vectors if vec.shape != (self.dim,)]:
+            raise DimensionMismatch(self.dim, wrong[0], "remote embedding")
+        return [vec / n if (n := np.linalg.norm(vec)) > 0 else np.zeros(self.dim) for vec in vectors]
 
 
 class RemoteSummarizer(Summarizer):
@@ -354,6 +392,7 @@ class RemoteSummarizer(Summarizer):
         self._http = _HttpJson(api_key=api_key, **http_kwargs)
 
     def summarize(self, prompt: str) -> str:
+        """The reply's text; a malformed reply is ``SummarizerFailure`` from ``TransportError``."""
         payload = {
             "model": self.model,
             "temperature": 0,
@@ -362,48 +401,16 @@ class RemoteSummarizer(Summarizer):
         body = self._http.post(self.url, payload)
         try:
             text = body["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError("content is not text")
         except (KeyError, IndexError, TypeError) as exc:
-            raise SummarizerFailure("<remote>", f"malformed chat response: {exc}")
-        if not isinstance(text, str):
-            raise SummarizerFailure("<remote>", "chat response content is not text")
+            cause = TransportError(f"malformed chat reply: {type(exc).__name__}: {exc}", 200)
+            raise SummarizerFailure("<remote>", cause) from cause
         return text
 
     def summarize_batch(self, prompts: list[str]) -> list[str]:
-        """Up to ``max_in_flight`` requests at once; replies in prompt order.
-
-        Each worker thread sends the next unsent prompt until none is left
-        or one has failed; the first failure in prompt order is then raised
-        as is.  Plain threads rather than ``concurrent.futures``, whose
-        import (and ``logging``) every process would pay.
-        """
-        width = min(self._http.max_in_flight, len(prompts))
-        if width < 2:
-            return super().summarize_batch(prompts)
-        replies = [""] * len(prompts)
-        failures: dict[int, Exception] = {}
-        pending = iter(enumerate(prompts))
-        lock = threading.Lock()
-
-        def work() -> None:
-            while not failures:
-                with lock:
-                    item = next(pending, None)
-                if item is None:
-                    return
-                index, prompt = item
-                try:
-                    replies[index] = self.summarize(prompt)
-                except Exception as exc:  # noqa: BLE001 - raised below, in prompt order
-                    failures[index] = exc
-
-        workers = [threading.Thread(target=work) for _ in range(width)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        if failures:
-            raise failures[min(failures)]
-        return replies
+        """One request per prompt, up to ``max_in_flight`` at once; replies in prompt order."""
+        return self._http.map(self.summarize, prompts)
 
 
 # --- bundle and graph encoding --------------------------------------------
@@ -421,17 +428,19 @@ class Providers:
 
 
 def encode_all(
-    graph: EvidenceGraph, encoder: TextEncoder, only_missing: bool = False
-) -> EvidenceGraph:
+    graph: EvidenceGraph,
+    encoder: TextEncoder,
+    only_missing: bool = False,
+    texts: Sequence[str] = (),
+) -> list[np.ndarray]:
     """Set every row of ``graph.features`` to its node text's ``encoder`` vector.
 
     Non-query nodes must carry text; query nodes use their raw query text
-    as-is.  Every node is checked before the first request, then all texts
-    go through one ``encoder.encode_batch`` call, and rows are set only
-    once every vector has the graph's dimension and finite entries.  With
-    ``only_missing`` only the unset (NaN) rows are encoded (used when a
-    node is added to an encoded graph).  Returns the same graph for
-    chaining.
+    as-is.  Every node is checked before the first request, then all texts,
+    ``texts`` last, go through one ``encoder.encode_batch`` call, and rows
+    are set only once every vector has the graph's dimension and finite
+    entries.  With ``only_missing`` only the unset (NaN) rows are encoded
+    (a node added to an encoded graph).  Returns the vectors of ``texts``.
     """
     unset = np.isnan(graph.features).any(axis=1)
     rows = np.flatnonzero(unset) if only_missing else np.arange(len(graph))
@@ -439,21 +448,20 @@ def encode_all(
     for node in nodes:
         if node.kind is not NodeKind.QUERY and not node.text.strip():
             raise EmptyText(node.id)
-    if nodes:
-        label = nodes[0].id if len(nodes) == 1 else f"{len(nodes)} nodes"
-        try:
-            vectors = encoder.encode_batch([node.text for node in nodes])
-        except Exception as exc:  # noqa: BLE001 - boundary translation
-            raise EncoderFailure(label, exc) from exc
-        if len(vectors) != len(nodes):
-            raise EncoderFailure(label, f"{len(vectors)} vectors for {len(nodes)} texts")
-        vectors = [np.asarray(vec, dtype=np.float64) for vec in vectors]
-        for node, vec in zip(nodes, vectors):
-            if vec.shape != (graph.dim,):
-                raise EncoderFailure(
-                    node.id, DimensionMismatch(graph.dim, int(vec.shape[0]), "encode_all")
-                )
-            if not np.isfinite(vec).all():
-                raise EncoderFailure(node.id, "non-finite entries")
-        graph.features[rows] = vectors
-    return graph
+    names = [node.id for node in nodes] + [f"text {i}" for i in range(len(texts))]
+    if not names:
+        return []
+    try:
+        vectors = encoder.encode_batch([node.text for node in nodes] + list(texts))
+        if len(vectors) != len(names):
+            raise ValueError(f"{len(vectors)} vectors for {len(names)} texts")
+    except Exception as exc:  # noqa: BLE001 - boundary translation
+        raise EncoderFailure(names[0] if len(names) == 1 else f"{len(names)} texts", exc) from exc
+    vectors = [np.asarray(vec, dtype=np.float64) for vec in vectors]
+    for name, vec in zip(names, vectors):
+        if vec.shape != (graph.dim,):
+            raise EncoderFailure(name, DimensionMismatch(graph.dim, int(vec.shape[0]), "encode_all"))
+        if not np.isfinite(vec).all():
+            raise EncoderFailure(name, "non-finite entries")
+    graph.features[rows] = vectors[: len(nodes)]
+    return vectors[len(nodes) :]

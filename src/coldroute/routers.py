@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateId,
     EmptyPool,
+    EmptyText,
     InvalidSpec,
     LeakedInteraction,
     NonFiniteLoss,
@@ -42,7 +43,7 @@ from .errors import (
     UnknownTask,
 )
 from .graph import EvidenceGraph, ModelCard, Propagation, add_model_node, remove_node
-from .profiles import Profile, ProfileSpec, TrainGnnModel, make_profiles
+from .profiles import Profile, ProfileSpec, TrainGnnModel, make_profiles, profile_texts
 from .providers import Providers, encode_all
 
 __all__ = [
@@ -791,9 +792,10 @@ def integrate_new_model(
 
     The new profile is computed on the expanded graph; existing pool
     profiles are never recomputed.  Trainable specs must pass the frozen
-    aggregator that produced the existing profiles.  If encoding or
-    profiling fails, the new node is removed again, so the graph and the
-    pool are left as they were.
+    aggregator that produced the existing profiles.  The new row is encoded
+    before propagation, or with the profile text under a text spec: one
+    encoder call.  If encoding or profiling fails, the new node is
+    removed again, so the graph and the pool are left as they were.
     """
     if card.id in pool:
         raise DuplicateId(card.id)
@@ -801,8 +803,15 @@ def integrate_new_model(
         raise InvalidSpec("integration under a trainable spec requires the frozen aggregator")
     add_model_node(graph, card)
     try:
-        encode_all(graph, providers.encoder, only_missing=True)
-        profile = make_profiles(graph, spec, [card.id], providers, trained=trained)[card.id]
+        if spec.representation == "embedding":
+            encode_all(graph, providers.encoder, only_missing=True)
+            profile = make_profiles(graph, spec, [card.id], providers, trained=trained)[card.id]
+        else:
+            if not card.description.strip():  # refused before the text rounds' requests
+                raise EmptyText(card.id)
+            text = profile_texts(graph, spec, [card.id], providers.summarizer)[card.id]
+            [vector] = encode_all(graph, providers.encoder, only_missing=True, texts=[text])
+            profile = Profile(card.id, spec, vector, text)
         pool.add(profile)
     except BaseException:
         remove_node(graph, card.id)

@@ -371,8 +371,12 @@ class StubHandler(BaseHTTPRequestHandler):
         cfg["last_body"] = body
         cfg["last_path"] = self.path
         cfg["proxy_auth"] = self.headers.get("Proxy-Authorization")
-        if cfg["fail_first"] > 0:
-            cfg["fail_first"] -= 1
+        fail = bool(cfg["fail_inputs"].intersection(body.get("input", ())))
+        with cfg["lock"]:
+            if not fail and cfg["fail_first"] > 0:
+                cfg["fail_first"] -= 1
+                fail = True
+        if fail:
             self.send_response(cfg["fail_status"])
             self.send_header("Content-Length", "0")
             self.end_headers()
@@ -381,9 +385,10 @@ class StubHandler(BaseHTTPRequestHandler):
             raw = cfg["raw"]
         elif self.path.endswith("/v1/embeddings"):
             dim = cfg["dim"]
-            data = [
-                {"index": i, "embedding": [float(i + 1)] * dim}
-                for i in range(len(body["input"]))
+            data = [  # echo: the direction (len(text), 1, 0, ...) names the text
+                {"index": i, "embedding": [float(len(t)), 1.0] + [0.0] * (dim - 2) if cfg["echo"]
+                 else [float(i + 1)] * dim}
+                for i, t in enumerate(body["input"])
             ]
             # deliberately shuffled to prove the client re-sorts by index
             data = list(reversed(data))
@@ -410,6 +415,7 @@ def stub_server():
         "calls": 0, "fail_first": 0, "fail_status": 500, "dim": 4, "reply": "a short summary",
         "last_body": None, "last_path": None, "proxy_auth": None, "echo": False, "raw": None,
         "delay": 0.0, "slow_first": 0, "slow": 0.0, "in_flight": 0, "peak": 0, "connects": [],
+        "fail_inputs": set(),
         "lock": threading.Lock(),
     }
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)

@@ -29,7 +29,6 @@ from coldroute.graph import (
     QueryRecord,
     add_model_node,
     build_graph,
-    closed_neighborhood,
     normalize_score,
     propagation_coefficient,
     remove_node,
@@ -176,9 +175,8 @@ def test_coefficient_matches_formula_on_every_fixture_edge(fixture_cards):
     graph = _build(fixture_cards, dim=8)
     for edge in graph.edges:
         w = 1.0 if edge.weight is None else edge.weight
-        expected = w / math.sqrt(
-            len(closed_neighborhood(graph, edge.src)) * len(closed_neighborhood(graph, edge.dst))
-        )
+        size_src = len({edge.src, *graph.neighbors(edge.src)})
+        expected = w / math.sqrt(size_src * len({edge.dst, *graph.neighbors(edge.dst)}))
         assert propagation_coefficient(graph, edge.src, edge.dst) == pytest.approx(
             expected, abs=1e-12
         )
@@ -189,7 +187,7 @@ def test_coefficient_matches_formula_on_every_fixture_edge(fixture_cards):
 
 
 def test_coefficient_self_term_and_not_adjacent(tiny_graph):
-    size = len(closed_neighborhood(tiny_graph, "model_00"))
+    size = len({"model_00", *tiny_graph.neighbors("model_00")})
     assert propagation_coefficient(tiny_graph, "model_00", "model_00") == pytest.approx(1.0 / size)
     with pytest.raises(NotAdjacent):
         propagation_coefficient(tiny_graph, "model_00", "q_0000")
@@ -211,7 +209,7 @@ def test_propagation_product_matches_its_dense_matrix_on_random_graphs():
     for _ in range(30):
         graph = random_graph(rng, dim=4, max_nodes=14)
         s = _operator(graph)
-        sizes = [len(closed_neighborhood(graph, nid)) for nid in graph.node_ids]
+        sizes = [len({nid, *graph.neighbors(nid)}) for nid in graph.node_ids]
         assert s.sizes.tolist() == sizes
         assert np.max(np.abs(s.dense() - dense_propagation_matrix(graph))) <= 1e-15
         h = rng.normal(size=(len(graph), 5))

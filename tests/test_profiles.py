@@ -21,7 +21,6 @@ from coldroute.profiles import (
     ProfileSpec,
     TrainGnnModel,
     embgnn_propagate,
-    flat_profile,
     load_profiles,
     make_profiles,
     render_prompt,
@@ -63,8 +62,12 @@ def test_spec_invalid_combinations():
 
 # --- flat profiles ---------------------------------------------------------
 
+def flat_profile(graph, model_id, providers):
+    return make_profiles(graph, ProfileSpec.parse("flat"), [model_id], providers)[model_id]
+
+
 def test_flat_profile_text_layout(fixture_graph, providers):
-    profile = flat_profile(fixture_graph, "model_00_00", providers.encoder)
+    profile = flat_profile(fixture_graph, "model_00_00", providers)
     family = fixture_graph.node("fam_00").text
     own = fixture_graph.node("model_00_00").text
     expected = "\n".join(
@@ -82,7 +85,7 @@ def test_flat_profile_text_layout(fixture_graph, providers):
 
 
 def test_flat_profile_scoreless_model(fixture_graph, providers):
-    profile = flat_profile(fixture_graph, "model_01_01", providers.encoder)
+    profile = flat_profile(fixture_graph, "model_01_01", providers)
     assert profile.text == "\n".join(
         [fixture_graph.node("fam_01").text, fixture_graph.node("model_01_01").text]
     )
@@ -90,7 +93,7 @@ def test_flat_profile_scoreless_model(fixture_graph, providers):
 
 def test_flat_profile_rejects_non_model(fixture_graph, providers):
     with pytest.raises(UnknownNode):
-        flat_profile(fixture_graph, "bench_00_a", providers.encoder)
+        flat_profile(fixture_graph, "bench_00_a", providers)
 
 
 # --- embedding propagation -------------------------------------------------
@@ -185,7 +188,8 @@ def _synth_graph() -> EvidenceGraph:
         world.cards.families, world.cards.models, world.cards.benchmarks,
         world.cards.domains, world.cards.queries, dim=16,
     )
-    return encode_all(graph, DeterministicEmbedder(dim=16, seed=0))
+    encode_all(graph, DeterministicEmbedder(dim=16, seed=0))
+    return graph
 
 
 @pytest.fixture(params=["fixture", "synth"])

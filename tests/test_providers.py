@@ -5,6 +5,8 @@ import json
 import math
 import socket
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,14 +20,15 @@ from coldroute.errors import (
     SummarizerFailure,
     TransportError,
 )
-from coldroute.graph import build_graph
-from coldroute.profiles import textgnn_run
+from coldroute.graph import NodeKind, build_graph
+from coldroute.profiles import ProfileSpec, make_profiles, textgnn_run
 from coldroute.providers import (
     DeterministicEmbedder,
     EchoSummarizer,
     Providers,
     RemoteEmbedder,
     RemoteSummarizer,
+    _HttpJson,
     encode_all,
     tokenize,
 )
@@ -283,6 +286,61 @@ def test_encode_all_failure_is_encoder_failure_and_sets_nothing(stub_server):
     assert isinstance(info.value.__cause__, TransportError)
     assert _status_for(info.value) == 503
     assert np.isnan(graph.features).all()
+
+    # three chunks of two texts: only the last fails, and still no row is set
+    stub_server.stub.update(fail_first=0, fail_inputs={graph.node(graph.ids[-1]).text})
+    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=0, batch_size=2)
+    with pytest.raises(EncoderFailure) as info:
+        encode_all(graph, enc)
+    assert isinstance(info.value.__cause__, TransportError)
+    assert _status_for(info.value) == 503
+    assert np.isnan(graph.features).all()
+
+
+def test_encode_batch_keeps_order_and_caps_in_flight(stub_server):
+    stub_server.stub.update(echo=True, delay=0.01)
+    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=4, retries=0,
+                         batch_size=2, max_in_flight=3, timeout=10.0)
+    texts = ["x" * length for length in range(1, 25)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches, so a misplaced chunk would show
+    try:
+        vectors = enc.encode_batch(texts)
+    finally:
+        sys.setswitchinterval(interval)
+    for text, vec in zip(texts, vectors, strict=True):
+        want = np.array([len(text), 1.0, 0.0, 0.0])
+        assert np.allclose(vec, want / np.linalg.norm(want))
+    assert stub_server.stub["calls"] == 12
+    assert 1 < stub_server.stub["peak"] <= 3
+
+
+def test_map_raises_the_first_failure_in_input_order():
+    def call(item):
+        time.sleep(0.05 if item == 1 else 0.0)  # item 5 fails first in time
+        if item in (1, 5):
+            raise TransportError(f"item {item}")
+        return item
+
+    with pytest.raises(TransportError, match="item 1"):
+        _HttpJson(max_in_flight=3).map(call, list(range(8)))
+    assert _HttpJson(max_in_flight=3).map(lambda item: 2 * item, [3, 1, 2]) == [6, 2, 4]
+
+
+def test_map_of_one_item_starts_no_thread():
+    caller = threading.get_ident()
+    assert _HttpJson(max_in_flight=4).map(lambda _: threading.get_ident(), ["one"]) == [caller]
+    assert _HttpJson(max_in_flight=4).map(lambda _: 1, []) == []
+
+
+def test_flat_pool_profiling_sends_one_request_per_batch(stub_server, fixture_graph):
+    stub_server.stub["dim"] = 64
+    pool = [n.id for n in fixture_graph.nodes_of_kind(NodeKind.MODEL)]
+    enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=64, retries=0, batch_size=2)
+    profiles = make_profiles(fixture_graph, ProfileSpec.parse("flat"), pool,
+                             Providers(enc, EchoSummarizer()))
+    assert sorted(profiles) == sorted(pool)
+    assert stub_server.stub["calls"] == math.ceil(len(pool) / 2)
 
 
 def test_summarize_batch_keeps_order_and_caps_in_flight(stub_server):

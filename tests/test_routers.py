@@ -1,23 +1,34 @@
 """Routing layer: candidate pools, decisions, the three routers, and
 frozen-router integration of new models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from coldroute.config import Pipeline, PoolState, load_config
+from coldroute.config import Pipeline, PoolState, build_world_graph, load_config
 from coldroute.errors import (
     ConfigError,
     DanglingReference,
     DimensionMismatch,
     DuplicateId,
     EmptyPool,
+    EmptyText,
     InvalidSpec,
     UnassignedQuery,
     UnknownModelInInteractions,
     UnknownTask,
 )
-from coldroute.graph import EvidenceGraph, ModelCard
-from coldroute.profiles import Profile, ProfileSpec, traingnn_fit, traingnn_states
+from coldroute.evaluation import SynthWorldConfig, synth_world
+from coldroute.graph import EvidenceGraph, ModelCard, NodeKind
+from coldroute.profiles import (
+    Profile,
+    ProfileSpec,
+    make_profiles,
+    traingnn_fit,
+    traingnn_states,
+)
+from coldroute.providers import Providers, Summarizer, TextEncoder
 from coldroute.routers import (
     CandidatePool,
     GraphRouterLite,
@@ -544,13 +555,12 @@ def test_integrate_trainable_requires_frozen_aggregator(fixture_graph, providers
     assert profile.vector.shape == (pool.dim,)
 
 
-@pytest.mark.parametrize("short", ["flat", "emb:2", "train:2"])
+@pytest.mark.parametrize("short", ["flat", "text:2", "emb:2", "train:2"])
 def test_registration_reads_no_whole_graph_view(
     fixture_graph, providers, fixture_world, monkeypatch, short
 ):
-    """Admission under ``flat``, ``emb:K`` and ``train:K`` reads the graph's
-    index, its arrays and the new node's neighbours, never a sorted view of
-    every node or edge.  ``text:K`` is exempt: its cost is the summarizer's."""
+    """Admission reads the graph's index, its arrays and the neighbours of
+    nodes near the new one, never a sorted view of every node or edge."""
     pool, *_ = fixture_world
     spec = ProfileSpec.parse(short)
     trained = traingnn_fit(fixture_graph, spec, seed=0, epochs=1) if short == "train:2" else None
@@ -564,3 +574,90 @@ def test_registration_reads_no_whole_graph_view(
         pool, fixture_graph, _new_card(), spec, providers, trained=trained
     )
     assert pool.ids[-1] == profile.model_id == "model_02_00"
+
+
+# --- the provider requests of one admission ---------------------------------
+
+class _CountingEncoder(TextEncoder):
+    """Delegates to ``inner`` and keeps the texts of each batch call; one
+    ``encode`` is a batch of one."""
+
+    def __init__(self, inner: TextEncoder):
+        self.inner, self.dim, self.batches = inner, inner.dim, []
+
+    def encode(self, text):
+        return self.encode_batch([text])[0]
+
+    def encode_batch(self, texts):
+        self.batches.append(list(texts))
+        return self.inner.encode_batch(texts)
+
+
+class _CountingSummarizer(Summarizer):
+    """Delegates to ``inner`` and keeps every prompt."""
+
+    def __init__(self, inner: Summarizer):
+        self.inner, self.prompts = inner, []
+
+    def summarize(self, prompt):
+        return self.summarize_batch([prompt])[0]
+
+    def summarize_batch(self, prompts):
+        self.prompts.extend(prompts)
+        return self.inner.summarize_batch(prompts)
+
+
+def _counting(providers: Providers) -> Providers:
+    return Providers(_CountingEncoder(providers.encoder), _CountingSummarizer(providers.summarizer))
+
+
+@pytest.mark.parametrize("short", ["flat", "text:2", "emb:2", "train:2"])
+def test_admission_sends_one_embedding_request(fixture_graph, providers, fixture_world, short):
+    pool, *_ = fixture_world
+    spec = ProfileSpec.parse(short)
+    trained = traingnn_fit(fixture_graph, spec, seed=0, epochs=1) if short == "train:2" else None
+    counting = _counting(providers)
+    card = _new_card()
+    profile = integrate_new_model(pool, fixture_graph, card, spec, counting, trained=trained)
+    assert len(counting.encoder.batches) == 1
+    assert counting.encoder.batches[0][0] == card.description
+    # the same row and profile as encoding the row first and profiling after
+    assert np.array_equal(fixture_graph.embedding(card.id), providers.encoder.encode(card.description))
+    again = make_profiles(fixture_graph, spec, [card.id], providers, trained=trained)[card.id]
+    assert np.array_equal(profile.vector, again.vector) and profile.text == again.text
+
+
+def test_text_admission_prompts_only_the_ball_it_reads(providers):
+    """Hop 1 rewrites the new model and its non-query neighbours, hop 2 the
+    new model alone: 8 prompts for a card of the benchmark's admission, a
+    family and five scores."""
+    world = synth_world(SynthWorldConfig(seed=1, num_domains=8, models_per_specialty=3,
+                                         queries_per_domain=20))
+    graph = build_world_graph(world.cards, 64, providers)
+    pool = CandidatePool([])
+    benches = ["bench_00_a", "bench_00_b", "bench_03_a", "bench_05_b", "bench_07_a"]
+    card = ModelCard("model_new_000", "fam_00", "A newly released assistant model.",
+                     dict.fromkeys(benches, 0.5))
+    counting = _counting(providers)
+    integrate_new_model(pool, graph, card, ProfileSpec.parse("text:2"), counting)
+    ball = [card.id] + [nb for nb in graph.neighbors(card.id)
+                        if graph.node(nb).kind is not NodeKind.QUERY]
+    assert len(ball) == 7
+    assert len(counting.summarizer.prompts) == len(ball) + 1 == 8
+    assert len(counting.encoder.batches) == 1
+
+
+@pytest.mark.parametrize("short", ["flat", "text:2", "emb:2", "train:2"])
+def test_blank_card_is_refused_before_any_provider_request(
+    fixture_graph, providers, fixture_world, short
+):
+    pool, *_ = fixture_world
+    spec = ProfileSpec.parse(short)
+    trained = traingnn_fit(fixture_graph, spec, seed=0, epochs=1) if short == "train:2" else None
+    counting = _counting(providers)
+    ids = list(fixture_graph.ids)
+    with pytest.raises(EmptyText):
+        integrate_new_model(pool, fixture_graph, replace(_new_card(), description="  "), spec,
+                            counting, trained=trained)
+    assert counting.encoder.batches == [] and counting.summarizer.prompts == []
+    assert fixture_graph.ids == ids and "model_02_00" not in pool

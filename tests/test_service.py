@@ -10,14 +10,15 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import requests
 
 import coldroute
 from coldroute.config import AppConfig
-from coldroute.errors import ConfigError, SummarizerFailure, TransportError
-from coldroute.providers import RemoteEmbedder, Summarizer, TextEncoder
-from coldroute.service import MAX_BODY_BYTES, RoutingService, make_server
+from coldroute.errors import ConfigError, EncoderFailure, SummarizerFailure, TransportError
+from coldroute.providers import RemoteEmbedder, RemoteSummarizer, Summarizer, TextEncoder
+from coldroute.service import MAX_BODY_BYTES, RoutingService, _status_for, make_server
 
 from conftest import FIXTURE_DIR, stub_url
 
@@ -412,6 +413,50 @@ def test_register_whose_provider_times_out_is_503(server, stub_server):
     reply = requests.post(f"{base}/models", json=NEW_CARD)
     assert reply.status_code == 503
     assert requests.get(f"{base}/pool").json()["models"] == CATALOG
+
+
+def _rows(*indexes, embedding=(1.0,) * 64) -> dict:
+    return {"data": [{"index": i, "embedding": list(embedding)} for i in indexes]}
+
+
+# a text:2 registration sends one embeddings request with two inputs: the new
+# node's text and its profile text
+_MALFORMED_REPLIES = {
+    "no data list": ("encoder", {"rows": []}),
+    "data not a list": ("encoder", {"data": {"0": [1.0] * 64}}),
+    "row without index": ("encoder", {"data": [{"embedding": [1.0] * 64}] * 2}),
+    "row without embedding": ("encoder", {"data": [{"index": 0}, {"index": 1}]}),
+    "non-numeric vector": ("encoder", _rows(0, 1, embedding=["high"] * 64)),
+    "one row for two inputs": ("encoder", _rows(0)),
+    "index repeated": ("encoder", _rows(1, 1)),
+    "chat reply without choices": ("summarizer", {"id": "reply"}),
+}
+
+
+@pytest.mark.parametrize(
+    "part, reply", list(_MALFORMED_REPLIES.values()), ids=list(_MALFORMED_REPLIES)
+)
+def test_malformed_provider_reply_is_503_and_rolled_back(stub_server, tmp_path, part, reply):
+    state = tmp_path / "state.json"
+    service = RoutingService(_config(router="sim", spec="text:2", state_path=state))
+    if part == "encoder":
+        service.providers.encoder = RemoteEmbedder(
+            stub_url(stub_server, "/v1/embeddings"), dim=64, retries=0
+        )
+    else:
+        service.providers.summarizer = RemoteSummarizer(
+            stub_url(stub_server, "/v1/chat/completions"), retries=0
+        )
+    stub_server.stub["raw"] = json.dumps(reply).encode()
+    ids, pairs = list(service.graph.ids), service.graph.pairs.copy()
+    with pytest.raises((EncoderFailure, SummarizerFailure)) as info:
+        service.register(NEW_CARD)
+    assert _status_for(info.value) == 503
+    assert stub_server.stub["calls"] >= 1
+    assert service.graph.ids == ids and np.array_equal(service.graph.pairs, pairs)
+    assert service.graph.features.shape == (len(ids), 64)
+    assert service.pool.ids == CATALOG
+    assert not state.exists()
 
 
 def test_service_with_remote_providers_does_not_import_requests(stub_server, tmp_path):

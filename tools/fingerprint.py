@@ -18,7 +18,9 @@ inputs are written to a temporary directory) and records:
 * ``admit/flat``, ``admit/text:2``, ``admit/emb:2``, ``admit/train:2``:
   the profile of the integration world's new model under each spec, after
   ``integrate_new_model`` admits it to the old pool of the ``eval
-  integrate`` config, hashed as the profile's JSON;
+  integrate`` config, hashed as the profile's JSON, with the provider
+  calls the admission made: its encoder batch calls and its summarizer
+  prompts;
 * ``reports``: the SHA-256 of each file that four eval commands write:
   the benchmark's ``eval coldstart --spec emb:2`` and ``--spec train:2``
   and ``eval integrate --router graphrouter --spec emb:2``, and ``eval
@@ -34,9 +36,10 @@ vector of scores or profile entries, as JSON on stdout::
 
 With ``--against FILE`` (an earlier output) it prints one line per part
 instead: whether the checkpoint is byte-identical and the max |Δ| of its
-vector, and which reports and report fields differ.  The exit status is
-1 if a vector moved by more than 1e-12, a vector changed its length, or
-a report differs.
+vector, the provider calls of an admission before and after, and which
+reports and report fields differ.  The exit status is 1 if a vector
+moved by more than 1e-12, a vector changed its length, or a report
+differs; a changed call count is printed, not failed.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ import numpy as np  # noqa: E402
 from coldroute import records  # noqa: E402
 from coldroute.cli import main as cli  # noqa: E402
 from coldroute.config import Pipeline, load_config  # noqa: E402
+from coldroute.providers import Providers, Summarizer, TextEncoder  # noqa: E402
 from coldroute.routers import integrate_new_model, query_vectors  # noqa: E402
 from worlds import eval_inputs, serve_inputs  # noqa: E402
 
@@ -108,16 +112,49 @@ def _profiles(config: Path, spec: str) -> dict:
     return {"sha256": _sha(hashed), "vector": vector.tolist()}
 
 
+class _CountedEncoder(TextEncoder):
+    """Counts the encoder calls of ``inner``; a single ``encode`` is a batch of one."""
+
+    def __init__(self, inner: TextEncoder, calls: dict):
+        self.inner, self.dim, self.calls = inner, inner.dim, calls
+
+    def encode(self, text):
+        self.calls["encoder batches"] += 1
+        return self.inner.encode(text)
+
+    def encode_batch(self, texts):
+        self.calls["encoder batches"] += 1
+        return self.inner.encode_batch(texts)
+
+
+class _CountedSummarizer(Summarizer):
+    """Counts the prompts sent to ``inner``."""
+
+    def __init__(self, inner: Summarizer, calls: dict):
+        self.inner, self.calls = inner, calls
+
+    def summarize(self, prompt):
+        return self.summarize_batch([prompt])[0]
+
+    def summarize_batch(self, prompts):
+        self.calls["summarizer prompts"] += len(prompts)
+        return self.inner.summarize_batch(prompts)
+
+
 def _admitted(config: Path, spec: str) -> dict:
-    """The profile of the config's new model under ``spec``, once admitted to the old pool."""
+    """The profile of the config's new model under ``spec``, once admitted to the old
+    pool, and the provider calls of that admission."""
     cfg = load_config(config)
     cfg.spec = spec
     pipe = Pipeline(cfg)
     new = pipe.new_card
     pool = pipe.pool(pipe.pool_ids(without=new.id))
-    profile = integrate_new_model(pool, pipe.graph, new, pipe.spec, pipe.providers,
-                                  trained=pipe.aggregator)
-    return {"sha256": _sha(profile.to_dict()), "vector": profile.vector.tolist()}
+    trained = pipe.aggregator
+    calls = {"encoder batches": 0, "summarizer prompts": 0}
+    counted = Providers(_CountedEncoder(pipe.providers.encoder, calls),
+                        _CountedSummarizer(pipe.providers.summarizer, calls))
+    profile = integrate_new_model(pool, pipe.graph, new, pipe.spec, counted, trained=trained)
+    return {"sha256": _sha(profile.to_dict()), "vector": profile.vector.tolist(), "calls": calls}
 
 
 def _reports(config: Path, args: list[str], out: Path) -> tuple[dict, dict]:
@@ -180,7 +217,10 @@ def compare(now: dict, before: dict) -> bool:
                 delta = float(np.max(np.abs(va - vb), initial=0.0)) if va.shape == vb.shape else np.inf
                 ok = ok and delta <= TOLERANCE
                 same = "byte-identical" if a["sha256"] == b["sha256"] else "hash differs"
-                print(f"seed {seed} {part}: {same}, max |Δ| = {delta:.3g} over {va.size} values")
+                calls = "".join(f"; {name} {b.get('calls', {}).get(name, '?')} -> {count}"
+                                for name, count in a.get("calls", {}).items())
+                print(f"seed {seed} {part}: {same}, max |Δ| = {delta:.3g} over {va.size} values"
+                      f"{calls}")
     return ok
 
 
