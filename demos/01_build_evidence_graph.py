@@ -13,12 +13,7 @@ import json
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
-from coldroute.graph import (
-    NodeKind,
-    build_graph,
-    load_cards,
-    propagation_coefficient,
-)
+from coldroute.graph import NodeKind, Propagation, build_graph, load_cards
 from coldroute.providers import DeterministicEmbedder, encode_all
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -49,23 +44,23 @@ def main() -> None:
 
     section("Score normalization")
     # bench_00_b is reported on a 0-100 scale; the graph stores rewards in [0, 1]
-    edge = graph.edge_between("model_00_00", "bench_00_b")
+    edge = dict(graph.incident("model_00_00"))["bench_00_b"]
     print(f"model_00_00 scored 85.0 on bench_00_b (percent scale)")
     print(f"stored edge weight: {edge.weight}  (scale recorded: {graph.score_scales['bench_00_b']})")
 
     section("A model's evidence neighborhood")
-    for nid in graph.neighbors("model_00_00"):
-        e = graph.edge_between("model_00_00", nid)
+    for nid, e in graph.incident("model_00_00"):
         weight = "" if e.weight is None else f"  weight {e.weight:.3f}"
         print(f"  model_00_00 -- {e.kind.value} -- {nid}{weight}")
     print("model_01_01 published no scores; its only evidence is the family tie:")
     print(f"  neighbors: {graph.neighbors('model_01_01')}")
 
     section("Propagation coefficients")
-    # coefficient(v, u) = w_uv / sqrt(|N(v) u {v}| * |N(u) u {u}|)
+    # coefficient(v, u) = w_uv / sqrt(|N(v) u {v}| * |N(u) u {u}|): the entry of S at (v, u)
+    s = Propagation.of(len(graph), graph.pairs, graph.weights).dense()
     for v, u in [("model_00_00", "bench_00_a"), ("model_01_01", "fam_01")]:
-        print(f"  c({v}, {u}) = {propagation_coefficient(graph, v, u):.4f}")
-        print(f"  self term c({v}, {v}) = {propagation_coefficient(graph, v, v):.4f}")
+        print(f"  c({v}, {u}) = {s[graph.index[v], graph.index[u]]:.4f}")
+        print(f"  self term c({v}, {v}) = {s[graph.index[v], graph.index[v]]:.4f}")
 
     section("Embedding node features")
     encode_all(graph, DeterministicEmbedder(dim=64, seed=0))

@@ -39,11 +39,6 @@ class UnknownNode(ColdRouteError):
         super().__init__(f"unknown node: {node_id!r}")
 
 
-class NotAdjacent(ColdRouteError):
-    def __init__(self, u: str, v: str):
-        super().__init__(f"nodes {u!r} and {v!r} share no edge")
-
-
 class InvalidGraph(ColdRouteError):
     """A structural invariant of the evidence graph is violated."""
 

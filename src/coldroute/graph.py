@@ -7,7 +7,7 @@ a model links to its family, to every benchmark it reports a score on
 domain, and sampled queries link to the benchmark they came from.
 
 The graph is undirected for propagation.  The symmetric normalization
-coefficient between adjacent nodes u and v is
+coefficient between adjacent nodes u and v (``Propagation``) is
 
     coeff(u, v) = w_uv / sqrt(|N(v) ∪ {v}| · |N(u) ∪ {u}|)
 
@@ -17,7 +17,6 @@ the implicit self loop.  Missing scores create no edge; no imputation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -30,7 +29,6 @@ from .errors import (
     DanglingReference,
     DuplicateId,
     InvalidGraph,
-    NotAdjacent,
     ScoreOutOfRange,
     UninitializedEmbedding,
     UnknownNode,
@@ -49,7 +47,6 @@ __all__ = [
     "QueryRecord",
     "CardSet",
     "build_graph",
-    "propagation_coefficient",
     "Propagation",
     "add_model_node",
     "remove_node",
@@ -82,6 +79,8 @@ _EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
     EdgeKind.BENCHMARK_DOMAIN: (NodeKind.BENCHMARK, NodeKind.DOMAIN),
     EdgeKind.QUERY_BENCHMARK: (NodeKind.QUERY, NodeKind.BENCHMARK),
 }
+# The edge kind of each (src, dst) pair of node kinds: the graph stores no edge kind.
+_EDGE_KIND = {ends: kind for kind, ends in _EDGE_ENDPOINTS.items()}
 
 
 @dataclass
@@ -91,8 +90,8 @@ class Node:
     text: str = ""
 
 
-@dataclass(frozen=True)
-class Edge:
+@dataclass
+class Edge:  # built on each read from the graph's arrays; the graph stores none
     src: str
     dst: str
     kind: EdgeKind
@@ -168,13 +167,15 @@ class EvidenceGraph:
     """Typed heterogeneous graph over indexed nodes.
 
     A node's row is its place in id order at construction, or the next row
-    when added later; ``index`` maps id -> row and ``ids`` row -> id.  The
-    graph owns ``features`` (n × dim, NaN until encoded) and, per edge in
-    insertion order, ``pairs`` (endpoint rows in the canonical builder
-    direction: model->family, model->benchmark, benchmark->domain,
-    query->benchmark), ``weights`` (the score, else 1) and ``scored``.
-    Adjacency is undirected.  Only :func:`add_model_node` /
-    :func:`remove_node` change the graph.
+    when added later; ``index`` maps id -> row, and ``ids``, ``kinds`` and
+    ``texts`` map row -> id, kind and text.  The graph owns ``features``
+    (n × dim, NaN until encoded) and, per edge in insertion order, ``pairs``
+    (endpoint rows in the canonical builder direction: model->family,
+    model->benchmark, benchmark->domain, query->benchmark), ``weights`` (the
+    score, else 1) and ``scored``.  These arrays are the only adjacency: an
+    edge's kind follows from its endpoints' kinds, and ``incident`` /
+    ``neighbors`` scan ``pairs``.  Adjacency is undirected.  Only
+    :func:`add_model_node` / :func:`remove_node` change the graph.
     """
 
     def __init__(
@@ -189,9 +190,9 @@ class EvidenceGraph:
         self.dim = int(dim)
         # benchmark id -> "unit" | "percent"; how raw scores map onto [0,1]
         self.score_scales: dict[str, str] = dict(score_scales or {})
-        self._nodes: dict[str, Node] = {}
-        self._adj: dict[str, dict[str, Edge]] = {}
         self.ids: list[str] = []
+        self.kinds: list[NodeKind] = []
+        self.texts: list[str] = []
         self.index: dict[str, int] = {}
         self.features = np.empty((0, self.dim))
         self.pairs = np.empty((0, 2), dtype=np.intp)
@@ -205,25 +206,29 @@ class EvidenceGraph:
     def _add(self, nodes: list[Node], edges: list[Edge]) -> None:
         """Append ``nodes`` as the next rows and ``edges`` after the existing ones.
 
-        Node ids must be new, each endpoint a node of the kind its edge kind
-        names, no two edges may join one pair, and only a score edge carries
-        a weight, in [0, 1].  A rejected call writes nothing.
+        Every edge's ``src`` is one of ``nodes``.  Node ids must be new, each
+        endpoint a node of the kind its edge kind names, no two edges may
+        join one pair, and only a score edge carries a weight, in [0, 1].  A
+        rejected call writes nothing.
         """
         new: dict[str, Node] = {}
         for node in nodes:
-            if node.id in self._nodes or node.id in new:
+            if node.id in self.index or node.id in new:
                 raise DuplicateId(node.id)
             new[node.id] = node
         rows = {nid: len(self.ids) + i for i, nid in enumerate(new)}
+        kinds = self.kinds + [node.kind for node in new.values()]
         seen: set[tuple[str, str]] = set()
         pairs, weights, scored = [], [], []
         for edge in edges:
-            for endpoint, kind in zip((edge.src, edge.dst), _EDGE_ENDPOINTS[edge.kind]):
-                node = new.get(endpoint) or self._nodes.get(endpoint)
-                if node is None or node.kind is not kind:
+            pair = [rows[e] if e in rows else self.index.get(e) for e in (edge.src, edge.dst)]
+            for endpoint, row, kind in zip((edge.src, edge.dst), pair, _EDGE_ENDPOINTS[edge.kind]):
+                if row is None or kinds[row] is not kind:
                     raise DanglingReference(endpoint, f"{kind.value} of {edge.src!r}")
-            # endpoint kinds fix each edge's direction, so (src, dst) names its pair
-            if (edge.src, edge.dst) in seen or edge.dst in self._adj.get(edge.src, ()):
+            # Endpoint kinds fix each edge's direction, so (src, dst) names its pair; and
+            # both callers pass only edges whose src is a node of this call, so no earlier
+            # edge joins the pair: ``seen`` catches every multi-edge.
+            if (edge.src, edge.dst) in seen:
                 raise InvalidGraph(f"multi-edge between {edge.src!r} and {edge.dst!r}")
             seen.add((edge.src, edge.dst))
             if edge.kind is EdgeKind.MODEL_BENCHMARK:
@@ -231,17 +236,14 @@ class EvidenceGraph:
                     raise ScoreOutOfRange(edge.src, edge.dst, float("nan") if edge.weight is None else edge.weight)
             elif edge.weight is not None:
                 raise InvalidGraph(f"edge kind {edge.kind.value} carries no weight")
-            pairs.append([rows[e] if e in rows else self.index[e] for e in (edge.src, edge.dst)])
+            pairs.append(pair)
             weights.append(1.0 if edge.weight is None else edge.weight)
             scored.append(edge.weight is not None)
 
         self.index.update(rows)
         self.ids.extend(new)
-        self._nodes.update(new)
-        self._adj.update((nid, {}) for nid in new)
-        for edge in edges:
-            self._adj[edge.src][edge.dst] = edge
-            self._adj[edge.dst][edge.src] = edge
+        self.kinds = kinds
+        self.texts.extend(node.text for node in new.values())
         self.features = np.vstack([self.features, np.full((len(new), self.dim), np.nan)])
         self.pairs = np.concatenate([self.pairs, np.asarray(pairs, dtype=np.intp).reshape(-1, 2)])
         self.weights = np.concatenate([self.weights, np.asarray(weights, dtype=np.float64)])
@@ -251,56 +253,72 @@ class EvidenceGraph:
 
     @property
     def node_ids(self) -> list[str]:
-        return sorted(self._nodes)
+        return sorted(self.ids)
 
     @property
     def edges(self) -> list[Edge]:
-        edges = [e for nid, adj in self._adj.items() for e in adj.values() if e.src == nid]
-        return sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst))
+        return sorted(self._edges(slice(None)), key=lambda e: (e.kind.value, e.src, e.dst))
+
+    def _edges(self, at) -> list[Edge]:
+        """The edges at positions ``at`` of the edge arrays."""
+        ids, kinds = self.ids, self.kinds
+        return [
+            Edge(ids[src], ids[dst], _EDGE_KIND[kinds[src], kinds[dst]], weight if scored else None)
+            for (src, dst), weight, scored in zip(
+                self.pairs[at].tolist(), self.weights[at].tolist(), self.scored[at].tolist()
+            )
+        ]
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._nodes
+        return node_id in self.index
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    def _row(self, node_id: str) -> int:
+        if node_id not in self.index:
+            raise UnknownNode(node_id)
+        return self.index[node_id]
+
     def node(self, node_id: str) -> Node:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise UnknownNode(node_id) from None
+        """A new ``Node`` of the row's id, kind and text; changing it changes nothing."""
+        row = self._row(node_id)
+        return Node(node_id, self.kinds[row], self.texts[row])
 
     def embedding(self, node_id: str) -> np.ndarray:
         """A copy of the node's feature row; an unencoded node raises ``UninitializedEmbedding``."""
-        self.node(node_id)  # an unknown id raises UnknownNode
-        row = self.features[self.index[node_id]]
+        row = self.features[self._row(node_id)]
         if np.isnan(row).any():
             raise UninitializedEmbedding(node_id)
         return row.copy()
 
     def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
-        return [self._nodes[nid] for nid in self.node_ids if self._nodes[nid].kind is kind]
+        return [self.node(nid) for nid in self.node_ids if self.kinds[self.index[nid]] is kind]
+
+    def _around(self, node_id: str) -> tuple[np.ndarray, list[int]]:
+        """The positions of the node's edges in the edge arrays, and each edge's other row."""
+        ends = self.pairs.ravel()  # edge i's rows are at 2i and 2i + 1
+        at = np.flatnonzero(ends == self._row(node_id))
+        return at >> 1, ends[at ^ 1].tolist()
 
     def neighbors(self, node_id: str) -> list[str]:
-        if node_id not in self._nodes:
-            raise UnknownNode(node_id)
-        return sorted(self._adj[node_id])
+        return sorted(self.ids[row] for row in self._around(node_id)[1])
 
-    def edge_between(self, u: str, v: str) -> Edge | None:
-        if u not in self._nodes:
-            raise UnknownNode(u)
-        return self._adj[u].get(v)
+    def incident(self, node_id: str) -> list[tuple[str, Edge]]:
+        """(neighbour id, edge) of each of the node's edges, sorted by neighbour id."""
+        at, others = self._around(node_id)
+        around = zip([self.ids[row] for row in others], self._edges(at))
+        return sorted(around, key=lambda pair: pair[0])
 
     # -- serialization --
 
     def to_snapshot(self) -> dict:
         nodes = []
         for nid in self.node_ids:
-            node = self._nodes[nid]
-            entry: dict = {"id": node.id, "kind": node.kind.value, "text": node.text}
-            row = self.features[self.index[nid]]
-            if not np.isnan(row).any():
-                entry["embedding"] = [float(x) for x in row]
+            row = self.index[nid]
+            entry: dict = {"id": nid, "kind": self.kinds[row].value, "text": self.texts[row]}
+            if not np.isnan(self.features[row]).any():
+                entry["embedding"] = [float(x) for x in self.features[row]]
             nodes.append(entry)
         edges = []
         for edge in self.edges:
@@ -343,17 +361,6 @@ def build_graph(
     edges += [Edge(q.id, q.benchmark_id, EdgeKind.QUERY_BENCHMARK) for q in queries]
     edges += [e for m in models for e in _model_edges(m, scales)]
     return EvidenceGraph(nodes, edges, dim, scales)
-
-
-def propagation_coefficient(graph: EvidenceGraph, u: str, v: str) -> float:
-    """Symmetric normalization coefficient between adjacent nodes (or u = v)."""
-    edge = graph.edge_between(u, v)  # None for u = v: there are no self loops
-    graph.node(v)
-    if u != v and edge is None:
-        raise NotAdjacent(u, v)
-    weight = 1.0 if edge is None or edge.weight is None else float(edge.weight)
-    # closed-neighbourhood sizes: there are no self loops
-    return weight / math.sqrt((len(graph.neighbors(u)) + 1) * (len(graph.neighbors(v)) + 1))
 
 
 @dataclass(frozen=True)
@@ -428,12 +435,9 @@ def remove_node(graph: EvidenceGraph, node_id: str) -> None:
     graph.pairs = graph.pairs[keep] - (graph.pairs[keep] > row)
     graph.weights, graph.scored = graph.weights[keep], graph.scored[keep]
     graph.features = np.delete(graph.features, row, axis=0)
-    del graph.ids[row]
+    del graph.ids[row], graph.kinds[row], graph.texts[row]
     for i, nid in enumerate(graph.ids[row:], row):
         graph.index[nid] = i
-    for other in graph._adj.pop(node_id):
-        del graph._adj[other][node_id]
-    del graph._nodes[node_id]
 
 
 # --- card file IO ----------------------------------------------------------

@@ -38,7 +38,7 @@ from .errors import (
     UninitializedEmbedding,
     UnknownNode,
 )
-from .graph import EvidenceGraph, NodeKind, Propagation
+from .graph import EdgeKind, EvidenceGraph, NodeKind, Propagation
 from .providers import Providers, Summarizer
 
 __all__ = [
@@ -163,20 +163,16 @@ def flat_text(graph: EvidenceGraph, model_id: str) -> str:
     if node.kind is not NodeKind.MODEL:
         raise UnknownNode(model_id)
     family_text = ""
-    score_lines: list[tuple[str, str]] = []
-    for nb in graph.neighbors(model_id):
-        other = graph.node(nb)
-        if other.kind is NodeKind.MODEL_FAMILY:
-            family_text = other.text
-        elif other.kind is NodeKind.BENCHMARK:
-            edge = graph.edge_between(model_id, nb)
+    score_lines = []
+    for nb, edge in graph.incident(model_id):
+        if edge.kind is EdgeKind.MODEL_FAMILY:
+            family_text = graph.node(nb).text
+        else:  # a score edge
             domain_id = next(
-                (d for d in graph.neighbors(nb) if graph.node(d).kind is NodeKind.DOMAIN),
-                "",
+                (d for d in graph.neighbors(nb) if graph.kinds[graph.index[d]] is NodeKind.DOMAIN), ""
             )
-            score_lines.append((nb, f"{nb} - {domain_id} - {edge.weight:.3f}"))
-    parts = [family_text, node.text]
-    parts.extend(line for _, line in sorted(score_lines))
+            score_lines.append(f"{nb} - {domain_id} - {edge.weight:.3f}")
+    parts = [family_text, node.text, *score_lines]
     return "\n".join(p for p in parts if p)
 
 
@@ -235,11 +231,9 @@ def render_prompt(graph: EvidenceGraph, node_id: str, texts: dict[str, str], hop
     if node.kind is NodeKind.QUERY:
         raise QueryNodeUpdateAttempt(node_id)
     lines = []
-    for nb in graph.neighbors(node_id):
-        other = graph.node(nb)
-        edge = graph.edge_between(node_id, nb)
+    for nb, edge in graph.incident(node_id):
         score = "" if edge.weight is None else f", score {edge.weight:.3f}"
-        lines.append(f"- {nb} ({other.kind.value}{score}): {texts[nb]}")
+        lines.append(f"- {nb} ({graph.kinds[graph.index[nb]].value}{score}): {texts[nb]}")
     neighbor_block = "\n".join(lines) if lines else "(no connected neighbors)"
     return _PROMPT.substitute(
         node_id=node_id,
@@ -318,10 +312,10 @@ def textgnn_run(
     else:  # the nodes a rewrite reads; an unknown target raises UnknownNode
         dist = _distances(graph, list(targets), depth)
     ids = sorted(dist)
-    texts = {nid: graph.node(nid).text for nid in ids}
+    texts = {nid: graph.texts[graph.index[nid]] for nid in ids}
     for hop in range(1, depth + 1):
-        rewrite = [nid for nid in ids
-                   if dist[nid] <= depth - hop and graph.node(nid).kind is not NodeKind.QUERY]
+        rewrite = [nid for nid in ids if dist[nid] <= depth - hop
+                   and graph.kinds[graph.index[nid]] is not NodeKind.QUERY]
         outs = _summarize_round(graph, rewrite, texts, hop, summarizer)
         texts = {**texts, **dict(zip(rewrite, outs))}
     if targets is None:

@@ -29,7 +29,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 
@@ -63,6 +63,8 @@ __all__ = [
 # Inputs are capped at a byte length before encoding/summarizing; the cap is
 # generous (model cards are short) and applied at a UTF-8 boundary.
 DEFAULT_MAX_BYTES = 1 << 15
+
+T = TypeVar("T")  # what a provider reply parses to
 
 
 def _truncate_utf8(text: str, max_bytes: int) -> str:
@@ -201,12 +203,12 @@ class _HttpJson:
         ).hexdigest()
         return Path(self.cache_dir) / f"{key}.json"
 
-    def post(self, url: str, payload: dict) -> dict:
+    def post(self, url: str, payload: dict, parse: Callable[[dict], T]) -> T:
+        """``parse`` of the provider's JSON-object reply.  A reply is cached only
+        once ``parse`` accepts it, and a cached entry it rejects is a miss."""
         cache = self._cache_path(url, payload)
-        if cache is not None:
-            cached = _read_cache(cache)
-            if cached is not None:
-                return cached
+        if cache is not None and (cached := _read_cache(cache, parse)) is not None:
+            return cached
 
         raw = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
@@ -233,12 +235,14 @@ class _HttpJson:
                 raise TransportError(f"provider reply is not JSON: {exc}", 200) from exc
             if not isinstance(body, dict):
                 raise TransportError("provider reply is not a JSON object", 200)
+            result = parse(body)
             if cache is not None:
                 try:
-                    _write_cache(cache, body)
+                    cache.parent.mkdir(parents=True, exist_ok=True)
+                    records.write_atomic(cache, records.dumps(body), durable=False)
                 except OSError:
                     pass  # the reply has arrived; an entry not written is a later miss
-            return body
+            return result
         assert last is not None
         raise last
 
@@ -306,18 +310,12 @@ class _HttpJson:
             raise TransportError(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _read_cache(path: Path) -> dict | None:
-    """A cached reply, or None when the entry is missing or unreadable."""
+def _read_cache(path: Path, parse: Callable[[dict], T]) -> T | None:
+    """``parse`` of a cached reply, or None when the entry is missing, unreadable or malformed."""
     try:
-        body = json.loads(path.read_text())
-    except (OSError, ValueError):
+        return parse(json.loads(path.read_text()))
+    except (OSError, ValueError, TransportError, SummarizerFailure):
         return None
-    return body if isinstance(body, dict) else None
-
-
-def _write_cache(path: Path, body: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    records.write_atomic(path, records.dumps(body), durable=False)
 
 
 def remote_options(cls) -> set[str]:
@@ -357,22 +355,37 @@ class RemoteEmbedder(TextEncoder):
         return [vec for vectors in self._http.map(self._encode_chunk, chunks) for vec in vectors]
 
     def _encode_chunk(self, chunk: list[str]) -> list[np.ndarray]:
-        """The unit-norm vectors of one request.  A reply that is not one row
-        per input, indexed 0..n-1, of finite numbers raises ``TransportError``."""
+        """The unit-norm vectors of one request."""
         inputs = [_truncate_utf8(t, self.max_bytes) for t in chunk]
-        body = self._http.post(self.url, {"input": inputs, "model": self.model})
+        payload = {"input": inputs, "model": self.model}
+        return self._http.post(self.url, payload, lambda body: self._vectors(body, len(inputs)))
+
+    def _vectors(self, body: dict, count: int) -> list[np.ndarray]:
+        """The unit-norm vectors of a reply.  A reply that is not one row per
+        input, indexed 0..count-1, of ``dim`` finite numbers raises ``TransportError``."""
         try:
             rows = sorted(body["data"], key=lambda row: row["index"])
-            if [row["index"] for row in rows] != list(range(len(inputs))):
-                raise ValueError(f"row indexes for {len(inputs)} inputs")
+            if [row["index"] for row in rows] != list(range(count)):
+                raise ValueError(f"row indexes for {count} inputs")
             vectors = [np.asarray(row["embedding"], dtype=np.float64) for row in rows]
             if not all(vec.ndim == 1 and np.isfinite(vec).all() for vec in vectors):
                 raise ValueError("an embedding that is not a list of finite numbers")
+            if wrong := [vec.shape[0] for vec in vectors if vec.shape != (self.dim,)]:
+                raise ValueError(f"an embedding of {wrong[0]} numbers, expected {self.dim}")
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed embeddings reply: {exc!r}", 200) from None
-        if wrong := [vec.shape[0] for vec in vectors if vec.shape != (self.dim,)]:
-            raise DimensionMismatch(self.dim, wrong[0], "remote embedding")
         return [vec / n if (n := np.linalg.norm(vec)) > 0 else np.zeros(self.dim) for vec in vectors]
+
+
+def _chat_text(body: dict) -> str:
+    try:
+        text = body["choices"][0]["message"]["content"]
+        if not isinstance(text, str):
+            raise TypeError("content is not text")
+    except (KeyError, IndexError, TypeError) as exc:
+        cause = TransportError(f"malformed chat reply: {type(exc).__name__}: {exc}", 200)
+        raise SummarizerFailure("<remote>", cause) from cause
+    return text
 
 
 class RemoteSummarizer(Summarizer):
@@ -398,15 +411,7 @@ class RemoteSummarizer(Summarizer):
             "temperature": 0,
             "messages": [{"role": "user", "content": _truncate_utf8(prompt, self.max_bytes)}],
         }
-        body = self._http.post(self.url, payload)
-        try:
-            text = body["choices"][0]["message"]["content"]
-            if not isinstance(text, str):
-                raise TypeError("content is not text")
-        except (KeyError, IndexError, TypeError) as exc:
-            cause = TransportError(f"malformed chat reply: {type(exc).__name__}: {exc}", 200)
-            raise SummarizerFailure("<remote>", cause) from cause
-        return text
+        return self._http.post(self.url, payload, _chat_text)
 
     def summarize_batch(self, prompts: list[str]) -> list[str]:
         """One request per prompt, up to ``max_in_flight`` at once; replies in prompt order."""

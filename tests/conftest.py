@@ -165,8 +165,7 @@ def dense_propagation_matrix(graph: EvidenceGraph) -> np.ndarray:
     s = np.zeros((n, n))
     for v in ids:
         s[index[v], index[v]] = 1.0 / len(closed[v])
-        for u in graph.neighbors(v):
-            edge = graph.edge_between(v, u)
+        for u, edge in graph.incident(v):
             w = 1.0 if edge.weight is None else float(edge.weight)
             s[index[v], index[u]] = w / np.sqrt(len(closed[v]) * len(closed[u]))
     return s

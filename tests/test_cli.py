@@ -1,5 +1,6 @@
 """Command-line interface: every subcommand, exit codes, and --json output."""
 
+import hashlib
 import json
 import shutil
 from dataclasses import replace
@@ -22,6 +23,8 @@ CARDS = str(FIXTURE_DIR / "cards")
 COLDSTART_CFG = str(FIXTURE_DIR / "coldstart.json")
 INTEGRATE_CFG = str(FIXTURE_DIR / "integrate.json")
 CATALOG = ["model_00_00", "model_00_01", "model_01_00", "model_01_01"]
+# `coldroute graph build --cards fixtures/cards --out FILE`: the SHA-256 of FILE
+GRAPH_BUILD_SHA256 = "5ea900e52f5ef5caa8989151248687902d6f7b3b1852c8de360381232332795d"
 
 
 @pytest.fixture(autouse=True)
@@ -49,6 +52,9 @@ def test_graph_build_writes_loadable_snapshot(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc == build_world_graph(load_cards(CARDS), 64).to_snapshot()
     assert len(doc["nodes"]) == 35 and doc["dim"] == 64
+    # the bytes themselves, so that a change of the graph's representation
+    # cannot alter the file and the snapshot it is compared with together
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRAPH_BUILD_SHA256
 
 
 def test_graph_validate_rejects_dangling_cards(tmp_path, capsys):

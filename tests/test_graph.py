@@ -1,5 +1,6 @@
-"""Evidence-graph construction, validation, and propagation coefficients."""
+"""Evidence-graph construction, validation, adjacency, and propagation coefficients."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -7,11 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coldroute import records
 from coldroute.errors import (
     DanglingReference,
     DuplicateId,
     InvalidGraph,
-    NotAdjacent,
     ScoreOutOfRange,
     UnknownNode,
 )
@@ -30,7 +31,7 @@ from coldroute.graph import (
     add_model_node,
     build_graph,
     normalize_score,
-    propagation_coefficient,
+    read_card,
     remove_node,
 )
 
@@ -41,6 +42,17 @@ def _build(cards, dim=4):
     return build_graph(
         cards.families, cards.models, cards.benchmarks, cards.domains, cards.queries, dim
     )
+
+
+def _edge(graph, u, v):
+    """The edge joining u and v, or None."""
+    return dict(graph.incident(u)).get(v)
+
+
+def _coefficient(graph, u, v):
+    """The entry of the propagation matrix S at (u, v)."""
+    s = Propagation.of(len(graph), graph.pairs, graph.weights).dense()
+    return s[graph.index[u], graph.index[v]]
 
 
 # --- construction ----------------------------------------------------------
@@ -55,7 +67,7 @@ def test_fixture_graph_shape(fixture_cards):
 
 def test_percent_scale_score_becomes_unit_weight(fixture_cards):
     graph = _build(fixture_cards, dim=8)
-    edge = graph.edge_between("model_00_00", "bench_00_b")
+    edge = _edge(graph, "model_00_00", "bench_00_b")
     assert edge.weight == pytest.approx(0.85)
     assert graph.score_scales["bench_00_b"] == "percent"
     assert graph.score_scales["bench_00_a"] == "unit"
@@ -129,7 +141,7 @@ def test_coefficient_two_node_pair_is_half():
     cards.benchmarks, cards.domains, cards.queries = [], [], []
     graph = _build(cards)
     # both closed neighborhoods have size 2 -> 1/sqrt(2*2)
-    assert propagation_coefficient(graph, "model_00", "fam_00") == pytest.approx(0.5)
+    assert _coefficient(graph, "model_00", "fam_00") == pytest.approx(0.5)
 
 
 def test_coefficient_weighted_edge_hand_value():
@@ -147,7 +159,7 @@ def test_coefficient_weighted_edge_hand_value():
         dim=4,
     )
     expected = 0.8 / math.sqrt(2 * 3)
-    assert propagation_coefficient(graph, "model_aa", "bench_aa") == pytest.approx(expected)
+    assert _coefficient(graph, "model_aa", "bench_aa") == pytest.approx(expected)
 
 
 def test_coefficient_regular_graph_is_inverse_degree_plus_one():
@@ -168,7 +180,7 @@ def test_coefficient_regular_graph_is_inverse_degree_plus_one():
         dim=4,
     )
     for u, v in [("q_0000", "bench_aa"), ("q_0001", "bench_bb"), ("q_0000", "bench_bb")]:
-        assert propagation_coefficient(graph, u, v) == pytest.approx(1.0 / 3.0)
+        assert _coefficient(graph, u, v) == pytest.approx(1.0 / 3.0)
 
 
 def test_coefficient_matches_formula_on_every_fixture_edge(fixture_cards):
@@ -177,22 +189,15 @@ def test_coefficient_matches_formula_on_every_fixture_edge(fixture_cards):
         w = 1.0 if edge.weight is None else edge.weight
         size_src = len({edge.src, *graph.neighbors(edge.src)})
         expected = w / math.sqrt(size_src * len({edge.dst, *graph.neighbors(edge.dst)}))
-        assert propagation_coefficient(graph, edge.src, edge.dst) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert _coefficient(graph, edge.src, edge.dst) == pytest.approx(expected, abs=1e-12)
         # symmetry
-        assert propagation_coefficient(graph, edge.dst, edge.src) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert _coefficient(graph, edge.dst, edge.src) == pytest.approx(expected, abs=1e-12)
 
 
 def test_coefficient_self_term_and_not_adjacent(tiny_graph):
     size = len({"model_00", *tiny_graph.neighbors("model_00")})
-    assert propagation_coefficient(tiny_graph, "model_00", "model_00") == pytest.approx(1.0 / size)
-    with pytest.raises(NotAdjacent):
-        propagation_coefficient(tiny_graph, "model_00", "q_0000")
-    with pytest.raises(UnknownNode):
-        propagation_coefficient(tiny_graph, "model_00", "ghost")
+    assert _coefficient(tiny_graph, "model_00", "model_00") == pytest.approx(1.0 / size)
+    assert _coefficient(tiny_graph, "model_00", "q_0000") == 0.0
 
 
 # --- the propagation operator ----------------------------------------------
@@ -249,8 +254,8 @@ def test_add_model_node_grows_graph(fixture_cards):
     assert len(graph) == n_nodes + 1
     assert len(graph.edges) == n_edges + 3  # family + two scores
     # percent scale is remembered per benchmark
-    assert graph.edge_between("model_00_02", "bench_00_b").weight == pytest.approx(0.91)
-    assert graph.edge_between("model_00_02", "bench_00_a").weight == pytest.approx(0.77)
+    assert _edge(graph, "model_00_02", "bench_00_b").weight == pytest.approx(0.91)
+    assert _edge(graph, "model_00_02", "bench_00_a").weight == pytest.approx(0.77)
 
 
 def test_add_model_node_rolls_back_on_bad_score(fixture_cards):
@@ -287,9 +292,7 @@ def test_graph_rejects_multi_edges_and_stray_weights():
     with pytest.raises(InvalidGraph, match="carries no weight"):
         EvidenceGraph(nodes, [Edge("m", "f", EdgeKind.MODEL_FAMILY, 0.5)], dim=4)
     graph = EvidenceGraph(nodes, once, dim=4)
-    with pytest.raises(InvalidGraph, match="multi-edge"):
-        graph._add([Node("g", NodeKind.MODEL_FAMILY)], once)  # the edge is already there
-    assert graph.ids == ["f", "m"] and len(graph.pairs) == 1 and "g" not in graph
+    assert graph.ids == ["f", "m"] and len(graph.pairs) == 1
 
 
 def test_remove_node_drops_incident_edges(tiny_graph):
@@ -312,11 +315,35 @@ def test_remove_node_leaves_the_arrays_of_a_graph_built_without_it(fixture_cards
     want = _build(replace(fixture_cards, models=models), dim=8)
     encode_all(want, DeterministicEmbedder(dim=8, seed=0))
     assert graph.ids == want.ids and graph.index == want.index
+    assert graph.kinds == want.kinds and graph.texts == want.texts
     for name in ("features", "pairs", "weights", "scored"):
         assert np.array_equal(getattr(graph, name), getattr(want, name)), name
 
 
 # --- queries over the graph ------------------------------------------------
+
+def _assert_adjacency_matches_the_edge_list(graph):
+    around = {nid: [] for nid in graph.ids}
+    for edge in graph.edges:
+        around[edge.src].append((edge.dst, edge))
+        around[edge.dst].append((edge.src, edge))
+    for nid, pairs in around.items():
+        want = sorted(pairs, key=lambda pair: pair[0])
+        assert graph.incident(nid) == want, nid
+        assert graph.neighbors(nid) == [nb for nb, _ in want], nid
+
+
+def test_incident_and_neighbors_match_the_edge_list_on_random_graphs():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        graph = random_graph(rng, dim=4, max_nodes=14)
+        _assert_adjacency_matches_the_edge_list(graph)
+        card = ModelCard("model_new", "fam_00", "A late arrival.", {"bench_00": 0.4})
+        add_model_node(graph, card)
+        _assert_adjacency_matches_the_edge_list(graph)
+        remove_node(graph, graph.ids[int(rng.integers(len(graph) - 1))])  # any old row
+        _assert_adjacency_matches_the_edge_list(graph)
+
 
 def test_neighbors_sorted_and_edge_lookup(fixture_cards):
     graph = _build(fixture_cards, dim=8)
@@ -325,6 +352,14 @@ def test_neighbors_sorted_and_edge_lookup(fixture_cards):
     assert "dom_00" in nbs and "model_00_00" in nbs
     with pytest.raises(UnknownNode):
         graph.neighbors("nope")
+
+
+def test_snapshot_after_admission_is_pinned(fixture_cards, fixture_dir):
+    graph = _build(fixture_cards, dim=64)
+    add_model_node(graph, read_card(fixture_dir / "new_model.json"))
+    text = records.dumps(graph.to_snapshot())  # the bytes `save` writes
+    want = "fcae0dafa2b1d81375ad7076e16e67c037fd4e8c006f9617e17ed9f88bd53bf0"
+    assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_snapshot_round_trip(fixture_cards, tmp_path):

@@ -13,7 +13,6 @@ import pytest
 
 from coldroute.errors import (
     ConfigError,
-    DimensionMismatch,
     EmptyText,
     EncoderFailure,
     ProviderTimeout,
@@ -119,7 +118,7 @@ def test_encode_all_rejects_blank_non_query_text():
 
 def test_encode_all_only_missing_preserves_existing(tiny_graph):
     before = tiny_graph.embedding("model_00")
-    tiny_graph.node("model_00").text = "A very different description now."
+    tiny_graph.texts[tiny_graph.index["model_00"]] = "A very different description now."
     encode_all(tiny_graph, DeterministicEmbedder(dim=4, seed=0), only_missing=True)
     assert np.array_equal(tiny_graph.embedding("model_00"), before)
 
@@ -158,8 +157,9 @@ def test_remote_embedder_round_trip_and_sorting(stub_server):
 
 
 def test_remote_embedder_dimension_mismatch(stub_server):
+    # the provider and the config disagree: a server-side fault, not the client's
     enc = RemoteEmbedder(_url(stub_server, "/v1/embeddings"), dim=9, retries=1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(TransportError, match="an embedding of 4 numbers, expected 9"):
         enc.encode("anything")
 
 
@@ -401,6 +401,26 @@ def test_corrupt_cache_entry_is_a_miss(stub_server, tmp_path):
     assert json.loads(entry.read_text())["data"][0]["index"] == 0  # rewritten whole
     third = enc.encode("cache me")
     assert np.array_equal(first, third) and stub_server.stub["calls"] == 2
+
+
+def test_malformed_reply_is_not_cached(stub_server, tmp_path):
+    enc = RemoteEmbedder(
+        _url(stub_server, "/v1/embeddings"), dim=4, retries=0, cache_dir=tmp_path
+    )
+    stub_server.stub["raw"] = json.dumps({"rows": []}).encode()
+    with pytest.raises(TransportError) as info:
+        enc.encode("same text")
+    assert _status_for(info.value) == 503
+    assert list(tmp_path.iterdir()) == []
+    stub_server.stub["raw"] = None  # the provider is healthy again
+    assert np.allclose(enc.encode("same text"), np.ones(4) / 2.0)
+    assert stub_server.stub["calls"] == 2
+    # a cached entry that does not parse is a miss, and the good reply replaces it
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(json.dumps({"rows": []}))
+    assert np.allclose(enc.encode("same text"), np.ones(4) / 2.0)
+    assert stub_server.stub["calls"] == 3
+    assert "data" in json.loads(entry.read_text())
 
 
 def test_cache_write_is_atomic(stub_server, tmp_path, monkeypatch):

@@ -429,6 +429,7 @@ _MALFORMED_REPLIES = {
     "non-numeric vector": ("encoder", _rows(0, 1, embedding=["high"] * 64)),
     "one row for two inputs": ("encoder", _rows(0)),
     "index repeated": ("encoder", _rows(1, 1)),
+    "vectors of the wrong length": ("encoder", _rows(0, 1, embedding=[1.0] * 8)),
     "chat reply without choices": ("summarizer", {"id": "reply"}),
 }
 
