@@ -56,7 +56,7 @@ def main() -> None:
     print("The prompt sent to the summarizer for model_00_00 (hop 1):\n")
     texts = {nid: graph.node(nid).text for nid in graph.node_ids}
     print(render_prompt(graph, "model_00_00", texts, hop=1))
-    echoed = textgnn_run(graph, 2, EchoSummarizer())
+    echoed = textgnn_run(graph, 2, EchoSummarizer(), graph.node_ids)
     mentions = sorted(nid for nid in graph.node_ids if nid in echoed["model_00_00"])
     print(f"\nWith the echo summarizer, the hop-2 card for model_00_00 mentions exactly")
     print(f"the nodes within distance 2: {mentions}")

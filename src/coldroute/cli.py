@@ -27,8 +27,6 @@ from .graph import load_cards, read_card
 from .profiles import load_profiles, save_profiles
 from .routers import CandidatePool, SimRouter, load_router, router_checksum, save_router
 
-__all__ = ["main"]
-
 
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:

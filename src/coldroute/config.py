@@ -46,15 +46,6 @@ from .routers import (
     query_vectors,
 )
 
-__all__ = [
-    "AppConfig",
-    "Pipeline",
-    "PoolState",
-    "build_world_graph",
-    "load_config",
-    "make_providers",
-    "ENV_CONFIG",
-]
 
 ENV_CONFIG = "RP_CONFIG"
 ENV_EMBED_URL = "RP_EMBED_URL"
@@ -96,6 +87,9 @@ def load_config(path: str | Path) -> AppConfig:
     """The config in a JSON file; every path in it resolves against the file's directory.
 
     Each field's kind and default is its ``AppConfig`` annotation; other keys are ignored.
+    ``hidden`` must be >= 1, ``seed`` and each of the nonempty ``random_seeds`` >= 0.  A
+    provider's options are those of its kind: a deterministic encoder's ``seed`` (>= 0),
+    none for the echo summarizer, a remote provider's keyword options.
     """
     path = Path(path)
     base = path.resolve().parent
@@ -105,11 +99,18 @@ def load_config(path: str | Path) -> AppConfig:
         top = {k: v for k, v in raw.items() if k not in _SERVICE_FIELDS}
         nested = {k: v for k, v in service.items() if k in _SERVICE_FIELDS}
         cfg = records.check({**top, **nested, "base_dir": str(base)}, AppConfig)
-        for role, cls in (("encoder", RemoteEmbedder), ("summarizer", RemoteSummarizer)):
+        for role, cls, offline in (("encoder", RemoteEmbedder, {"seed"}),
+                                   ("summarizer", RemoteSummarizer, set())):
             options = getattr(cfg, role)
-            unknown = set(options) - {"kind"} - remote_options(cls)
-            if options.get("kind") == "remote" and unknown:
+            known = remote_options(cls) if options.get("kind") == "remote" else offline
+            if unknown := set(options) - {"kind"} - known:
                 raise ConfigError(f"unknown {role} option {min(unknown)!r}")
+        if not cfg.random_seeds:
+            raise ConfigError("random_seeds must not be empty")
+        for name, value, least in [("hidden", cfg.hidden, 1), ("seed", cfg.seed, 0),
+                                   ("encoder seed", cfg.encoder.get("seed", 0), 0),
+                                   *(("random_seeds", s, 0) for s in cfg.random_seeds)]:
+            records.at_least(name, value, least)
         for f in fields(cfg):
             if isinstance(getattr(cfg, f.name), Path):
                 setattr(cfg, f.name, base / getattr(cfg, f.name))
@@ -135,7 +136,7 @@ def make_providers(cfg: AppConfig) -> Providers:
     enc_cfg = dict(cfg.encoder)
     kind = enc_cfg.pop("kind", "deterministic")
     if kind == "deterministic":
-        encoder = DeterministicEmbedder(dim=cfg.dim, seed=int(enc_cfg.get("seed", 0)))
+        encoder = DeterministicEmbedder(dim=cfg.dim, seed=enc_cfg.get("seed", 0))
     elif kind == "remote":
         encoder = _remote(RemoteEmbedder, "encoder", ENV_EMBED_URL, enc_cfg, dim=cfg.dim)
     else:

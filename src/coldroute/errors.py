@@ -2,7 +2,8 @@
 
 All domain errors derive from :class:`ColdRouteError` so callers (CLI,
 service) can map "domain failure" to a single exit code / HTTP status
-without enumerating causes.
+without enumerating causes.  An error's text is its class's ``message``
+template filled with the arguments it was raised with.
 """
 
 from __future__ import annotations
@@ -11,32 +12,28 @@ from __future__ import annotations
 class ColdRouteError(Exception):
     """Base class for all coldroute domain errors."""
 
+    message = "{}"
+
+    def __init__(self, *args) -> None:
+        super().__init__(self.message.format(*args))
+
 
 # --- graph construction ----------------------------------------------------
 
 class DuplicateId(ColdRouteError):
-    def __init__(self, node_id: str):
-        super().__init__(f"duplicate id: {node_id!r}")
+    message = "duplicate id: {!r}"
 
 
 class DanglingReference(ColdRouteError):
-    def __init__(self, ref_id: str, context: str = ""):
-        msg = f"unresolved reference: {ref_id!r}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+    message = "unresolved reference: {!r} ({})"
 
 
 class ScoreOutOfRange(ColdRouteError):
-    def __init__(self, model_id: str, benchmark_id: str, value: float):
-        super().__init__(
-            f"score {value!r} for ({model_id!r}, {benchmark_id!r}) outside the declared scale"
-        )
+    message = "score {2!r} for ({0!r}, {1!r}) outside the declared scale"
 
 
 class UnknownNode(ColdRouteError):
-    def __init__(self, node_id: str):
-        super().__init__(f"unknown node: {node_id!r}")
+    message = "unknown node: {!r}"
 
 
 class InvalidGraph(ColdRouteError):
@@ -46,18 +43,18 @@ class InvalidGraph(ColdRouteError):
 # --- feature providers -----------------------------------------------------
 
 class EncoderFailure(ColdRouteError):
-    def __init__(self, node_id: str, cause: Exception | str):
-        super().__init__(f"encoding failed for {node_id!r}: {cause}")
+    message = "encoding failed for {!r}: {}"
 
 
 class EmptyText(ColdRouteError):
-    def __init__(self, node_id: str):
-        super().__init__(f"node {node_id!r} has no text to encode")
+    message = "node {!r} has no text to encode"
 
 
 class TransportError(ColdRouteError):
+    message = "provider transport failure: {}"
+
     def __init__(self, detail: str, status: int | None = None):
-        super().__init__(f"provider transport failure: {detail}")
+        super().__init__(detail)
         self.status = status
 
 
@@ -66,23 +63,15 @@ class ProviderTimeout(ColdRouteError):
 
 
 class DimensionMismatch(ColdRouteError):
-    def __init__(self, expected: int, got: int, context: str = ""):
-        msg = f"dimension mismatch: expected {expected}, got {got}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+    message = "dimension mismatch: expected {}, got {} ({})"
 
 
 class SummarizerFailure(ColdRouteError):
-    def __init__(self, node_id: str, cause: Exception | str):
-        super().__init__(f"summarization failed for {node_id!r}: {cause}")
+    message = "summarization failed for {!r}: {}"
 
 
 class QueryNodeUpdateAttempt(ColdRouteError):
-    def __init__(self, node_id: str):
-        super().__init__(
-            f"query node {node_id!r} keeps its raw text and is never rewritten"
-        )
+    message = "query node {!r} keeps its raw text and is never rewritten"
 
 
 # --- numeric core ----------------------------------------------------------
@@ -92,13 +81,11 @@ class ShapeMismatch(ColdRouteError):
 
 
 class NonFiniteLoss(ColdRouteError):
-    def __init__(self, where: str):
-        super().__init__(f"loss became non-finite at {where}")
+    message = "loss became non-finite at {}"
 
 
 class UninitializedEmbedding(ColdRouteError):
-    def __init__(self, node_id: str):
-        super().__init__(f"node {node_id!r} has no embedding; encode the graph first")
+    message = "node {!r} has no embedding; encode the graph first"
 
 
 # --- profiles and routing --------------------------------------------------
@@ -108,42 +95,33 @@ class InvalidSpec(ColdRouteError):
 
 
 class EmptyPool(ColdRouteError):
-    def __init__(self) -> None:
-        super().__init__("candidate pool is empty")
+    message = "candidate pool is empty"
 
 
 class UnknownModelInInteractions(ColdRouteError):
-    def __init__(self, model_id: str):
-        super().__init__(f"interaction references model outside the pool: {model_id!r}")
+    message = "interaction references model outside the pool: {!r}"
 
 
 class UnassignedQuery(ColdRouteError):
-    def __init__(self, query_id: str):
-        super().__init__(f"query {query_id!r} has no task assignment")
+    message = "query {!r} has no task assignment"
 
 
 class UnknownTask(ColdRouteError):
-    def __init__(self, task_id: str):
-        super().__init__(f"unknown task: {task_id!r}")
+    message = "unknown task: {!r}"
 
 
 # --- evaluation ------------------------------------------------------------
 
 class MissingReward(ColdRouteError):
-    def __init__(self, query_id: str, model_id: str):
-        super().__init__(f"no reward recorded for ({query_id!r}, {model_id!r})")
+    message = "no reward recorded for ({!r}, {!r})"
 
 
 class EmptyTable(ColdRouteError):
-    def __init__(self) -> None:
-        super().__init__("reward table has no entries")
+    message = "reward table has no entries"
 
 
 class LeakedInteraction(ColdRouteError):
-    def __init__(self, model_id: str):
-        super().__init__(
-            f"training interactions mention the held-out model {model_id!r}"
-        )
+    message = "training interactions mention the held-out model {!r}"
 
 
 # --- configuration ---------------------------------------------------------

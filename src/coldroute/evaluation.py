@@ -53,23 +53,6 @@ from .routers import (
     sim_route,
 )
 
-__all__ = [
-    "RewardTable",
-    "average_performance",
-    "ncir",
-    "oracle",
-    "single_best",
-    "random_baseline",
-    "EvalReport",
-    "SynthWorldConfig",
-    "SynthWorld",
-    "IntegrationWorld",
-    "synth_world",
-    "integration_world",
-    "run_coldstart",
-    "run_integration",
-    "DEFAULT_RANDOM_SEEDS",
-]
 
 DEFAULT_RANDOM_SEEDS = (0, 1, 2, 3, 4, 5)
 

@@ -34,28 +34,6 @@ from .errors import (
     UnknownNode,
 )
 
-__all__ = [
-    "NodeKind",
-    "EdgeKind",
-    "Node",
-    "Edge",
-    "EvidenceGraph",
-    "FamilyCard",
-    "ModelCard",
-    "BenchmarkCard",
-    "DomainCard",
-    "QueryRecord",
-    "CardSet",
-    "build_graph",
-    "Propagation",
-    "add_model_node",
-    "remove_node",
-    "load_cards",
-    "parse_card",
-    "read_card",
-    "normalize_score",
-]
-
 
 class NodeKind(str, Enum):
     MODEL = "model"

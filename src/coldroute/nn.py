@@ -22,20 +22,6 @@ import numpy as np
 from . import records
 from .errors import NonFiniteLoss, ShapeMismatch
 
-__all__ = [
-    "AffineLayer",
-    "Layered",
-    "AdamState",
-    "adam_step",
-    "mse",
-    "relu",
-    "relu_grad",
-    "sigmoid",
-    "finite_diff_check",
-    "array_to_payload",
-    "payload_to_array",
-]
-
 
 def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
@@ -80,10 +66,6 @@ class AffineLayer:
         """Glorot-scaled random weights, zero bias."""
         scale = np.sqrt(2.0 / (in_dim + out_dim))
         return cls(W=rng.normal(0.0, scale, size=(out_dim, in_dim)), b=np.zeros(out_dim))
-
-    @classmethod
-    def identity(cls, dim: int) -> "AffineLayer":
-        return cls(W=np.eye(dim), b=np.zeros(dim))
 
     @property
     def out_dim(self) -> int:

@@ -41,21 +41,6 @@ from .errors import (
 from .graph import EdgeKind, EvidenceGraph, NodeKind, Propagation
 from .providers import Providers, Summarizer
 
-__all__ = [
-    "ProfileSpec",
-    "Profile",
-    "flat_text",
-    "embgnn_propagate",
-    "render_prompt",
-    "textgnn_run",
-    "TrainGnnModel",
-    "traingnn_fit",
-    "traingnn_states",
-    "make_profiles",
-    "profile_texts",
-    "save_profiles",
-    "load_profiles",
-]
 
 MAX_DEPTH = 4
 
@@ -291,26 +276,21 @@ def _distances(graph: EvidenceGraph, sources: list[str], radius: int) -> dict[st
 
 
 def textgnn_run(
-    graph: EvidenceGraph,
-    depth: int,
-    summarizer: Summarizer,
-    targets: list[str] | None = None,
+    graph: EvidenceGraph, depth: int, summarizer: Summarizer, targets: list[str]
 ) -> dict[str, str]:
     """K synchronous text rounds; query nodes keep their raw text throughout.
 
-    Only the final texts of ``targets`` are computed (every node when
-    None): round k rewrites the non-query nodes within distance K − k of a
-    target, and reads the texts within distance K.  Prompts still list
-    every neighbor from the full graph, so each text equals the one a run
-    over every node gives.  A round's prompts go to the summarizer as one
-    batch.  Returns the final texts of ``targets``, or of every node.
+    Only the final texts of ``targets`` are computed: round k rewrites the
+    non-query nodes within distance K − k of a target, and reads the texts
+    within distance K.  Prompts still list every neighbor from the full
+    graph, so each text equals the one a run over every node
+    (``targets=graph.node_ids``) gives.  A round's prompts go to the
+    summarizer as one batch.  Returns the final texts of ``targets``.
     """
     if not (1 <= depth <= MAX_DEPTH):
         raise InvalidSpec(f"text propagation depth must be in [1, {MAX_DEPTH}], got {depth}")
-    if targets is None:
-        dist = dict.fromkeys(graph.node_ids, 0)
-    else:  # the nodes a rewrite reads; an unknown target raises UnknownNode
-        dist = _distances(graph, list(targets), depth)
+    # the nodes a rewrite reads; an unknown target raises UnknownNode
+    dist = _distances(graph, list(targets), depth)
     ids = sorted(dist)
     texts = {nid: graph.texts[graph.index[nid]] for nid in ids}
     for hop in range(1, depth + 1):
@@ -318,8 +298,6 @@ def textgnn_run(
                    and graph.kinds[graph.index[nid]] is not NodeKind.QUERY]
         outs = _summarize_round(graph, rewrite, texts, hop, summarizer)
         texts = {**texts, **dict(zip(rewrite, outs))}
-    if targets is None:
-        return texts
     return {nid: texts[nid] for nid in targets}
 
 

@@ -35,7 +35,6 @@ import numpy as np
 
 from . import records
 from .errors import (
-    ConfigError,
     DimensionMismatch,
     EmptyText,
     EncoderFailure,
@@ -48,17 +47,6 @@ from .graph import EvidenceGraph, NodeKind
 if TYPE_CHECKING:  # loaded on the first remote request: offline commands never need it
     import urllib.request
 
-__all__ = [
-    "TextEncoder",
-    "Summarizer",
-    "DeterministicEmbedder",
-    "EchoSummarizer",
-    "RemoteEmbedder",
-    "RemoteSummarizer",
-    "Providers",
-    "encode_all",
-    "tokenize",
-]
 
 # Inputs are capped at a byte length before encoding/summarizing; the cap is
 # generous (model cards are short) and applied at a UTF-8 boundary.
@@ -161,13 +149,6 @@ class EchoSummarizer(Summarizer):
 
 # --- remote backends -------------------------------------------------------
 
-def _check_option(name: str, value, least: float, above: bool = False) -> None:
-    """ConfigError unless a provider option is a number at least ``least`` (``above``: more)."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and (value > least if above else value >= least)):
-        raise ConfigError(f"{name} must be a number {'>' if above else '>='} {least}: {value!r}")
-
-
 @dataclass
 class _HttpJson:
     """Shared POST-JSON plumbing: retries, backoff, cap, optional disk cache.
@@ -189,10 +170,10 @@ class _HttpJson:
     _opener: urllib.request.OpenerDirector | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        _check_option("max_in_flight", self.max_in_flight, 1)
-        _check_option("retries", self.retries, 0)
-        _check_option("timeout", self.timeout, 0, above=True)
-        _check_option("backoff", self.backoff, 0)
+        records.at_least("max_in_flight", self.max_in_flight, 1)
+        records.at_least("retries", self.retries, 0)
+        records.at_least("timeout", self.timeout, 0.0, above=True)
+        records.at_least("backoff", self.backoff, 0.0)
         self._gate = threading.Semaphore(self.max_in_flight)
 
     def _cache_path(self, url: str, payload: dict) -> Path | None:
@@ -338,12 +319,13 @@ class RemoteEmbedder(TextEncoder):
         max_bytes: int = DEFAULT_MAX_BYTES,
         **http_kwargs,
     ):
+        records.at_least("batch_size", batch_size, 1)
+        records.at_least("max_bytes", max_bytes, 1)
         self.url = url.rstrip("/")
         self.dim = int(dim)
         self.model = model
-        self.max_bytes = int(max_bytes)
-        self.batch_size = int(batch_size)
-        _check_option("batch_size", self.batch_size, 1)
+        self.max_bytes = max_bytes
+        self.batch_size = batch_size
         self._http = _HttpJson(api_key=api_key, **http_kwargs)
 
     def encode(self, text: str) -> np.ndarray:
@@ -399,9 +381,10 @@ class RemoteSummarizer(Summarizer):
         max_bytes: int = DEFAULT_MAX_BYTES,
         **http_kwargs,
     ):
+        records.at_least("max_bytes", max_bytes, 1)
         self.url = url.rstrip("/")
         self.model = model
-        self.max_bytes = int(max_bytes)
+        self.max_bytes = max_bytes
         self._http = _HttpJson(api_key=api_key, **http_kwargs)
 
     def summarize(self, prompt: str) -> str:

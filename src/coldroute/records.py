@@ -13,7 +13,8 @@ them.  ``str`` and ``Path`` mean a nonempty string, ``int`` an integer,
 ``float`` a number read as a float (``true`` is neither), ``dict`` and
 ``list`` an object and a list, ``dict[str, K]`` and ``list[K]`` ones whose
 items are K, and ``K | None`` K or null.  A nullable key, and a
-dataclass field with a default, may be left out.
+dataclass field with a default, may be left out.  :func:`at_least`
+checks a number's kind and its least value.
 
 :func:`write` gives ``jsonl`` rows (sorted keys, one ``\\n`` each) or a
 ``compact`` or ``pretty`` (indent 2, final newline) document.
@@ -33,7 +34,6 @@ from pathlib import Path
 
 from .errors import ColdRouteError, ConfigError
 
-__all__ = ["read", "check", "write", "dumps", "write_atomic"]
 
 _KIND_NAMES = {str: "a nonempty string", Path: "a nonempty string", int: "an integer",
                float: "a number", dict: "an object", list: "a list"}
@@ -82,6 +82,16 @@ def check(entry, schema=None):
         elif required:
             raise ConfigError(f"missing key {key!r}")
     return cls(**out) if cls else out
+
+
+def at_least(name: str, value, least: float, above: bool = False) -> None:
+    """``ConfigError`` unless ``value`` is at least ``least`` (``above``: more), and of its kind:
+    an integer when ``least`` is an ``int``, else any number."""
+    integer = type(least) is int
+    fits = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    if not (fits and (value > least if above else value >= least)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {kind} {'>' if above else '>='} {least:g}: {value!r}")
 
 
 @functools.cache

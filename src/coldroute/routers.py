@@ -46,29 +46,6 @@ from .graph import EvidenceGraph, ModelCard, Propagation, add_model_node, remove
 from .profiles import Profile, ProfileSpec, TrainGnnModel, make_profiles, profile_texts
 from .providers import Providers, encode_all
 
-__all__ = [
-    "InteractionRecord",
-    "CandidatePool",
-    "RoutingDecision",
-    "SimRouter",
-    "MlpRouter",
-    "GraphRouterLite",
-    "sim_route",
-    "mlp_fit",
-    "graphrouter_fit",
-    "fit_router",
-    "profile_pool",
-    "query_vectors",
-    "integrate_new_model",
-    "router_checksum",
-    "save_router",
-    "load_router",
-    "load_interactions",
-    "save_interactions",
-    "load_tasks",
-    "save_tasks",
-]
-
 
 @dataclass(frozen=True)
 class InteractionRecord:
@@ -311,6 +288,22 @@ class MlpRouter(nn.Layered):
         return router
 
 
+def _check_interactions(
+    interactions: list[InteractionRecord], query_vecs: dict, pool: CandidatePool
+) -> None:
+    """Each interaction names a pool model and a query with a vector, and no
+    (query, model) pair comes twice."""
+    seen: set[tuple[str, str]] = set()
+    for rec in interactions:
+        if rec.model_id not in pool:
+            raise UnknownModelInInteractions(rec.model_id)
+        if rec.query_id not in query_vecs:
+            raise DanglingReference(rec.query_id, "interaction query")
+        if (key := (rec.query_id, rec.model_id)) in seen:
+            raise ConfigError(f"duplicate interaction for {key!r}")
+        seen.add(key)
+
+
 def mlp_fit(
     interactions: list[InteractionRecord],
     query_vecs: dict[str, np.ndarray],
@@ -323,11 +316,7 @@ def mlp_fit(
     seed: int = 0,
 ) -> MlpRouter:
     """Fit the two-tower reward regressor on observed interactions."""
-    for rec in interactions:
-        if rec.model_id not in pool:
-            raise UnknownModelInInteractions(rec.model_id)
-        if rec.query_id not in query_vecs:
-            raise DanglingReference(rec.query_id, "interaction query")
+    _check_interactions(interactions, query_vecs, pool)
     rng = np.random.default_rng(seed)
     router = MlpRouter.create(pool.dim, hidden, rng)
     if not interactions:
@@ -659,21 +648,10 @@ def graphrouter_fit(
 ) -> GraphRouterLite:
     """Fit the graph router to regress observed rewards.
 
-    ``tasks`` maps each training query id to its task id; every query in
-    the interactions must be assigned.
+    ``tasks`` maps each training query id to its task id; every query of
+    ``query_vecs``, so every query in the interactions, must be assigned.
     """
-    seen_pairs: set[tuple[str, str]] = set()
-    for rec in interactions:
-        if rec.model_id not in pool:
-            raise UnknownModelInInteractions(rec.model_id)
-        if rec.query_id not in query_vecs:
-            raise DanglingReference(rec.query_id, "interaction query")
-        if rec.query_id not in tasks:
-            raise UnassignedQuery(rec.query_id)
-        key = (rec.query_id, rec.model_id)
-        if key in seen_pairs:
-            raise ConfigError(f"duplicate interaction for {key!r}")
-        seen_pairs.add(key)
+    _check_interactions(interactions, query_vecs, pool)
     members: dict[str, list[str]] = {}
     train_vecs = {}
     for qid in sorted(query_vecs):

@@ -39,7 +39,6 @@ from .errors import (
 from .graph import parse_card
 from .routers import router_checksum
 
-__all__ = ["RoutingService", "make_server", "serve"]
 
 # the largest request body read; a longer declared Content-Length gets 413 unread
 MAX_BODY_BYTES = 1 << 20

@@ -387,7 +387,7 @@ def test_criterion_09_textgnn_reachability(fixture_graph):
     all_ids = set(fixture_graph.node_ids)
     exact = True
     for depth in (1, 2):
-        texts = textgnn_run(fixture_graph, depth, EchoSummarizer())
+        texts = textgnn_run(fixture_graph, depth, EchoSummarizer(), fixture_graph.node_ids)
         for mid in model_ids:
             mentioned = {nid for nid in all_ids if nid in texts[mid]}
             if mentioned != bfs_ball(fixture_graph, mid, depth):

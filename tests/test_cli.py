@@ -376,6 +376,31 @@ def _summarizer_option_misspelt(fx):
     return argv, "'max_in_fligth'"
 
 
+def _config_edit(name: str, change):
+    """A malformed-input case: ``coldroute profile`` on the config edited by ``change``."""
+    def make(fx):
+        _edit_json(fx / "coldstart.json", change)
+        argv = ["profile", "--config", str(fx / "coldstart.json"), "--out", str(fx / "p.jsonl")]
+        return argv, "coldstart.json"
+    make.__name__ = f"_{name}"
+    return make
+
+
+_CONFIG_EDITS = [
+    _config_edit("random_seeds_empty", lambda cfg: cfg.update(random_seeds=[])),
+    _config_edit("random_seed_negative", lambda cfg: cfg.update(random_seeds=[-1])),
+    _config_edit("seed_negative", lambda cfg: cfg.update(seed=-1)),
+    _config_edit("hidden_zero", lambda cfg: cfg.update(hidden=0)),
+    _config_edit("hidden_negative", lambda cfg: cfg.update(hidden=-1)),
+    *(_config_edit(f"deterministic_{name}", lambda cfg, options=options: cfg.update(
+        encoder={"kind": "deterministic", **options}))
+      for name, options in (("seed_a_word", {"seed": "abc"}), ("seed_a_fraction", {"seed": 1.7}),
+                            ("option_unknown", {"sed": 0}))),
+    _config_edit("echo_option_unknown",
+                 lambda cfg: cfg.update(summarizer={"kind": "echo", "url": "http://x"})),
+]
+
+
 def _interactions_cut_short(fx):
     path = fx / "interactions.jsonl"
     path.write_bytes(path.read_bytes()[:30])
@@ -457,6 +482,7 @@ MALFORMED = [
     _missing_profiles_file,
     _checkpoint_without_hidden,
     _pool_is_a_string,
+    *_CONFIG_EDITS,
 ]
 
 

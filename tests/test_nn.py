@@ -40,7 +40,7 @@ def test_affine_forward_hand_value():
 
 
 def test_affine_identity():
-    layer = nn.AffineLayer.identity(3)
+    layer = nn.AffineLayer(np.eye(3), np.zeros(3))
     x = np.arange(6, dtype=np.float64).reshape(2, 3)
     assert np.array_equal(layer(x), x)
 

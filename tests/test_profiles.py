@@ -158,14 +158,14 @@ def test_embgnn_depth_and_embedding_guards(tiny_graph):
 def test_echo_reachability_matches_bfs_ball(fixture_graph):
     ids = set(fixture_graph.node_ids)
     for depth in (1, 2):
-        texts = textgnn_run(fixture_graph, depth, EchoSummarizer())
+        texts = textgnn_run(fixture_graph, depth, EchoSummarizer(), fixture_graph.node_ids)
         for probe in ("model_00_00", "model_01_00", "model_01_01"):
             mentioned = {nid for nid in ids if nid in texts[probe]}
             assert mentioned == bfs_ball(fixture_graph, probe, depth), (probe, depth)
 
 
 def test_textgnn_queries_are_never_rewritten(fixture_graph):
-    texts = textgnn_run(fixture_graph, 2, EchoSummarizer())
+    texts = textgnn_run(fixture_graph, 2, EchoSummarizer(), fixture_graph.node_ids)
     for nid in fixture_graph.node_ids:
         if fixture_graph.node(nid).kind is NodeKind.QUERY:
             assert texts[nid] == fixture_graph.node(nid).text
@@ -202,7 +202,7 @@ def test_restricted_text_run_matches_full_run(text_graph, depth):
     graph = text_graph
     encoder = DeterministicEmbedder(dim=graph.dim, seed=0)
     providers = Providers(encoder, EchoSummarizer())
-    full = textgnn_run(graph, depth, EchoSummarizer())
+    full = textgnn_run(graph, depth, EchoSummarizer(), graph.node_ids)
     models = [n.id for n in graph.nodes_of_kind(NodeKind.MODEL)]
     spec = ProfileSpec.parse(f"text:{depth}")
     for targets in (models[-1:], models):
@@ -229,7 +229,7 @@ def test_text_run_summarizes_exactly_the_receptive_field(fixture_graph, depth):
         textgnn_run(graph, depth, counting, targets=targets)
         assert len(counting.prompts) == expected, (targets, depth)
     counting = _CountingEcho()
-    textgnn_run(graph, depth, counting)
+    textgnn_run(graph, depth, counting, graph.node_ids)
     assert len(counting.prompts) == depth * (len(graph) - len(queries))
 
 
@@ -313,7 +313,7 @@ def test_render_prompt_is_pinned_byte_for_byte(fixture_graph, node_id):
 
 def test_traingnn_identity_layers_reduce_to_one_hop_propagation(tiny_graph):
     model = TrainGnnModel.create(depth=1, dim=4, rng=np.random.default_rng(0))
-    model.hop_layers[0] = nn.AffineLayer.identity(4)
+    model.hop_layers[0] = nn.AffineLayer(np.eye(4), np.zeros(4))
     states = traingnn_states(model, tiny_graph)
     reference = embgnn_propagate(tiny_graph, 1)
     assert np.allclose(states, reference, atol=1e-12)

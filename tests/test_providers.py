@@ -233,7 +233,8 @@ _OUT_OF_RANGE = [
         {"timeout": True},
     )
     for make in (_embedder, _summarizer)
-] + [pytest.param(_embedder, {"batch_size": 0}, id="embedder-{'batch_size': 0}")]
+] + [pytest.param(_embedder, options, id=f"embedder-{options}")
+      for options in ({"batch_size": 0}, {"batch_size": "8"})]
 
 
 @pytest.mark.parametrize("make, options", _OUT_OF_RANGE)
@@ -371,7 +372,7 @@ def test_summarize_batch_failure_reaches_text_run_as_503(stub_server):
         summ.summarize_batch(["one", "two", "three"])
     graph = _tiny_graph()
     with pytest.raises(SummarizerFailure) as info:
-        textgnn_run(graph, 1, summ)
+        textgnn_run(graph, 1, summ, graph.node_ids)
     assert isinstance(info.value.__cause__, TransportError)
     assert _status_for(info.value) == 503
 

@@ -212,6 +212,8 @@ def test_mlp_fit_validation(fixture_world):
         mlp_fit([InteractionRecord("q_00_0000", "ghost", 1.0)], query_vecs, pool)
     with pytest.raises(DanglingReference):
         mlp_fit([InteractionRecord("q_ghost", "model_00_00", 1.0)], query_vecs, pool)
+    with pytest.raises(ConfigError, match="duplicate interaction"):
+        mlp_fit([InteractionRecord("q_00_0000", "model_00_00", 1.0)] * 2, query_vecs, pool)
 
 
 class _DropOnFirstRead(CandidatePool):
