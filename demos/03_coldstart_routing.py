@@ -9,19 +9,20 @@ point of building the evidence graph.
 Run from the repository root:  python3 demos/03_coldstart_routing.py
 """
 
-from coldroute.config import build_world_graph
+import tempfile
+from pathlib import Path
+
+from coldroute.config import AppConfig, Pipeline
 from coldroute.evaluation import SynthWorldConfig, run_coldstart, synth_world
-from coldroute.profiles import ProfileSpec
-from coldroute.providers import Providers
-from coldroute.routers import CandidatePool, sim_route
-from coldroute.profiles import make_profiles
+from coldroute.graph import save_cards
+from coldroute.routers import sim_route
 
 
 def section(title: str) -> None:
     print(f"\n=== {title} ===")
 
 
-def main() -> None:
+def main(workdir: Path) -> None:
     section("A planted two-specialty world")
     world = synth_world(SynthWorldConfig(seed=0))  # 2 domains x 3 models, noise 0.1
     print(f"models: {sorted(world.specialty)}")
@@ -31,13 +32,16 @@ def main() -> None:
           "(with 10% label noise). Model cards never mention the domain "
           "vocabulary — the only bridge is the benchmark/domain structure.")
 
-    providers = Providers.deterministic(dim=64, seed=0)
-    graph = build_world_graph(world.cards, 64, providers)
+    save_cards(world.cards, workdir / "cards")
     pool_ids = sorted(world.specialty)
 
+    def pipeline(spec: str) -> Pipeline:
+        """The pipeline of a config over the written cards, with this profile spec."""
+        return Pipeline(AppConfig(workdir, workdir / "cards", spec=spec, pool=pool_ids))
+
     section("Routing a single query by hand")
-    profiles = make_profiles(graph, ProfileSpec.parse("emb:2"), pool_ids, providers)
-    pool = CandidatePool([profiles[m] for m in pool_ids])
+    pipe = pipeline("emb:2")
+    graph, pool = pipe.graph, pipe.pool(pool_ids)
     qid = world.eval_queries[0]
     decision = sim_route(graph.embedding(qid), pool, query_id=qid)
     print(f"query {qid} ({graph.node(qid).text[:40]}...)")
@@ -48,10 +52,7 @@ def main() -> None:
     section("Full protocol: flat vs structured profiles")
     results = {}
     for short in ("flat", "text:1", "emb:1", "emb:2"):
-        report = run_coldstart(
-            graph, ProfileSpec.parse(short), pool_ids,
-            world.eval_queries, world.rewards, providers,
-        )
+        report = run_coldstart(pipeline(short), world.eval_queries, world.rewards)
         results[short] = report
         print(f"  {short:6s} average_performance = {report.average_performance:.3f}")
 
@@ -69,4 +70,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory() as tmp:  # the config's cards are written here
+        main(Path(tmp))

@@ -25,7 +25,8 @@ from .errors import ColdRouteError, ConfigError
 from .evaluation import RewardTable, run_coldstart, run_integration
 from .graph import load_cards, read_card
 from .profiles import load_profiles, save_profiles
-from .routers import CandidatePool, SimRouter, load_router, router_checksum, save_router
+from .routers import (ROUTER_KINDS, CandidatePool, SimRouter, load_router, router_checksum,
+                      save_router)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -119,18 +120,7 @@ def _cmd_route(args) -> dict:
     return {"model_id": decision.chosen, "scores": decision.to_dict()["scores"]}
 
 
-def _eval_common(args):
-    pipe = _pipeline(args)
-    graph = pipe.graph
-    if pipe.cfg.rewards is None:
-        raise ConfigError("evaluation needs a rewards file in the config")
-    rewards = RewardTable.load(pipe.cfg.rewards)
-    queries = pipe.cfg.eval_queries or [q for q in rewards.query_ids if q in graph]
-    out_base = Path(args.out) if args.out else pipe.cfg.out
-    return pipe, rewards, queries, out_base
-
-
-def _write_report(report, out_base: Path, as_json: bool) -> dict:
+def _write_report(report, out_base: Path) -> dict:
     json_path = out_base.with_suffix(".json")
     csv_path = out_base.with_suffix(".csv")
     report.write_json(json_path)
@@ -152,43 +142,24 @@ def _write_report(report, out_base: Path, as_json: bool) -> dict:
     return info
 
 
+def _eval(args, protocol) -> dict:
+    """``protocol(pipe, queries, rewards)`` on the configured eval data; its report written."""
+    pipe = _pipeline(args)
+    if pipe.cfg.rewards is None:
+        raise ConfigError("evaluation needs a rewards file in the config")
+    rewards = RewardTable.load(pipe.cfg.rewards)
+    queries = pipe.cfg.eval_queries or [q for q in rewards.query_ids if q in pipe.graph]
+    report = protocol(pipe, queries, rewards)
+    return _write_report(report, Path(args.out) if args.out else pipe.cfg.out)
+
+
 def _cmd_eval_coldstart(args) -> dict:
-    pipe, rewards, queries, out_base = _eval_common(args)
-    report = run_coldstart(
-        pipe.graph,
-        pipe.spec,
-        pipe.pool_ids(),
-        queries,
-        rewards,
-        pipe.providers,
-        seed=pipe.cfg.seed,
-        random_seeds=pipe.cfg.random_seeds,
-    )
-    return _write_report(report, out_base, args.json)
+    return _eval(args, run_coldstart)
 
 
 def _cmd_eval_integrate(args) -> dict:
-    pipe, rewards, queries, out_base = _eval_common(args)
-    cfg = pipe.cfg
-    if pipe.new_card is None:
-        raise ConfigError("integration needs a new_model_card in the config")
-    report = run_integration(
-        pipe.graph,
-        pipe.spec,
-        pipe.pool_ids(without=pipe.new_card.id),
-        pipe.new_card,
-        args.router or cfg.router,
-        pipe.interactions,
-        queries,
-        rewards,
-        pipe.providers,
-        cfg.seed,
-        tasks=pipe.tasks,
-        threshold=cfg.threshold,
-        random_seeds=cfg.random_seeds,
-        hidden=cfg.hidden,
-    )
-    return _write_report(report, out_base, args.json)
+    return _eval(args, lambda pipe, *data: run_integration(
+        pipe, args.router or pipe.cfg.router, *data))
 
 
 def _cmd_integrate(args) -> dict:
@@ -253,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_router = sub.add_parser("router", help="router operations")
     router_sub = p_router.add_subparsers(dest="action", required=True)
     p_train = router_sub.add_parser("train", help="train a router on interactions")
-    p_train.add_argument("kind", choices=["sim", "mlp", "graphrouter"])
+    p_train.add_argument("kind", choices=list(ROUTER_KINDS))
     p_train.add_argument("--spec", help="profile spec for the pool")
     p_train.add_argument("--out", help="router checkpoint path")
     p_train.add_argument("--pool-out", dest="pool_out", help="pool-state output path")
@@ -277,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--out", help="report base path (writes .json and .csv)")
         if name == "integrate":
-            p.add_argument("--router", choices=["sim", "mlp", "graphrouter"])
+            p.add_argument("--router", choices=list(ROUTER_KINDS))
         add_common(p)
         p.set_defaults(func=func)
 

@@ -9,8 +9,8 @@ config path itself may come from ``RP_CONFIG``.
 
 ``Pipeline`` turns a config into everything routing needs: providers,
 spec, the encoded graph, the aggregator, the pool and the router.  The
-CLI and the service both build through it, and recover and grow a pool
-through ``PoolState``.
+CLI, the eval protocols and the service all build through it; the CLI
+and the service recover and grow a pool through ``PoolState``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import records
 from .errors import ConfigError
 from .graph import (CardSet, EvidenceGraph, ModelCard, NodeKind, add_model_node, build_graph,
                     load_cards, parse_card, read_card, remove_node)
-from .profiles import ProfileSpec, TrainGnnModel, traingnn_fit
+from .profiles import ProfileSpec, TrainGnnModel, make_profiles, traingnn_fit
 from .providers import (
     DeterministicEmbedder,
     EchoSummarizer,
@@ -42,8 +42,8 @@ from .routers import (
     integrate_new_model,
     load_interactions,
     load_tasks,
-    profile_pool,
     query_vectors,
+    router_class,
 )
 
 
@@ -89,7 +89,8 @@ def load_config(path: str | Path) -> AppConfig:
     Each field's kind and default is its ``AppConfig`` annotation; other keys are ignored.
     ``hidden`` must be >= 1, ``seed`` and each of the nonempty ``random_seeds`` >= 0.  A
     provider's options are those of its kind: a deterministic encoder's ``seed`` (>= 0),
-    none for the echo summarizer, a remote provider's keyword options.
+    none for the echo summarizer, a remote provider's keyword options, each a value its
+    constructor accepts.  ``spec`` must parse and ``router`` must name a router kind.
     """
     path = Path(path)
     base = path.resolve().parent
@@ -111,6 +112,9 @@ def load_config(path: str | Path) -> AppConfig:
                                    ("encoder seed", cfg.encoder.get("seed", 0), 0),
                                    *(("random_seeds", s, 0) for s in cfg.random_seeds)]:
             records.at_least(name, value, least)
+        ProfileSpec.parse(cfg.spec)
+        router_class(cfg.router)
+        make_providers(cfg)  # refuses a provider kind or option value
         for f in fields(cfg):
             if isinstance(getattr(cfg, f.name), Path):
                 setattr(cfg, f.name, base / getattr(cfg, f.name))
@@ -220,9 +224,10 @@ class Pipeline:
         return [m for m in ids if m != without]
 
     def pool(self, ids: list[str]) -> CandidatePool:
-        return profile_pool(
-            self.graph, self.spec, ids, self.providers, seed=self.cfg.seed, trained=self.aggregator
-        )
+        """The pool of ``ids``, in that order, profiled by ``make_profiles``."""
+        profiles = make_profiles(self.graph, self.spec, ids, self.providers,
+                                 trained=self.aggregator)
+        return CandidatePool([profiles[m] for m in ids])
 
     def router(self, kind: str, pool: CandidatePool):
         """A ``kind`` router over ``pool``, fitted on the configured interactions.

@@ -29,24 +29,20 @@ from pathlib import Path
 import numpy as np
 
 from . import records
+from .config import Pipeline
 from .errors import ColdRouteError, ConfigError, EmptyTable, MissingReward
 from .graph import (
     BenchmarkCard,
     CardSet,
     DomainCard,
-    EvidenceGraph,
     FamilyCard,
     ModelCard,
     QueryRecord,
 )
-from .profiles import ProfileSpec, TrainGnnModel, traingnn_fit
-from .providers import Providers
 from .routers import (
     InteractionRecord,
     RoutingDecision,
-    fit_router,
     integrate_new_model,
-    profile_pool,
     query_vectors,
     router_checksum,
     save_interactions,
@@ -442,18 +438,18 @@ def integration_world(config: SynthWorldConfig) -> IntegrationWorld:
 
 def _report(
     protocol: str,
-    spec: ProfileSpec,
+    pipe: Pipeline,
     router: str,
     decisions: list[RoutingDecision],
     table: RewardTable,
-    random_seeds,
     **integration,
 ) -> EvalReport:
     """The report of one protocol run: its metrics and the reference baselines."""
     best_id, best_value = single_best(table)
+    random_seeds = pipe.cfg.random_seeds
     return EvalReport(
         protocol=protocol,
-        spec=spec.short(),
+        spec=pipe.spec.short(),
         router=router,
         num_queries=len(decisions),
         average_performance=average_performance(decisions, table),
@@ -467,70 +463,37 @@ def _report(
     )
 
 
-def run_coldstart(
-    graph: EvidenceGraph,
-    spec: ProfileSpec,
-    pool: list[str],
-    queries: list[str],
-    rewards: RewardTable,
-    providers: Providers,
-    *,
-    seed: int = 0,
-    random_seeds=DEFAULT_RANDOM_SEEDS,
-) -> EvalReport:
-    """Training-free protocol: profiles + similarity routing, no interactions.
-
-    ``graph`` must be encoded (``providers.encode_all``).
-    """
-    candidate_pool = profile_pool(graph, spec, pool, providers, seed=seed)
-    vecs = query_vectors(graph, queries)
-    decisions = [sim_route(vecs[qid], candidate_pool, qid) for qid in queries]
-    table = rewards.restrict(queries, pool)
-    return _report("coldstart", spec, "sim", decisions, table, random_seeds)
+def run_coldstart(pipe: Pipeline, queries: list[str], rewards: RewardTable) -> EvalReport:
+    """Training-free protocol: the pipeline's pool + similarity routing, no interactions."""
+    ids = pipe.pool_ids()
+    pool = pipe.pool(ids)
+    vecs = query_vectors(pipe.graph, queries)
+    decisions = [sim_route(vecs[qid], pool, qid) for qid in queries]
+    return _report("coldstart", pipe, "sim", decisions, rewards.restrict(queries, ids))
 
 
 def run_integration(
-    graph: EvidenceGraph,
-    spec: ProfileSpec,
-    old_pool: list[str],
-    new_card: ModelCard,
-    router_kind: str,
-    train_interactions: list[InteractionRecord] | None,
-    queries: list[str],
-    rewards: RewardTable,
-    providers: Providers,
-    seed: int = 0,
-    *,
-    tasks: dict[str, str] | None = None,
-    threshold: float = 1.0,
-    random_seeds=DEFAULT_RANDOM_SEEDS,
-    hidden: int = 64,
+    pipe: Pipeline, router_kind: str, queries: list[str], rewards: RewardTable
 ) -> EvalReport:
     """Frozen-router protocol: train on the old pool, freeze, integrate, route.
 
-    ``train_interactions`` may be None (no data) for the ``sim`` router
-    only.  ``graph`` must be encoded (``providers.encode_all``); the new
-    model is encoded on admission.
+    The old pool is the configured one without the configured new model,
+    which joins it through the pipeline's aggregator once the router is
+    frozen.
     """
-    aggregator: TrainGnnModel | None = None
-    if spec.learning == "trainable":
-        aggregator = traingnn_fit(graph, spec, seed)
-    pool = profile_pool(graph, spec, old_pool, providers, seed=seed, trained=aggregator)
-    router = fit_router(
-        router_kind,
-        train_interactions,
-        query_vectors(graph, [r.query_id for r in train_interactions or []]),
-        pool,
-        tasks=tasks,
-        hidden=hidden,
-        seed=seed,
-        held_out=new_card.id,
-    )
+    new_card = pipe.new_card
+    if new_card is None:
+        raise ConfigError("integration needs a new_model_card in the config")
+    old_pool = pipe.pool_ids(without=new_card.id)
+    pool = pipe.pool(old_pool)
+    router = pipe.router(router_kind, pool)
     checksum_before = router_checksum(router)
 
-    integrate_new_model(pool, graph, new_card, spec, providers, trained=aggregator)
+    integrate_new_model(pool, pipe.graph, new_card, pipe.spec, pipe.providers,
+                        trained=pipe.aggregator)
 
-    vecs = query_vectors(graph, queries)
+    tasks = pipe.tasks
+    vecs = query_vectors(pipe.graph, queries)
     decisions = [
         router.route(vecs[qid], pool, qid, tasks.get(qid) if tasks else None) for qid in queries
     ]
@@ -540,13 +503,13 @@ def run_integration(
         raise ColdRouteError("frozen-router contract violated: checkpoint changed")
 
     table = rewards.restrict(queries, old_pool + [new_card.id])
+    threshold = pipe.cfg.threshold
     return _report(
         "integration",
-        spec,
+        pipe,
         router_kind,
         decisions,
         table,
-        random_seeds,
         ncir=ncir(decisions, table, new_card.id, threshold),
         threshold=threshold,
         new_model_id=new_card.id,

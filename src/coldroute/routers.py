@@ -12,7 +12,7 @@ Three routers with one calling convention (``route(query_vec, pool, ...)``):
                         the (query, model) state pair.
 
 ``fit_router`` is the one way from a router kind and interactions to a
-router; ``profile_pool`` the one way from model ids to a profiled pool.
+router.
 
 Integration appends a new model to the pool using only its public-signal
 profile; router parameters are never touched, which the checkpoint
@@ -675,7 +675,7 @@ def graphrouter_fit(
 
 # --- checkpoints and integration -------------------------------------------
 
-_ROUTER_KINDS = {
+ROUTER_KINDS = {
     "sim": SimRouter,
     "mlp": MlpRouter,
     "graphrouter": GraphRouterLite,
@@ -691,15 +691,15 @@ def save_router(router, path: str | Path) -> None:
     records.write(path, router.to_checkpoint())
 
 
-def _router_class(kind: str):
-    if kind not in _ROUTER_KINDS:
+def router_class(kind: str):
+    if kind not in ROUTER_KINDS:
         raise ConfigError(f"unknown router kind {kind!r}")
-    return _ROUTER_KINDS[kind]
+    return ROUTER_KINDS[kind]
 
 
 def load_router(path: str | Path):
     return records.read(
-        path, "doc", {"kind": str}, lambda p: _router_class(p["kind"]).from_checkpoint(p)
+        path, "doc", {"kind": str}, lambda p: router_class(p["kind"]).from_checkpoint(p)
     )
 
 
@@ -731,7 +731,7 @@ def fit_router(
             raise LeakedInteraction(rec.model_id)
         if rec.model_id not in pool:
             raise UnknownModelInInteractions(rec.model_id)
-    if _router_class(kind) is SimRouter:
+    if router_class(kind) is SimRouter:
         return SimRouter(dim=pool.dim)
     if interactions is None:
         raise ConfigError(f"router {kind!r} needs an interactions file in the config")
@@ -741,20 +741,6 @@ def fit_router(
         raise ConfigError("the graph router needs a tasks file in the config")
     train_tasks = {qid: tasks[qid] for qid in query_vecs if qid in tasks}
     return graphrouter_fit(train_tasks, query_vecs, interactions, pool, hidden=hidden, seed=seed)
-
-
-def profile_pool(
-    graph: EvidenceGraph,
-    spec: ProfileSpec,
-    ids: list[str],
-    providers: Providers,
-    *,
-    seed: int = 0,
-    trained: TrainGnnModel | None = None,
-) -> CandidatePool:
-    """The pool of ``ids``, in that order, profiled by ``make_profiles``."""
-    profiles = make_profiles(graph, spec, ids, providers, seed=seed, trained=trained)
-    return CandidatePool([profiles[m] for m in ids])
 
 
 def integrate_new_model(

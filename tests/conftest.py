@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coldroute import records
+from coldroute.config import AppConfig, Pipeline
 from coldroute.graph import (
     BenchmarkCard,
     CardSet,
@@ -27,10 +29,12 @@ from coldroute.graph import (
     QueryRecord,
     build_graph,
     load_cards,
+    save_cards,
 )
 from coldroute.profiles import ProfileSpec, make_profiles
 from coldroute.providers import DeterministicEmbedder, Providers, encode_all
-from coldroute.routers import CandidatePool, load_interactions, load_tasks
+from coldroute.routers import (CandidatePool, load_interactions, load_tasks, save_interactions,
+                               save_tasks)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -77,6 +81,20 @@ def fixture_world(fixture_graph, providers):
         for qid in tasks
     }
     return pool, query_vecs, tasks, interactions
+
+
+def world_pipeline(directory: Path, world, **cfg) -> Pipeline:
+    """A pipeline over a synthetic world, its cards, tasks, and an integration world's
+    interactions and new model card written to ``directory``; ``cfg`` sets config fields."""
+    save_cards(world.cards, directory / "cards")
+    save_tasks(world.tasks, directory / "tasks.jsonl")
+    files = {"tasks": directory / "tasks.jsonl"}
+    if hasattr(world, "new_card"):
+        save_interactions(world.interactions, directory / "interactions.jsonl")
+        records.write(directory / "new_model.json", vars(world.new_card))
+        files.update(interactions=directory / "interactions.jsonl",
+                     new_model_card=directory / "new_model.json")
+    return Pipeline(AppConfig(directory, directory / "cards", **{**files, **cfg}))
 
 
 def tiny_cards() -> CardSet:

@@ -52,6 +52,7 @@ from conftest import (
     dense_propagation_oracle,
     random_graph,
     tiny_cards,
+    world_pipeline,
 )
 
 
@@ -275,18 +276,13 @@ def test_criterion_05_baseline_ordering():
     )
 
 
-def test_criterion_06_coldstart_directional():
+def test_criterion_06_coldstart_directional(tmp_path):
     start = time.perf_counter()
     world = synth_world(SynthWorldConfig(seed=0))  # 2 specialties, noise 0.1
-    providers = Providers.deterministic(dim=64, seed=0)
-    graph = build_world_graph(world.cards, 64, providers)
-    pool = sorted(m.id for m in world.cards.models)
-    emb = run_coldstart(
-        graph, ProfileSpec.parse("emb:2"), pool, world.eval_queries, world.rewards, providers
-    )
-    flat = run_coldstart(
-        graph, ProfileSpec.parse("flat"), pool, world.eval_queries, world.rewards, providers
-    )
+    emb = run_coldstart(world_pipeline(tmp_path / "emb", world, spec="emb:2"),
+                        world.eval_queries, world.rewards)
+    flat = run_coldstart(world_pipeline(tmp_path / "flat", world, spec="flat"),
+                         world.eval_queries, world.rewards)
     margin = emb.average_performance - emb.random_mean
     drift = abs(flat.average_performance - flat.random_mean)
     ok = margin >= 0.25 and drift <= 0.1

@@ -398,6 +398,14 @@ _CONFIG_EDITS = [
                             ("option_unknown", {"sed": 0}))),
     _config_edit("echo_option_unknown",
                  lambda cfg: cfg.update(summarizer={"kind": "echo", "url": "http://x"})),
+    _config_edit("spec_unparsed", lambda cfg: cfg.update(spec="emb:x")),
+    _config_edit("router_unknown", lambda cfg: cfg.update(router="gnn")),
+    _config_edit("encoder_kind_unknown", lambda cfg: cfg.update(encoder={"kind": "magic"})),
+    _config_edit("summarizer_kind_unknown", lambda cfg: cfg.update(summarizer={"kind": "magic"})),
+    *(_config_edit(f"remote_encoder_{name}", lambda cfg, options=options: cfg.update(
+        encoder={"kind": "remote", "url": "http://127.0.0.1:9/v1/embeddings", **options}))
+      for name, options in (("batch_size_a_string", {"batch_size": "8"}),
+                            ("max_in_flight_zero", {"max_in_flight": 0}))),
 ]
 
 
@@ -553,6 +561,8 @@ def test_trainable_spec_fits_its_aggregator_once(tmp_path, monkeypatch):
 
 def test_configured_aggregator_file_is_loaded_by_every_command(tmp_path, capsys, monkeypatch):
     import coldroute.config
+    import coldroute.evaluation
+    import coldroute.profiles
 
     agg = tmp_path / "agg.json"
     cfg = _integrate_cfg(tmp_path, aggregator=str(agg), spec="train:1")
@@ -562,7 +572,9 @@ def test_configured_aggregator_file_is_loaded_by_every_command(tmp_path, capsys,
     def no_fit(*args, **kwargs):
         raise AssertionError("the configured aggregator should have been loaded")
 
+    monkeypatch.setattr(coldroute.profiles, "traingnn_fit", no_fit)
     monkeypatch.setattr(coldroute.config, "traingnn_fit", no_fit)
+    monkeypatch.setattr(coldroute.evaluation, "traingnn_fit", no_fit, raising=False)
     assert main(["profile", "--config", cfg, "--out", str(tmp_path / "b.jsonl")]) == 0
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
     assert agg.read_bytes() == saved
@@ -570,6 +582,8 @@ def test_configured_aggregator_file_is_loaded_by_every_command(tmp_path, capsys,
                  "--pool-out", str(tmp_path / "p.json")]) == 0
     assert main(["integrate", "--config", cfg, "--card", str(FIXTURE_DIR / "new_model.json"),
                  "--pool-state", str(tmp_path / "s.json")]) == 0
+    for protocol in ("coldstart", "integrate"):
+        assert main(["eval", protocol, "--config", cfg, "--out", str(tmp_path / protocol)]) == 0
     capsys.readouterr()
     assert main(["profile", "--config", cfg, "--spec", "train:2",
                  "--out", str(tmp_path / "c.jsonl")]) == 1

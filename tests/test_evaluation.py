@@ -2,6 +2,7 @@
 worlds, and the two evaluation protocols."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from coldroute.errors import (
     EmptyTable,
     LeakedInteraction,
     MissingReward,
-    UninitializedEmbedding,
 )
-from coldroute.config import build_world_graph
 from coldroute.evaluation import (
     EvalReport,
     RewardTable,
@@ -29,9 +28,8 @@ from coldroute.evaluation import (
     single_best,
     synth_world,
 )
-from coldroute.profiles import ProfileSpec
-from coldroute.providers import Providers
 from coldroute.routers import InteractionRecord, RoutingDecision, integrate_new_model
+from conftest import world_pipeline
 
 
 def _decision(qid: str, chosen: str) -> RoutingDecision:
@@ -266,18 +264,13 @@ def small_world():
     config = SynthWorldConfig(
         seed=0, num_domains=2, models_per_specialty=2, queries_per_domain=6, noise=0.0
     )
-    world = synth_world(config)
-    providers = Providers.deterministic(dim=32, seed=0)
-    graph = build_world_graph(world.cards, 32, providers)
-    return world, graph, providers
+    return synth_world(config)
 
 
-def test_run_coldstart_report_is_consistent_and_deterministic(small_world):
-    world, graph, providers = small_world
-    pool = sorted(m.id for m in world.cards.models)
-    report = run_coldstart(
-        graph, ProfileSpec.parse("emb:2"), pool, world.eval_queries, world.rewards, providers
-    )
+def test_run_coldstart_report_is_consistent_and_deterministic(small_world, tmp_path):
+    world = small_world
+    pipe = world_pipeline(tmp_path, world, dim=32, spec="emb:2")
+    report = run_coldstart(pipe, world.eval_queries, world.rewards)
     assert report.protocol == "coldstart" and report.router == "sim"
     assert report.num_queries == len(world.eval_queries)
     assert [r["query_id"] for r in report.decisions] == sorted(world.eval_queries)
@@ -285,33 +278,17 @@ def test_run_coldstart_report_is_consistent_and_deterministic(small_world):
     assert report.average_performance == pytest.approx(recomputed)
     assert 0.0 <= report.average_performance <= report.oracle
     assert report.single_best <= report.oracle
-    again = run_coldstart(
-        graph, ProfileSpec.parse("emb:2"), pool, world.eval_queries, world.rewards, providers
-    )
+    again = run_coldstart(pipe, world.eval_queries, world.rewards)
     assert report.to_dict() == again.to_dict()
 
 
-def test_run_integration_frozen_router_and_ncir(small_world):
+def test_run_integration_frozen_router_and_ncir(tmp_path):
     world_cfg = SynthWorldConfig(
         seed=0, num_domains=2, models_per_specialty=2, queries_per_domain=6, noise=0.0
     )
     world = integration_world(world_cfg)
-    providers = Providers.deterministic(dim=32, seed=0)
-    graph = build_world_graph(world.cards, 32, providers)
-    old_pool = [m.id for m in world.cards.models]
-    report = run_integration(
-        graph,
-        ProfileSpec.parse("emb:2"),
-        old_pool,
-        world.new_card,
-        "graphrouter",
-        world.interactions,
-        world.eval_queries,
-        world.rewards,
-        providers,
-        tasks=world.tasks,
-        hidden=16,
-    )
+    pipe = world_pipeline(tmp_path, world, dim=32, spec="emb:2", hidden=16)
+    report = run_integration(pipe, "graphrouter", world.eval_queries, world.rewards)
     assert report.protocol == "integration"
     assert report.new_model_id == world.new_card.id
     assert report.router_checksum is not None
@@ -319,7 +296,7 @@ def test_run_integration_frozen_router_and_ncir(small_world):
     assert 0.0 <= report.ncir <= report.average_performance <= report.oracle
 
 
-def test_run_integration_zero_profile_override_never_selects_new(small_world, monkeypatch):
+def test_run_integration_zero_profile_override_never_selects_new(monkeypatch, tmp_path):
     def integrate_zeroed(*args, **kwargs):
         # the pool holds this same profile, so the router sees the zero vector
         profile = integrate_new_model(*args, **kwargs)
@@ -331,92 +308,39 @@ def test_run_integration_zero_profile_override_never_selects_new(small_world, mo
         seed=0, num_domains=2, models_per_specialty=2, queries_per_domain=6, noise=0.0
     )
     world = integration_world(world_cfg)
-    providers = Providers.deterministic(dim=32, seed=0)
-    graph = build_world_graph(world.cards, 32, providers)
-    old_pool = [m.id for m in world.cards.models]
-    report = run_integration(
-        graph,
-        ProfileSpec.parse("emb:2"),
-        old_pool,
-        world.new_card,
-        "graphrouter",
-        world.interactions,
-        world.eval_queries,
-        world.rewards,
-        providers,
-        tasks=world.tasks,
-        hidden=16,
-    )
+    pipe = world_pipeline(tmp_path, world, dim=32, spec="emb:2", hidden=16)
+    report = run_integration(pipe, "graphrouter", world.eval_queries, world.rewards)
     assert report.ncir == 0.0
     assert all(row["chosen"] != world.new_card.id for row in report.decisions)
 
 
-def test_run_integration_rejects_leaked_interactions(small_world):
+def test_run_integration_rejects_leaked_interactions(tmp_path):
     world_cfg = SynthWorldConfig(
         seed=0, num_domains=2, models_per_specialty=2, queries_per_domain=6, noise=0.0
     )
     world = integration_world(world_cfg)
-    providers = Providers.deterministic(dim=32, seed=0)
-    graph = build_world_graph(world.cards, 32, providers)
-    old_pool = [m.id for m in world.cards.models]
     leaked = world.interactions + [
         InteractionRecord(world.train_queries[0], world.new_card.id, 1.0)
     ]
+    pipe = world_pipeline(tmp_path, replace(world, interactions=leaked), dim=32, spec="emb:2")
     with pytest.raises(LeakedInteraction):
-        run_integration(
-            graph,
-            ProfileSpec.parse("emb:2"),
-            old_pool,
-            world.new_card,
-            "sim",
-            leaked,
-            world.eval_queries,
-            world.rewards,
-            providers,
-        )
+        run_integration(pipe, "sim", world.eval_queries, world.rewards)
 
 
-def test_run_integration_graphrouter_needs_tasks(small_world):
+def test_run_integration_graphrouter_needs_tasks(tmp_path):
     world_cfg = SynthWorldConfig(
         seed=0, num_domains=2, models_per_specialty=2, queries_per_domain=6, noise=0.0
     )
     world = integration_world(world_cfg)
-    providers = Providers.deterministic(dim=32, seed=0)
-    graph = build_world_graph(world.cards, 32, providers)
-    old_pool = [m.id for m in world.cards.models]
+    pipe = world_pipeline(tmp_path, world, dim=32, spec="emb:2", tasks=None)
     with pytest.raises(ConfigError):
-        run_integration(
-            graph,
-            ProfileSpec.parse("emb:2"),
-            old_pool,
-            world.new_card,
-            "graphrouter",
-            world.interactions,
-            world.eval_queries,
-            world.rewards,
-            providers,
-        )
-
-
-def test_protocols_need_an_encoded_graph():
-    world = integration_world(SynthWorldConfig(seed=0, models_per_specialty=2, queries_per_domain=6))
-    graph = build_world_graph(world.cards, 32)
-    providers = Providers.deterministic(dim=32, seed=0)
-    old_pool = [m.id for m in world.cards.models]
-    with pytest.raises(UninitializedEmbedding):
-        run_coldstart(graph, ProfileSpec.parse("emb:1"), old_pool, world.eval_queries,
-                      world.rewards, providers)
-    with pytest.raises(UninitializedEmbedding):
-        run_integration(graph, ProfileSpec.parse("emb:1"), old_pool, world.new_card, "sim",
-                        None, world.eval_queries, world.rewards, providers)
+        run_integration(pipe, "graphrouter", world.eval_queries, world.rewards)
 
 
 def test_report_file_outputs(small_world, tmp_path):
-    world, graph, providers = small_world
-    pool = sorted(m.id for m in world.cards.models)
-    report = run_coldstart(
-        graph, ProfileSpec.parse("flat"), pool, world.eval_queries, world.rewards, providers
-    )
+    world = small_world
+    pipe = world_pipeline(tmp_path, world, dim=32, spec="flat")
+    report = run_coldstart(pipe, world.eval_queries, world.rewards)
     json_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
     report.write_json(json_path)
     report.write_csv(csv_path)
