@@ -13,6 +13,7 @@ Run from the repository root:  python3 demos/04_new_model_integration.py
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,7 +67,7 @@ def main() -> None:
 
     section("Integrate: one profile computation, zero parameter updates")
     blob_before = json.dumps(router.to_checkpoint(), sort_keys=True)
-    integrate_new_model(pool, graph, world.new_card, spec, providers)
+    pool = integrate_new_model(pool, graph, world.new_card, spec, providers)
     blob_after = json.dumps(router.to_checkpoint(), sort_keys=True)
     print(f"pool: {pool.ids}")
     print(f"checkpoint bytes unchanged: {blob_before == blob_after}")
@@ -88,7 +89,8 @@ def main() -> None:
     print(f"NCIR = {value:.4f}  (> 0: the frozen router usefully adopts the newcomer)")
 
     section("Control: a profile with no evidence")
-    pool.get(world.new_card.id).vector = np.zeros(64)
+    zeroed = replace(pool.get(world.new_card.id), vector=np.zeros(64))
+    pool = CandidatePool([zeroed if p.model_id == zeroed.model_id else p for p in pool.profiles()])
     zero_decisions = route_all()
     zero_picks = sum(1 for d in zero_decisions if d.chosen == world.new_card.id)
     floor = min(min(d.scores.values()) for d in zero_decisions)

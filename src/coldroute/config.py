@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -299,16 +299,16 @@ class PoolState:
         return cls(pipe, pool, path, cards)
 
     def admit(self, card: ModelCard) -> None:
-        """Add ``card``'s model, then write the file; a failure leaves everything as it was."""
+        """Add ``card``'s model and write the file; only then do ``pool`` and ``cards``
+        hold it.  A failure leaves everything as it was."""
         pipe = self.pipe
-        integrate_new_model(self.pool, pipe.graph, card, pipe.spec, pipe.providers,
-                            trained=pipe.aggregator)
-        self.cards.append(card)
+        pool = integrate_new_model(self.pool, pipe.graph, card, pipe.spec, pipe.providers,
+                                   trained=pipe.aggregator)
+        grown = replace(self, pool=pool, cards=[*self.cards, card])
         try:
             if self.path is not None:
-                self.write()
+                grown.write()
         except BaseException:
-            self.cards.pop()
-            self.pool.remove(card.id)
             remove_node(pipe.graph, card.id)
             raise
+        self.pool, self.cards = grown.pool, grown.cards  # one assignment each: old or grown, whole

@@ -489,8 +489,8 @@ def run_integration(
     router = pipe.router(router_kind, pool)
     checksum_before = router_checksum(router)
 
-    integrate_new_model(pool, pipe.graph, new_card, pipe.spec, pipe.providers,
-                        trained=pipe.aggregator)
+    pool = integrate_new_model(pool, pipe.graph, new_card, pipe.spec, pipe.providers,
+                               trained=pipe.aggregator)
 
     tasks = pipe.tasks
     vecs = query_vectors(pipe.graph, queries)

@@ -102,16 +102,18 @@ class ProfileSpec:
         return f"emb:{self.depth}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Profile:
     model_id: str
     spec: ProfileSpec
-    vector: np.ndarray
+    vector: np.ndarray  # a read-only copy, never the caller's array: a profile never changes
     text: str | None = None
 
     def __post_init__(self) -> None:
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if not np.all(np.isfinite(self.vector)):
+        vector = np.array(self.vector, dtype=np.float64)
+        vector.flags.writeable = False
+        object.__setattr__(self, "vector", vector)
+        if not np.all(np.isfinite(vector)):
             raise InvalidSpec(f"profile for {self.model_id!r} has non-finite entries")
 
     def to_dict(self) -> dict:

@@ -158,7 +158,8 @@ def write_atomic(path: Path, text: str, *, durable: bool) -> None:
     """Write through a temporary file so readers never see a torn file.
 
     With ``durable`` the data reach the disk before the file takes its
-    name, so a crash leaves the old file or the new one, never a torn one.
+    name, so a crash leaves the old file or the new one, never a torn one,
+    and the directory is synced after the rename, so the new name survives.
     A cache entry needs no such care: a lost entry is only a miss.  A
     directory that cannot take the file raises an ``OSError`` naming ``path``.
     """
@@ -176,3 +177,9 @@ def write_atomic(path: Path, text: str, *, durable: bool) -> None:
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
+    if durable:
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)

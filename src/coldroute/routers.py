@@ -14,7 +14,7 @@ Three routers with one calling convention (``route(query_vec, pool, ...)``):
 ``fit_router`` is the one way from a router kind and interactions to a
 router.
 
-Integration appends a new model to the pool using only its public-signal
+Integration grows a pool into a new one by a new model's public-signal
 profile; router parameters are never touched, which the checkpoint
 checksum makes checkable.
 """
@@ -88,23 +88,19 @@ def save_tasks(assignment: dict[str, str], path: str | Path) -> None:
 
 
 class CandidatePool:
-    """Ordered model profiles sharing one dimension."""
+    """Ordered model profiles sharing one dimension; a pool never changes once built."""
 
     def __init__(self, profiles: list[Profile] | None = None):
-        self._profiles: list[Profile] = []
+        self._profiles: tuple[Profile, ...] = tuple(profiles or ())
         self._by_id: dict[str, Profile] = {}
-        for profile in profiles or []:
-            self.add(profile)
-
-    def add(self, profile: Profile) -> None:
-        if profile.model_id in self._by_id:
-            raise DuplicateId(profile.model_id)
-        if self._profiles and profile.vector.shape != self._profiles[0].vector.shape:
-            raise DimensionMismatch(
-                self._profiles[0].vector.shape[0], profile.vector.shape[0], "pool profile"
-            )
-        self._profiles.append(profile)
-        self._by_id[profile.model_id] = profile
+        for profile in self._profiles:
+            if profile.model_id in self._by_id:
+                raise DuplicateId(profile.model_id)
+            if profile.vector.shape != self._profiles[0].vector.shape:
+                raise DimensionMismatch(
+                    self._profiles[0].vector.shape[0], profile.vector.shape[0], "pool profile"
+                )
+            self._by_id[profile.model_id] = profile
 
     @property
     def ids(self) -> list[str]:
@@ -115,12 +111,6 @@ class CandidatePool:
         if not self._profiles:
             raise EmptyPool()
         return self._profiles[0].vector.shape[0]
-
-    def remove(self, model_id: str) -> None:
-        """Drop a model; the order of the others is kept."""
-        del self._by_id[model_id]
-        # a new list, so a concurrent ``profiles()`` reads the old one or this one
-        self._profiles = [p for p in self._profiles if p.model_id != model_id]
 
     def __len__(self) -> int:
         return len(self._profiles)
@@ -358,15 +348,13 @@ def _fit(router, fixed: tuple, pairs: tuple, rewards: np.ndarray, rng, epochs, l
 
 @dataclass(frozen=True)
 class _FrozenGraph:
-    """A graph router's routing graph for one pool snapshot, without a query.
+    """A graph router's routing graph for one pool, without a query.
 
-    ``ids`` and ``vectors`` are the snapshot it was compiled from and the
-    key it is reused under.  ``h1`` holds the layer-1 states of the frozen
-    router; ``s_models`` are the rows of ``s`` that belong to pool models.
+    ``ids`` are the pool's models.  ``h1`` holds the layer-1 states of the
+    frozen router; ``s_models`` are the rows of ``s`` that belong to pool models.
     """
 
     ids: list[str]
-    vectors: np.ndarray
     index: dict[tuple[str, str], int]
     members: dict[str, tuple[np.ndarray, np.ndarray]]  # task id -> member rows, edge counts
     x: np.ndarray
@@ -392,8 +380,8 @@ class GraphRouterLite(nn.Layered):
     global floor of the score.  A model that brings no evidence can
     therefore never out-rank one that does.
 
-    Everything but the routed query is compiled once per pool snapshot
-    (its ids and profile vectors) and reused while the snapshot holds;
+    Everything but the routed query is compiled once per pool and reused
+    while the same pool object is routed over (a pool never changes);
     each request then updates only the rows its query edge changes.
     """
 
@@ -406,8 +394,8 @@ class GraphRouterLite(nn.Layered):
     query_vecs: dict[str, np.ndarray]  # training query features
     interactions: list[InteractionRecord]
     loss_trace: list[float] = field(default_factory=list)
-    # routing graph of the last pool snapshot routed over; never checkpointed
-    _compiled: _FrozenGraph | None = field(default=None, init=False, repr=False, compare=False)
+    # (pool, routing graph) of the last pool routed over; never checkpointed
+    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -437,10 +425,10 @@ class GraphRouterLite(nn.Layered):
     def named_layers(self) -> list[tuple[str, nn.AffineLayer]]:
         return [("prop1", self.prop1), ("prop2", self.prop2), ("decoder", self.decoder)]
 
-    # -- routing graph: compiled once per pool snapshot, query attached locally --
+    # -- routing graph: compiled once per pool, query attached locally --
 
     def _compile(self, profiles: list[Profile]) -> _FrozenGraph:
-        """The routing graph of one pool snapshot, before any query is attached.
+        """The routing graph of one pool's profiles, before any query is attached.
 
         Node order: tasks, training queries, then the pool models.  Edges
         join each training query to its task (weight 1) and to every pool
@@ -478,7 +466,6 @@ class GraphRouterLite(nn.Layered):
         first_model = len(keys) - len(ids)
         return _FrozenGraph(
             ids=ids,
-            vectors=x[first_model:],
             index=index,
             members={
                 tid: np.unique(
@@ -494,17 +481,13 @@ class GraphRouterLite(nn.Layered):
             s_models=s[first_model:],
         )
 
-    def _frozen(self, profiles: list[Profile]) -> _FrozenGraph:
-        """The compiled graph for this snapshot, compiled again if the pool moved."""
-        graph = self._compiled
-        if (
-            graph is None
-            or graph.ids != [p.model_id for p in profiles]
-            or not np.array_equal(graph.vectors, np.stack([p.vector for p in profiles]))
-        ):
-            graph = self._compile(profiles)
-            self._compiled = graph
-        return graph
+    def _frozen(self, pool: CandidatePool) -> _FrozenGraph:
+        """The compiled graph of ``pool``, compiled again for another pool object."""
+        compiled = self._compiled  # read once: a concurrent route may replace it
+        if compiled is None or compiled[0] is not pool:
+            compiled = (pool, self._compile(pool.profiles()))
+            self._compiled = compiled
+        return compiled[1]
 
     def _attach(
         self, graph: _FrozenGraph, vec: np.ndarray, task_id: str
@@ -597,8 +580,8 @@ class GraphRouterLite(nn.Layered):
             raise UnknownTask("<none>")
         if task_id not in self.tasks:
             raise UnknownTask(task_id)
-        profiles, query_vec = _snapshot(pool, query_vec, self.dim)
-        graph = self._frozen(profiles)
+        _, query_vec = _snapshot(pool, query_vec, self.dim)
+        graph = self._frozen(pool)
         u_x, u_m = self._attach(graph, query_vec, task_id)
         preds = nn.sigmoid((u_m * u_x).sum(axis=1))  # row-wise, as in ``MlpRouter.predict``
         return RoutingDecision.from_scores(query_id, dict(zip(graph.ids, map(float, preds))))
@@ -751,15 +734,17 @@ def integrate_new_model(
     providers: Providers,
     *,
     trained: TrainGnnModel | None = None,
-) -> Profile:
-    """Add a model to the evidence graph and the pool; router untouched.
+) -> CandidatePool:
+    """Add a model to the evidence graph; the pool grown by its profile; router untouched.
 
-    The new profile is computed on the expanded graph; existing pool
-    profiles are never recomputed.  Trainable specs must pass the frozen
-    aggregator that produced the existing profiles.  The new row is encoded
-    before propagation, or with the profile text under a text spec: one
-    encoder call.  If encoding or profiling fails, the new node is
-    removed again, so the graph and the pool are left as they were.
+    ``pool`` is left as it was: the caller publishes the returned pool
+    when it is ready to (``grown.get(card.id)`` is the new profile).  The
+    new profile is computed on the expanded graph; existing pool profiles
+    are never recomputed.  Trainable specs must pass the frozen aggregator
+    that produced the existing profiles.  The new row is encoded before
+    propagation, or with the profile text under a text spec: one encoder
+    call.  If encoding or profiling fails, the new node is removed again,
+    so the graph is left as it was.
     """
     if card.id in pool:
         raise DuplicateId(card.id)
@@ -776,8 +761,7 @@ def integrate_new_model(
             text = profile_texts(graph, spec, [card.id], providers.summarizer)[card.id]
             [vector] = encode_all(graph, providers.encoder, only_missing=True, texts=[text])
             profile = Profile(card.id, spec, vector, text)
-        pool.add(profile)
+        return CandidatePool([*pool.profiles(), profile])
     except BaseException:
         remove_node(graph, card.id)
         raise
-    return profile

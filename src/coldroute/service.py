@@ -14,7 +14,10 @@ Start-up recovery and registration go through ``config.PoolState``, as
 ``coldroute integrate`` does: the pool and the registered cards persist
 atomically and durably to the state file, a file it refuses stops
 start-up with ``ConfigError``, and a registration that fails, the state
-write included, leaves the graph and the pool as they were.
+write included, leaves the graph and the pool as they were.  A pool never
+changes: registration publishes the grown pool once the state file holds
+it, so no route or ``/pool`` reply names a model not yet admitted.  The
+router checksum is taken at start and after each registration.
 """
 
 from __future__ import annotations
@@ -55,12 +58,9 @@ class RoutingService:
         # fit on the configured pool, as before the restart: recovery adds to the pool
         self.router = pipe.router(cfg.router, pool)
         self.state = PoolState.recover(pipe, cfg.state_path, lambda: pool)
-        self.pool = self.state.pool
+        self.checksum = router_checksum(self.router)
         self._route_ids = itertools.count(1)  # next() on a count is atomic
         self._write_lock = threading.Lock()
-
-    def checksum(self) -> str:
-        return router_checksum(self.router)
 
     def route(self, query_text: str, task_id: str | None = None) -> dict:
         if not isinstance(query_text, str) or not query_text.strip():
@@ -69,7 +69,7 @@ class RoutingService:
             raise ConfigError("task_id must be a string")
         vec = np.asarray(self.providers.encoder.encode(query_text))
         decision = self.router.route(
-            vec, self.pool, query_id=f"srv_{next(self._route_ids):06d}", task_id=task_id
+            vec, self.state.pool, query_id=f"srv_{next(self._route_ids):06d}", task_id=task_id
         )
         return {"model_id": decision.chosen, "scores": decision.to_dict()["scores"]}
 
@@ -77,14 +77,16 @@ class RoutingService:
         card = parse_card(entry)
         with self._write_lock:
             self.state.admit(card)
-        return self.pool_info()
+            # taken again, not carried over: a registration that touched weights shows
+            self.checksum = router_checksum(self.router)
+            return self.pool_info()
 
     def pool_info(self) -> dict:
         return {
-            "models": self.pool.ids,
+            "models": self.state.pool.ids,
             "spec": self.spec.short(),
             "router": self.cfg.router,
-            "checksum": self.checksum(),
+            "checksum": self.checksum,
         }
 
 
@@ -208,7 +210,7 @@ def make_server(cfg: AppConfig) -> ThreadingHTTPServer:
 def serve(cfg: AppConfig) -> None:
     httpd = make_server(cfg)
     host, port = httpd.server_address[:2]
-    print(f"coldroute service on http://{host}:{port} (pool of {len(httpd.service.pool)})")
+    print(f"coldroute service on http://{host}:{port} (pool of {len(httpd.service.state.pool)})")
     try:
         httpd.serve_forever()
     except KeyboardInterrupt:

@@ -9,6 +9,7 @@ breadth-first balls) rather than trusting the code under test.
 import json
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,7 +318,7 @@ def test_criterion_07_integration_directional():
     router = graphrouter_fit(tasks, query_vecs, world.interactions, pool, seed=0)
 
     blob_before = json.dumps(router.to_checkpoint(), sort_keys=True).encode()
-    integrate_new_model(pool, graph, world.new_card, spec, providers)
+    pool = integrate_new_model(pool, graph, world.new_card, spec, providers)
     blob_after = json.dumps(router.to_checkpoint(), sort_keys=True).encode()
 
     def route_all():
@@ -331,7 +332,8 @@ def test_criterion_07_integration_directional():
     table = world.rewards.restrict(world.eval_queries, old_ids + [world.new_card.id])
     value = ncir(route_all(), table, world.new_card.id)
 
-    pool.get(world.new_card.id).vector = np.zeros(64)
+    zeroed = replace(pool.get(world.new_card.id), vector=np.zeros(64))
+    pool = CandidatePool([zeroed if p.model_id == zeroed.model_id else p for p in pool.profiles()])
     zero_decisions = route_all()
     zero_value = ncir(zero_decisions, table, world.new_card.id)
     zero_picks = sum(1 for d in zero_decisions if d.chosen == world.new_card.id)

@@ -266,9 +266,9 @@ def test_integrate_twice_into_one_state_profiles_as_the_service_does(tmp_path, c
     for entry in (json.loads((FIXTURE_DIR / "new_model.json").read_text()), SECOND_CARD):
         service.register(entry)
     pool, _ = PoolState.read(state)
-    assert pool.ids == service.pool.ids == CATALOG + ["model_01_02", "model_01_03"]
+    assert pool.ids == service.state.pool.ids == CATALOG + ["model_01_02", "model_01_03"]
     for model_id in ("model_01_02", "model_01_03"):
-        delta = np.abs(pool.get(model_id).vector - service.pool.get(model_id).vector).max()
+        delta = np.abs(pool.get(model_id).vector - service.state.pool.get(model_id).vector).max()
         assert delta == 0.0, (model_id, delta)
 
 

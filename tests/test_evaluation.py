@@ -28,7 +28,7 @@ from coldroute.evaluation import (
     single_best,
     synth_world,
 )
-from coldroute.routers import InteractionRecord, RoutingDecision, integrate_new_model
+from coldroute.routers import CandidatePool, InteractionRecord, RoutingDecision, integrate_new_model
 from conftest import world_pipeline
 
 
@@ -297,11 +297,11 @@ def test_run_integration_frozen_router_and_ncir(tmp_path):
 
 
 def test_run_integration_zero_profile_override_never_selects_new(monkeypatch, tmp_path):
-    def integrate_zeroed(*args, **kwargs):
-        # the pool holds this same profile, so the router sees the zero vector
-        profile = integrate_new_model(*args, **kwargs)
-        profile.vector = np.zeros_like(profile.vector)
-        return profile
+    def integrate_zeroed(pool, graph, card, *args, **kwargs):
+        # the protocol routes the pool returned here, so the router sees the zero vector
+        grown = integrate_new_model(pool, graph, card, *args, **kwargs)
+        zeroed = replace(grown.get(card.id), vector=np.zeros(grown.dim))
+        return CandidatePool([*pool.profiles(), zeroed])
 
     monkeypatch.setattr("coldroute.evaluation.integrate_new_model", integrate_zeroed)
     world_cfg = SynthWorldConfig(

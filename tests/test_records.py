@@ -2,6 +2,8 @@
 graph rollback, each checked as a property over generated inputs."""
 
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from coldroute.graph import (
     save_cards,
 )
 from coldroute.profiles import Profile, ProfileSpec, load_profiles, save_profiles
-from coldroute.records import check, read
+from coldroute.records import check, read, write_atomic
 from coldroute.routers import (
     InteractionRecord,
     MlpRouter,
@@ -247,3 +249,24 @@ def test_jsonl_skips_blank_lines_but_counts_them(tmp_path):
     path.write_text('{"query_id": "q1", "task_id": "t"}\n\n   \n{"query_id": "q2"}\n')
     with pytest.raises(ConfigError, match=r"tasks\.jsonl:4: missing key 'task_id'"):
         load_tasks(path)
+
+
+@pytest.mark.parametrize("durable, synced", [(True, ["file", "replace", "directory"]),
+                                             (False, ["replace"])])
+def test_durable_write_syncs_the_directory_after_the_rename(tmp_path, monkeypatch, durable, synced):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append("directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        real_replace(src, dst)
+        events.append("replace")
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    write_atomic(tmp_path / "state.json", "{}", durable=durable)
+    assert events == synced
+    assert (tmp_path / "state.json").read_text() == "{}"

@@ -1,7 +1,7 @@
 """Routing layer: candidate pools, decisions, the three routers, and
 frozen-router integration of new models."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -92,11 +92,22 @@ def test_pool_order_lookup_and_guards():
     assert pool.dim == 2
     assert np.array_equal(pool.matrix(), np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(DuplicateId):
-        pool.add(_profile("m_00", [0.5, 0.5]))
+        CandidatePool([*pool.profiles(), _profile("m_00", [0.5, 0.5])])
     with pytest.raises(DimensionMismatch):
-        pool.add(_profile("m_02", [1.0, 2.0, 3.0]))
+        CandidatePool([*pool.profiles(), _profile("m_02", [1.0, 2.0, 3.0])])
     with pytest.raises(EmptyPool):
         _ = CandidatePool().dim
+
+
+def test_profile_is_a_value():
+    given = np.array([1.0, 2.0])
+    profile = _profile("m_00", given)
+    given[0] = 9.0  # the caller's array, such as an encoder's return value
+    assert profile.vector.tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError):
+        profile.vector[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        profile.vector = np.zeros(2)
 
 
 def test_pool_state_round_trip(tmp_path):
@@ -214,38 +225,6 @@ def test_mlp_fit_validation(fixture_world):
         mlp_fit([InteractionRecord("q_ghost", "model_00_00", 1.0)], query_vecs, pool)
     with pytest.raises(ConfigError, match="duplicate interaction"):
         mlp_fit([InteractionRecord("q_00_0000", "model_00_00", 1.0)] * 2, query_vecs, pool)
-
-
-class _DropOnFirstRead(CandidatePool):
-    """A pool that loses ``victim`` right after its first read of the profiles,
-    as a concurrent ``remove`` (a state-write rollback) would."""
-
-    def __init__(self, profiles, victim: str):
-        super().__init__(profiles)
-        self.victim = victim
-
-    def _read(self, value):
-        if self.victim in self:
-            self.remove(self.victim)
-        return value
-
-    def profiles(self):
-        return self._read(super().profiles())
-
-    def matrix(self):
-        return self._read(super().matrix())
-
-
-def test_mlp_route_scores_one_pool_snapshot(fixture_world):
-    pool, query_vecs, _, interactions = fixture_world
-    router = mlp_fit(interactions, query_vecs, pool, hidden=16, epochs=2, seed=0)
-    racing = _DropOnFirstRead(pool.profiles(), victim=pool.ids[0])
-    q = query_vecs["q_00_0000"]
-    decision = router.route(q, racing, query_id="q")
-    assert sorted(decision.scores) in (sorted(pool.ids), sorted(pool.ids[1:]))
-    for mid, score in decision.scores.items():
-        own = float(router.predict(q, pool.get(mid).vector[None, :])[0])
-        assert score == pytest.approx(own, abs=1e-12)
 
 
 def test_mlp_checkpoint_round_trip(fixture_world, tmp_path):
@@ -378,7 +357,7 @@ def test_graphrouter_twins_score_exactly_equal(fixture_world):
 
 def test_graphrouter_zero_profile_is_the_floor(fixture_world):
     pool, query_vecs, tasks, interactions = fixture_world
-    pool.add(_profile("model_99_99", np.zeros(pool.dim)))
+    pool = CandidatePool([*pool.profiles(), _profile("model_99_99", np.zeros(pool.dim))])
     router = graphrouter_fit(tasks, query_vecs, interactions, pool, hidden=16, epochs=30, seed=0)
     for qid in sorted(tasks):
         decision = router.route(query_vecs[qid], pool, query_id=qid, task_id=tasks[qid])
@@ -450,13 +429,16 @@ def test_graphrouter_scores_match_full_assembly_oracle(fixture_graph, providers,
     _assert_oracle_scores(router, pool, probes)
 
     spec = ProfileSpec.parse("emb:2")
-    integrate_new_model(pool, fixture_graph, _new_card(), spec, providers)
+    pool = integrate_new_model(pool, fixture_graph, _new_card(), spec, providers)
     _assert_oracle_scores(router, pool, probes)
 
-    # same ids, new profiles: the compiled graph must not be reused
-    pool.get("model_00_00").vector = pool.get("model_01_01").vector * 0.5
+    # same ids, new profiles: a new pool, so the compiled graph must not be reused
+    halved = replace(pool.get("model_00_00"), vector=pool.get("model_01_01").vector * 0.5)
+    pool = CandidatePool([halved if p.model_id == halved.model_id else p for p in pool.profiles()])
     _assert_oracle_scores(router, pool, probes)
-    pool.get("model_01_00").vector[:] = 0.0
+    # a profile cannot be rewritten in place, so a compiled pool cannot go stale
+    with pytest.raises(ValueError):
+        pool.get("model_01_00").vector[:] = 0.0
     _assert_oracle_scores(router, pool, probes)
 
 
@@ -522,18 +504,19 @@ def test_integrate_grows_pool_and_freezes_everything_else(fixture_graph, provide
     old_vectors = {mid: pool.get(mid).vector.copy() for mid in pool.ids}
     nodes_before = len(fixture_graph.node_ids)
 
-    profile = integrate_new_model(
+    grown = integrate_new_model(
         pool, fixture_graph, _new_card(), ProfileSpec.parse("emb:2"), providers
     )
-    assert profile.model_id == "model_02_00"
-    assert pool.ids[-1] == "model_02_00" and len(pool) == len(old_vectors) + 1
+    assert grown.get("model_02_00").model_id == "model_02_00"
+    assert grown.ids[-1] == "model_02_00" and len(grown) == len(old_vectors) + 1
+    assert pool.ids == list(old_vectors)  # the pool passed in is left as it was
     assert len(fixture_graph.node_ids) == nodes_before + 1
     assert router_checksum(router) == checksum
     for mid, vec in old_vectors.items():
-        assert np.array_equal(pool.get(mid).vector, vec)
+        assert np.array_equal(grown.get(mid).vector, vec)
     # the integrated model is immediately scoreable
     decision = router.route(
-        query_vecs["q_01_0000"], pool, query_id="q_01_0000", task_id="task_01"
+        query_vecs["q_01_0000"], grown, query_id="q_01_0000", task_id="task_01"
     )
     assert "model_02_00" in decision.scores
 
@@ -551,10 +534,8 @@ def test_integrate_trainable_requires_frozen_aggregator(fixture_graph, providers
     with pytest.raises(InvalidSpec):
         integrate_new_model(pool, fixture_graph, _new_card(), spec, providers)
     trained = traingnn_fit(fixture_graph, spec, seed=0, epochs=2)
-    profile = integrate_new_model(
-        pool, fixture_graph, _new_card(), spec, providers, trained=trained
-    )
-    assert profile.vector.shape == (pool.dim,)
+    grown = integrate_new_model(pool, fixture_graph, _new_card(), spec, providers, trained=trained)
+    assert grown.get("model_02_00").vector.shape == (pool.dim,)
 
 
 @pytest.mark.parametrize("short", ["flat", "text:2", "emb:2", "train:2"])
@@ -572,10 +553,8 @@ def test_registration_reads_no_whole_graph_view(
 
     monkeypatch.setattr(EvidenceGraph, "node_ids", property(whole_graph_view))
     monkeypatch.setattr(EvidenceGraph, "edges", property(whole_graph_view))
-    profile = integrate_new_model(
-        pool, fixture_graph, _new_card(), spec, providers, trained=trained
-    )
-    assert pool.ids[-1] == profile.model_id == "model_02_00"
+    grown = integrate_new_model(pool, fixture_graph, _new_card(), spec, providers, trained=trained)
+    assert grown.ids[-1] == grown.get("model_02_00").model_id == "model_02_00"
 
 
 # --- the provider requests of one admission ---------------------------------
@@ -620,7 +599,8 @@ def test_admission_sends_one_embedding_request(fixture_graph, providers, fixture
     trained = traingnn_fit(fixture_graph, spec, seed=0, epochs=1) if short == "train:2" else None
     counting = _counting(providers)
     card = _new_card()
-    profile = integrate_new_model(pool, fixture_graph, card, spec, counting, trained=trained)
+    grown = integrate_new_model(pool, fixture_graph, card, spec, counting, trained=trained)
+    profile = grown.get(card.id)
     assert len(counting.encoder.batches) == 1
     assert counting.encoder.batches[0][0] == card.description
     # the same row and profile as encoding the row first and profiling after

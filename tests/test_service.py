@@ -15,9 +15,11 @@ import pytest
 import requests
 
 import coldroute
-from coldroute.config import AppConfig
-from coldroute.errors import ConfigError, EncoderFailure, SummarizerFailure, TransportError
+from coldroute.config import AppConfig, PoolState
+from coldroute.errors import (ConfigError, DuplicateId, EncoderFailure, SummarizerFailure,
+                              TransportError)
 from coldroute.providers import RemoteEmbedder, RemoteSummarizer, Summarizer, TextEncoder
+from coldroute.routers import router_checksum
 from coldroute.service import MAX_BODY_BYTES, RoutingService, _status_for, make_server
 
 from conftest import FIXTURE_DIR, stub_url
@@ -167,8 +169,8 @@ def test_state_file_recovers_registered_models(server, tmp_path):
         # a fresh service over the same config resumes with the expanded pool and
         # the same router: it is fitted on the configured pool, as the first one was
         revived = RoutingService(cfg)
-        assert revived.pool.ids == CATALOG + ["model_01_02"]
-        assert revived.checksum() == checksum, router
+        assert revived.state.pool.ids == CATALOG + ["model_01_02"]
+        assert revived.checksum == checksum, router
         decision = revived.route("Patch the build pipeline.", "task_01")
         assert sorted(decision["scores"]) == sorted(CATALOG + ["model_01_02"])
 
@@ -202,7 +204,7 @@ def test_blank_summary_is_refused_and_the_state_file_still_loads(tmp_path):
     with pytest.raises(SummarizerFailure, match="empty output"):
         service.register(dict(NEW_CARD, id="model_01_03"))
     revived = RoutingService(_config(router="sim", spec="text:2", state_path=state))
-    assert revived.pool.ids == CATALOG + ["model_01_02"]
+    assert revived.state.pool.ids == CATALOG + ["model_01_02"]
 
 
 # --- failed registrations leave no trace ------------------------------------
@@ -399,6 +401,73 @@ def test_concurrent_route_and_register_see_whole_pool_states(server):
     assert requests.get(f"{base}/pool").json()["models"] == states[-1]
 
 
+
+@pytest.mark.parametrize("write_fails", [True, False], ids=["write fails", "write succeeds"])
+def test_routes_and_pool_read_only_committed_state(tmp_path, monkeypatch, write_fails):
+    state = tmp_path / "state.json"
+    service = RoutingService(_config(state_path=state))
+    real_write = PoolState.write
+    writing, release = threading.Event(), threading.Event()
+
+    def held_write(self):
+        writing.set()
+        assert release.wait(timeout=30)  # in flight until the readers below have looked
+        if write_fails:
+            raise OSError(28, "No space left on device", str(self.path))
+        real_write(self)
+
+    monkeypatch.setattr(PoolState, "write", held_write)
+    failures: list[Exception] = []
+
+    def register() -> None:
+        try:
+            service.register(NEW_CARD)
+        except OSError as exc:
+            failures.append(exc)
+
+    writer = threading.Thread(target=register)
+    writer.start()
+    try:
+        assert writing.wait(timeout=30)
+        named: set[str] = set()
+        for i in range(10):
+            named.update(service.route(f"probe number {i}")["scores"])
+            named.update(service.pool_info()["models"])
+    finally:
+        release.set()
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert named == set(CATALOG)  # the model in the write was never routed or listed
+    committed = CATALOG if write_fails else CATALOG + ["model_01_02"]
+    assert len(failures) == int(write_fails)
+    assert service.pool_info()["models"] == committed
+    assert sorted(service.route("Upgrade the lockfile safely.")["scores"]) == sorted(committed)
+    assert state.exists() != write_fails
+    assert [c.id for c in service.state.cards] == committed[len(CATALOG):]
+
+
+def test_one_router_checksum_per_pool(tmp_path, monkeypatch):
+    taken: list[str] = []
+
+    def counted(router):
+        taken.append(router_checksum(router))
+        return taken[-1]
+
+    monkeypatch.setattr("coldroute.service.router_checksum", counted)
+    service = RoutingService(_config(state_path=tmp_path / "state.json"))
+    assert len(taken) == 1  # at start
+    for admitted in (1, 2):
+        for i in range(5):
+            service.route(f"probe number {i}")
+            service.pool_info()
+        assert len(taken) == admitted  # routes and /pool take none
+        service.register(dict(NEW_CARD, id=f"model_01_{admitted + 1:02d}"))
+        assert len(taken) == admitted + 1  # one per admission
+    with pytest.raises(DuplicateId):
+        service.register(NEW_CARD)
+    assert len(taken) == 3  # a refused registration takes none
+    assert len(set(taken)) == 1  # the router stayed frozen
+
 # --- remote providers and the body cap ---------------------------------------
 
 def test_register_whose_provider_times_out_is_503(server, stub_server):
@@ -456,7 +525,7 @@ def test_malformed_provider_reply_is_503_and_rolled_back(stub_server, tmp_path, 
     assert stub_server.stub["calls"] >= 1
     assert service.graph.ids == ids and np.array_equal(service.graph.pairs, pairs)
     assert service.graph.features.shape == (len(ids), 64)
-    assert service.pool.ids == CATALOG
+    assert service.state.pool.ids == CATALOG
     assert not state.exists()
 
 

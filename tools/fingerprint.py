@@ -90,7 +90,7 @@ def _router(config: Path, kind: str, queries: list[str] | None = None) -> dict:
     router = pipe.router(kind, pool)
     sha = _sha(router.to_checkpoint())
     if new is not None:
-        integrate_new_model(pool, pipe.graph, new, pipe.spec, pipe.providers)
+        pool = integrate_new_model(pool, pipe.graph, new, pipe.spec, pipe.providers)
     queries = queries or pipe.cfg.eval_queries
     vecs = query_vectors(pipe.graph, queries)
     scores = []
@@ -153,7 +153,8 @@ def _admitted(config: Path, spec: str) -> dict:
     calls = {"encoder batches": 0, "summarizer prompts": 0}
     counted = Providers(_CountedEncoder(pipe.providers.encoder, calls),
                         _CountedSummarizer(pipe.providers.summarizer, calls))
-    profile = integrate_new_model(pool, pipe.graph, new, pipe.spec, counted, trained=trained)
+    grown = integrate_new_model(pool, pipe.graph, new, pipe.spec, counted, trained=trained)
+    profile = grown.get(new.id)
     return {"sha256": _sha(profile.to_dict()), "vector": profile.vector.tolist(), "calls": calls}
 
 
