@@ -299,8 +299,8 @@ class PoolState:
         return cls(pipe, pool, path, cards)
 
     def admit(self, card: ModelCard) -> None:
-        """Add ``card``'s model and write the file; only then do ``pool`` and ``cards``
-        hold it.  A failure leaves everything as it was."""
+        """Add ``card``'s model and write the file; only then do ``pool`` and ``cards`` hold it.
+        A failure leaves all as it was, but ``records.Unsynced``: the file holds it already."""
         pipe = self.pipe
         pool = integrate_new_model(self.pool, pipe.graph, card, pipe.spec, pipe.providers,
                                    trained=pipe.aggregator)
@@ -308,6 +308,9 @@ class PoolState:
         try:
             if self.path is not None:
                 grown.write()
+        except records.Unsynced:
+            self.pool, self.cards = grown.pool, grown.cards
+            raise
         except BaseException:
             remove_node(pipe.graph, card.id)
             raise

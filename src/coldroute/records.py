@@ -154,14 +154,19 @@ def write(path: str | Path, payload, form: str = "compact") -> None:
             fh.write(dumps(payload, form))
 
 
+class Unsynced(OSError):
+    """The file has its new name, but the directory sync after the rename failed."""
+
+
 def write_atomic(path: Path, text: str, *, durable: bool) -> None:
     """Write through a temporary file so readers never see a torn file.
 
     With ``durable`` the data reach the disk before the file takes its
     name, so a crash leaves the old file or the new one, never a torn one,
-    and the directory is synced after the rename, so the new name survives.
-    A cache entry needs no such care: a lost entry is only a miss.  A
-    directory that cannot take the file raises an ``OSError`` naming ``path``.
+    and the directory is synced after the rename, so the new name survives
+    (a failed sync raises ``Unsynced``: the file has its new name).  A cache
+    entry needs no such care: a lost entry is only a miss.  A directory that
+    cannot take the file raises an ``OSError`` naming ``path``.
     """
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
@@ -178,8 +183,11 @@ def write_atomic(path: Path, text: str, *, durable: bool) -> None:
         Path(tmp).unlink(missing_ok=True)
         raise
     if durable:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
         try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+            dir_fd = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+        except OSError as exc:
+            raise Unsynced(exc.errno, f"renamed, not synced: {exc.strerror}", str(path)) from exc

@@ -96,10 +96,8 @@ class CandidatePool:
         for profile in self._profiles:
             if profile.model_id in self._by_id:
                 raise DuplicateId(profile.model_id)
-            if profile.vector.shape != self._profiles[0].vector.shape:
-                raise DimensionMismatch(
-                    self._profiles[0].vector.shape[0], profile.vector.shape[0], "pool profile"
-                )
+            if profile.vector.shape != (first := self._profiles[0].vector.shape):
+                raise DimensionMismatch(first[0], profile.vector.shape[0], "pool profile")
             self._by_id[profile.model_id] = profile
 
     @property
@@ -160,27 +158,24 @@ class RoutingDecision:
         }
 
 
-def _snapshot(pool: CandidatePool, query_vec, dim: int) -> tuple[list[Profile], np.ndarray]:
-    """One snapshot of the pool's profiles, and the routed query checked to width ``dim``."""
-    profiles = pool.profiles()
-    if not profiles:
+def _query(pool: CandidatePool, query_vec, dim: int) -> np.ndarray:
+    """The routed query checked to width ``dim``; an empty pool raises ``EmptyPool``."""
+    if not pool:
         raise EmptyPool()
     query_vec = np.asarray(query_vec, dtype=np.float64)
     if query_vec.shape != (dim,):
         raise DimensionMismatch(dim, query_vec.shape[0], "query vector")
-    return profiles, query_vec
+    return query_vec
 
 
 def sim_route(query_vec: np.ndarray, pool: CandidatePool, query_id: str = "query") -> RoutingDecision:
     """Training-free cosine routing with smallest-id tie-break; a zero vector scores 0."""
-    profiles, query_vec = _snapshot(pool, query_vec, pool.dim)
-    matrix = np.stack([p.vector for p in profiles])
+    query_vec, matrix = _query(pool, query_vec, pool.dim), pool.matrix()
     # a row-wise sum, not BLAS: equal profiles must score equal wherever they sit
     dots = (matrix * query_vec).sum(axis=1)
     norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(query_vec)
-    cosines = np.divide(dots, norms, out=np.zeros(len(profiles)), where=norms != 0.0)
-    ids = [p.model_id for p in profiles]
-    return RoutingDecision.from_scores(query_id, dict(zip(ids, map(float, cosines))))
+    cosines = np.divide(dots, norms, out=np.zeros(len(pool)), where=norms != 0.0)
+    return RoutingDecision.from_scores(query_id, dict(zip(pool.ids, map(float, cosines))))
 
 
 @dataclass
@@ -261,10 +256,8 @@ class MlpRouter(nn.Layered):
         query_id: str = "query",
         task_id: str | None = None,
     ) -> RoutingDecision:
-        profiles, query_vec = _snapshot(pool, query_vec, self.dim)
-        preds = self.predict(query_vec, np.stack([p.vector for p in profiles]))
-        scores = {p.model_id: float(s) for p, s in zip(profiles, preds)}
-        return RoutingDecision.from_scores(query_id, scores)
+        preds = self.predict(_query(pool, query_vec, self.dim), pool.matrix())
+        return RoutingDecision.from_scores(query_id, dict(zip(pool.ids, map(float, preds))))
 
     def to_checkpoint(self) -> dict:
         params = self.params_payload()
@@ -350,11 +343,10 @@ def _fit(router, fixed: tuple, pairs: tuple, rewards: np.ndarray, rng, epochs, l
 class _FrozenGraph:
     """A graph router's routing graph for one pool, without a query.
 
-    ``ids`` are the pool's models.  ``h1`` holds the layer-1 states of the
-    frozen router; ``s_models`` are the rows of ``s`` that belong to pool models.
+    Its models are the pool's, in its order.  ``h1`` holds the layer-1 states
+    of the frozen router; ``s_models`` are the rows of ``s`` that belong to them.
     """
 
-    ids: list[str]
     index: dict[tuple[str, str], int]
     members: dict[str, tuple[np.ndarray, np.ndarray]]  # task id -> member rows, edge counts
     x: np.ndarray
@@ -465,7 +457,6 @@ class GraphRouterLite(nn.Layered):
         p1 = s @ x
         first_model = len(keys) - len(ids)
         return _FrozenGraph(
-            ids=ids,
             index=index,
             members={
                 tid: np.unique(
@@ -485,8 +476,7 @@ class GraphRouterLite(nn.Layered):
         """The compiled graph of ``pool``, compiled again for another pool object."""
         compiled = self._compiled  # read once: a concurrent route may replace it
         if compiled is None or compiled[0] is not pool:
-            compiled = (pool, self._compile(pool.profiles()))
-            self._compiled = compiled
+            self._compiled = compiled = (pool, self._compile(pool.profiles()))
         return compiled[1]
 
     def _attach(
@@ -580,11 +570,10 @@ class GraphRouterLite(nn.Layered):
             raise UnknownTask("<none>")
         if task_id not in self.tasks:
             raise UnknownTask(task_id)
-        _, query_vec = _snapshot(pool, query_vec, self.dim)
-        graph = self._frozen(pool)
+        query_vec, graph = _query(pool, query_vec, self.dim), self._frozen(pool)
         u_x, u_m = self._attach(graph, query_vec, task_id)
         preds = nn.sigmoid((u_m * u_x).sum(axis=1))  # row-wise, as in ``MlpRouter.predict``
-        return RoutingDecision.from_scores(query_id, dict(zip(graph.ids, map(float, preds))))
+        return RoutingDecision.from_scores(query_id, dict(zip(pool.ids, map(float, preds))))
 
     def to_checkpoint(self) -> dict:
         return {
@@ -737,14 +726,13 @@ def integrate_new_model(
 ) -> CandidatePool:
     """Add a model to the evidence graph; the pool grown by its profile; router untouched.
 
-    ``pool`` is left as it was: the caller publishes the returned pool
-    when it is ready to (``grown.get(card.id)`` is the new profile).  The
-    new profile is computed on the expanded graph; existing pool profiles
-    are never recomputed.  Trainable specs must pass the frozen aggregator
-    that produced the existing profiles.  The new row is encoded before
+    ``pool`` is left as it was: the caller publishes the returned pool when
+    ready (``grown.get(card.id)`` is the new profile).  The new profile is
+    computed on the expanded graph; existing pool profiles are never
+    recomputed.  Trainable specs must pass the frozen aggregator that
+    produced the existing profiles.  The new row is encoded before
     propagation, or with the profile text under a text spec: one encoder
-    call.  If encoding or profiling fails, the new node is removed again,
-    so the graph is left as it was.
+    call.  If encoding or profiling fails, the new node leaves the graph.
     """
     if card.id in pool:
         raise DuplicateId(card.id)

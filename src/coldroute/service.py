@@ -12,12 +12,12 @@ Endpoints:
 Routing is side-effect free; registration is serialized behind a lock.
 Start-up recovery and registration go through ``config.PoolState``, as
 ``coldroute integrate`` does: the pool and the registered cards persist
-atomically and durably to the state file, a file it refuses stops
-start-up with ``ConfigError``, and a registration that fails, the state
-write included, leaves the graph and the pool as they were.  A pool never
-changes: registration publishes the grown pool once the state file holds
-it, so no route or ``/pool`` reply names a model not yet admitted.  The
-router checksum is taken at start and after each registration.
+atomically and durably to the state file, and a file it refuses stops
+start-up with ``ConfigError``.  A pool never changes: registration
+publishes the grown pool once the state file names the model, so no
+route or ``/pool`` reply names a model not yet admitted, and a
+registration refused before that leaves the graph and the pool as they
+were.  The router checksum is taken at start and after each registration.
 """
 
 from __future__ import annotations
@@ -76,9 +76,10 @@ class RoutingService:
     def register(self, entry: dict) -> dict:
         card = parse_card(entry)
         with self._write_lock:
-            self.state.admit(card)
-            # taken again, not carried over: a registration that touched weights shows
-            self.checksum = router_checksum(self.router)
+            try:
+                self.state.admit(card)
+            finally:  # taken again, not carried over: a registration that touched weights shows
+                self.checksum = router_checksum(self.router)
             return self.pool_info()
 
     def pool_info(self) -> dict:

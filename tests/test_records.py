@@ -30,7 +30,7 @@ from coldroute.graph import (
     save_cards,
 )
 from coldroute.profiles import Profile, ProfileSpec, load_profiles, save_profiles
-from coldroute.records import check, read, write_atomic
+from coldroute.records import Unsynced, check, read, write_atomic
 from coldroute.routers import (
     InteractionRecord,
     MlpRouter,
@@ -270,3 +270,20 @@ def test_durable_write_syncs_the_directory_after_the_rename(tmp_path, monkeypatc
     write_atomic(tmp_path / "state.json", "{}", durable=durable)
     assert events == synced
     assert (tmp_path / "state.json").read_text() == "{}"
+
+
+def test_failed_directory_sync_raises_unsynced_after_the_rename(tmp_path, monkeypatch):
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(22, "Invalid argument")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    (tmp_path / "state.json").write_text("old")
+    with pytest.raises(Unsynced, match="renamed, not synced") as failure:
+        write_atomic(tmp_path / "state.json", "new", durable=True)
+    assert failure.value.errno == 22 and failure.value.filename == str(tmp_path / "state.json")
+    assert (tmp_path / "state.json").read_text() == "new"  # it has its new name
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]

@@ -4,6 +4,7 @@ and crash recovery from the persisted state file."""
 import json
 import os
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -123,12 +124,17 @@ def test_graphrouter_service_requires_task(server):
 
 
 def test_routing_never_changes_pool_or_checksum(server):
-    base = server(_config())
+    services = []
+    base = server(_config(), patch=services.append)
+    (service,) = services
     before = requests.get(f"{base}/pool").json()
+    weights = router_checksum(service.router)
     for i in range(10):
         requests.post(f"{base}/route", json={"query_text": f"probe number {i}"})
     after = requests.get(f"{base}/pool").json()
     assert after == before
+    # taken again: ``/pool`` replies with the checksum stored at start
+    assert router_checksum(service.router) == weights
 
 
 def test_register_grows_pool_keeps_router_frozen(server):
@@ -317,6 +323,35 @@ def test_unwritable_state_is_500_and_rolled_back_then_retry_succeeds(server, tmp
     assert [p.name for p in state.parent.iterdir()] == ["state.json"]  # no stray temp file
 
 
+def test_failed_directory_sync_is_500_with_the_model_admitted(server, tmp_path, monkeypatch):
+    services = []
+    state = tmp_path / "state.json"
+    base = server(_config(state_path=state), patch=services.append)
+    (service,) = services
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(5, "Input/output error")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    failed = requests.post(f"{base}/models", json=NEW_CARD)
+    assert failed.status_code == 500 and "not synced" in failed.json()["error"]
+    # the rename happened: pool, cards and graph agree with the state file
+    grown = CATALOG + ["model_01_02"]
+    saved = json.loads(state.read_text())
+    assert [m["model_id"] for m in saved["pool"]["models"]] == grown
+    assert requests.get(f"{base}/pool").json()["models"] == grown
+    assert [c.id for c in service.state.cards] == ["model_01_02"]
+    assert "model_01_02" in service.graph
+    route = requests.post(f"{base}/route", json={"query_text": "Upgrade the lockfile safely."})
+    assert sorted(route.json()["scores"]) == sorted(grown)
+    assert requests.post(f"{base}/models", json=NEW_CARD).status_code == 409
+    monkeypatch.setattr(os, "fsync", real_fsync)
+    assert RoutingService(_config(state_path=state)).pool_info()["models"] == grown
+
+
 @pytest.mark.parametrize("length", ["twelve", "-1", "-40"])
 def test_bad_content_length_is_400_without_reading_the_body(server, length):
     base = server(_config())
@@ -465,7 +500,7 @@ def test_one_router_checksum_per_pool(tmp_path, monkeypatch):
         assert len(taken) == admitted + 1  # one per admission
     with pytest.raises(DuplicateId):
         service.register(NEW_CARD)
-    assert len(taken) == 3  # a refused registration takes none
+    assert len(taken) == 4  # a refused registration takes one too
     assert len(set(taken)) == 1  # the router stayed frozen
 
 # --- remote providers and the body cap ---------------------------------------
