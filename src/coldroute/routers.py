@@ -99,6 +99,9 @@ class CandidatePool:
             if profile.vector.shape != (first := self._profiles[0].vector.shape):
                 raise DimensionMismatch(first[0], profile.vector.shape[0], "pool profile")
             self._by_id[profile.model_id] = profile
+        # stacked once, read-only: routers read it on every request
+        self._matrix = np.stack([p.vector for p in self._profiles] or [np.zeros(0)])
+        self._matrix.flags.writeable = False
 
     @property
     def ids(self) -> list[str]:
@@ -125,7 +128,7 @@ class CandidatePool:
     def matrix(self) -> np.ndarray:
         if not self._profiles:
             raise EmptyPool()
-        return np.stack([p.vector for p in self._profiles])
+        return self._matrix
 
     def to_dict(self) -> dict:
         return {"models": [p.to_dict() for p in self._profiles]}
@@ -345,6 +348,7 @@ class _FrozenGraph:
 
     Its models are the pool's, in its order.  ``h1`` holds the layer-1 states
     of the frozen router; ``s_models`` are the rows of ``s`` that belong to them.
+    ``sides`` holds the ``_TaskSide`` of each task routed to, made on its first route.
     """
 
     index: dict[tuple[str, str], int]
@@ -355,6 +359,29 @@ class _FrozenGraph:
     p1: np.ndarray
     h1: np.ndarray
     s_models: np.ndarray
+    sides: dict[str, _TaskSide] = field(default_factory=dict)
+
+
+# a routed query neighbours its task alone: a closed neighbourhood of 2
+_INV_X = 1.0 / np.sqrt(2.0)
+_W_XX = _INV_X * _INV_X
+
+
+@dataclass(frozen=True)
+class _TaskSide:
+    """All of a route to one task over one pool but the routed query's own terms.
+
+    Attaching the query ``x`` to task ``t`` adds one edge of weight ``w_tx``,
+    which changes the degree of ``t`` alone; ``x`` neighbours ``t`` alone.
+    ``p1_t`` and ``p1_x`` are the layer-1 inputs of ``t`` and ``x`` without
+    the query's term.  ``u_m`` are the pool models' final states: models
+    neighbour training queries, never ``t`` or ``x``, so no query reaches them.
+    """
+
+    w_tx: float
+    p1_t: np.ndarray
+    p1_x: np.ndarray
+    u_m: np.ndarray
 
 
 @dataclass
@@ -373,8 +400,10 @@ class GraphRouterLite(nn.Layered):
     therefore never out-rank one that does.
 
     Everything but the routed query is compiled once per pool and reused
-    while the same pool object is routed over (a pool never changes);
-    each request then updates only the rows its query edge changes.
+    while the same pool object is routed over (a pool never changes), and
+    each task's side of a route once per pool, on its first route; a
+    request then runs layer 1 on the rows of its task and itself and the
+    rest of the network on its own row alone.
     """
 
     dim: int
@@ -479,22 +508,23 @@ class GraphRouterLite(nn.Layered):
             self._compiled = compiled = (pool, self._compile(pool.profiles()))
         return compiled[1]
 
-    def _attach(
-        self, graph: _FrozenGraph, vec: np.ndarray, task_id: str
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Final states of the routed query and of the pool models.
+    def _side(self, graph: _FrozenGraph, task_id: str) -> _TaskSide:
+        """The side of ``task_id`` in ``graph``, made on its first route.
 
-        Attaching the query ``x`` to task ``t`` adds one edge, which changes
-        the degree of ``t`` alone.  Layer 1 therefore changes only in the
-        rows of ``t``, of ``t``'s member queries and of ``x``; layer 2 and
-        the read-out are needed only for ``x`` and the pool models (models
-        neighbour training queries, never ``t`` or ``x``).
+        A concurrent first route may make it too; both are equal.
         """
+        side = graph.sides.get(task_id)
+        if side is None:
+            graph.sides[task_id] = side = self._task_side(graph, task_id)
+        return side
+
+    def _task_side(self, graph: _FrozenGraph, task_id: str) -> _TaskSide:
+        """Layer 1 changes in the rows of ``t`` and its member queries once a
+        query attaches to ``t``; the pool models read the members' rows."""
         t = graph.index[("t", task_id)]
         members, count = graph.members[task_id]
         rows = np.concatenate(([t], members))
         inv_t = 1.0 / np.sqrt(graph.degree[t] + 1.0)
-        inv_x = 1.0 / np.sqrt(2.0)  # x neighbours t alone
         coeff = count / np.sqrt(graph.degree[members]) * inv_t
 
         # rows of S for t and its members, with every entry of t renormalized
@@ -504,18 +534,11 @@ class GraphRouterLite(nn.Layered):
         s_rows[0, members] = coeff
         s_rows[1:, t] = coeff
         p1_rows = s_rows @ graph.x
-        p1_rows[0] += (inv_x * inv_t) * vec
-        p1_x = (inv_x * inv_x) * vec + (inv_x * inv_t) * graph.x[t]
-        h1_rows = nn.relu(self.prop1(p1_rows))
-        h1_x = nn.relu(self.prop1(p1_x[None, :]))
-
         h1 = graph.h1.copy()
-        h1[rows] = h1_rows
-        p2 = np.concatenate(
-            [(inv_x * inv_x) * h1_x + (inv_x * inv_t) * h1_rows[:1], graph.s_models @ h1]
-        )
-        u = nn.relu(self.decoder(nn.relu(self.prop2(p2))))
-        return u[0], u[1:]
+        h1[rows] = nn.relu(self.prop1(p1_rows))
+        u_m = nn.relu(self.decoder(nn.relu(self.prop2(graph.s_models @ h1))))
+        w_tx = _INV_X * inv_t
+        return _TaskSide(w_tx, p1_rows[0], w_tx * graph.x[t], u_m)
 
     def predict(self, graph: _FrozenGraph, q_idx: np.ndarray, m_idx: np.ndarray) -> np.ndarray:
         """Predicted rewards of the node pairs ``(q_idx[i], m_idx[i])`` of ``graph``."""
@@ -571,8 +594,12 @@ class GraphRouterLite(nn.Layered):
         if task_id not in self.tasks:
             raise UnknownTask(task_id)
         query_vec, graph = _query(pool, query_vec, self.dim), self._frozen(pool)
-        u_x, u_m = self._attach(graph, query_vec, task_id)
-        preds = nn.sigmoid((u_m * u_x).sum(axis=1))  # row-wise, as in ``MlpRouter.predict``
+        side = self._side(graph, task_id)
+        p1 = np.stack([side.p1_t + side.w_tx * query_vec, side.p1_x + _W_XX * query_vec])
+        h1_t, h1_x = nn.relu(self.prop1(p1))
+        p2_x = _W_XX * h1_x + side.w_tx * h1_t
+        u_x = nn.relu(self.decoder(nn.relu(self.prop2(p2_x[None, :]))))[0]
+        preds = nn.sigmoid((side.u_m * u_x).sum(axis=1))  # row-wise, as in ``MlpRouter.predict``
         return RoutingDecision.from_scores(query_id, dict(zip(pool.ids, map(float, preds))))
 
     def to_checkpoint(self) -> dict:

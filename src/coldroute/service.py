@@ -18,6 +18,10 @@ publishes the grown pool once the state file names the model, so no
 route or ``/pool`` reply names a model not yet admitted, and a
 registration refused before that leaves the graph and the pool as they
 were.  The router checksum is taken at start and after each registration.
+
+Each connection is served on a request thread, which then waits for the
+next connection; a new thread starts only when none is idle, so no
+request waits behind a busy one.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import queue
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 
@@ -178,13 +183,13 @@ class _Handler(BaseHTTPRequestHandler):
 def _one_malloc_arena() -> None:
     """Have glibc serve every thread of this process from one malloc arena.
 
-    ``ThreadingHTTPServer`` starts a thread per request, and under fast
-    back-to-back requests the next thread starts while the last is still
-    exiting; glibc then opens another per-thread arena, and each one holds
-    on to freed memory, so resident memory grows with request speed.  The
-    request threads take turns under the interpreter lock anyway, so they
-    seldom wait for the one arena's lock.  Does nothing where the C
-    library is not glibc.
+    Request threads are reused (``_Server``), but a registration under a
+    remote provider still runs its calls on threads that
+    ``providers._HttpJson.map`` starts for each batch.  glibc may open a
+    new arena for such a thread, and each arena holds on to freed memory,
+    so resident memory grows with the registrations served.  The threads
+    take turns under the interpreter lock anyway, so they seldom wait for
+    the one arena's lock.  Does nothing where the C library is not glibc.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -199,11 +204,62 @@ def _one_malloc_arena() -> None:
     mallopt(-8, 1)  # M_ARENA_MAX from <malloc.h>
 
 
-def make_server(cfg: AppConfig) -> ThreadingHTTPServer:
-    """Bound server with the service attached; call ``serve_forever`` to run."""
+class _Server(HTTPServer):
+    """An ``HTTPServer`` that serves each connection on an idle request thread.
+
+    A new thread starts only when none is idle, so no request waits behind
+    a busy one, as under ``ThreadingHTTPServer``; but a thread is started
+    once, not per connection, and ``Thread.start`` waits for the thread it
+    starts.  After its connection a thread waits for the next one.
+    ``server_close`` ends the idle threads; a busy one ends after its
+    connection.
+    """
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._lock = threading.Lock()
+        self._idle: list[queue.SimpleQueue] = []  # inboxes of the idle threads
+        self._closed = False
+
+    def process_request(self, request, client_address):
+        with self._lock:  # the thread that went idle last takes the connection
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is None:
+            inbox = queue.SimpleQueue()
+            threading.Thread(target=self._serve_inbox, args=(inbox,), daemon=True).start()
+        inbox.put((request, client_address))
+
+    def _serve_inbox(self, inbox: queue.SimpleQueue) -> None:
+        while (connection := inbox.get()) is not None:
+            try:
+                try:
+                    self.finish_request(*connection)
+                except Exception:  # noqa: BLE001 - as socketserver.ThreadingMixIn
+                    self.handle_error(*connection)
+                with self._lock:  # idle before the client sees its connection close
+                    if self._closed:
+                        return
+                    self._idle.append(inbox)
+            finally:
+                self.shutdown_request(connection[0])
+
+    def server_close(self):
+        super().server_close()
+        with self._lock:
+            self._closed, idle, self._idle = True, self._idle, []
+        for inbox in idle:
+            inbox.put(None)
+
+
+def make_server(cfg: AppConfig) -> HTTPServer:
+    """Bound server with the service attached; call ``serve_forever`` to run.
+
+    Connections are served on request threads, each reused for the next
+    connection once it is idle (see ``_Server``).
+    """
     _one_malloc_arena()
     service = RoutingService(cfg)
-    httpd = ThreadingHTTPServer((cfg.host, cfg.port), _Handler)
+    httpd = _Server((cfg.host, cfg.port), _Handler)
     httpd.service = service  # type: ignore[attr-defined]
     return httpd
 

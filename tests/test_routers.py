@@ -90,7 +90,11 @@ def test_pool_order_lookup_and_guards():
     assert pool.ids == ["m_01", "m_00"]  # insertion order preserved
     assert len(pool) == 2 and "m_00" in pool and "ghost" not in pool
     assert pool.dim == 2
-    assert np.array_equal(pool.matrix(), np.array([[1.0, 0.0], [0.0, 1.0]]))
+    matrix = pool.matrix()
+    assert np.array_equal(matrix, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert pool.matrix() is matrix  # stacked once per pool
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 2.0
     with pytest.raises(DuplicateId):
         CandidatePool([*pool.profiles(), _profile("m_00", [0.5, 0.5])])
     with pytest.raises(DimensionMismatch):
@@ -456,6 +460,54 @@ def test_graphrouter_route_does_not_walk_interactions_per_request(fixture_world)
         router.route(query_vecs[qid], pool, query_id=qid, task_id=tasks[qid])
     again = router.route(query_vecs["q_00_0000"], pool, query_id="q_a", task_id=tasks["q_00_0000"])
     assert again.scores == first.scores
+
+
+def test_graphrouter_route_runs_the_network_on_two_rows(fixture_graph, providers, fixture_world,
+                                                         monkeypatch):
+    pool, query_vecs, tasks, interactions = fixture_world
+    router = graphrouter_fit(tasks, query_vecs, interactions, pool, hidden=16, epochs=3, seed=0)
+    compiled: list[int] = []
+    sides: list[tuple[object, str]] = []  # holds each graph, so no two share an id
+    compile_, task_side = GraphRouterLite._compile, GraphRouterLite._task_side
+
+    def counted_compile(self, profiles):
+        compiled.append(len(profiles))
+        return compile_(self, profiles)
+
+    def counted_side(self, graph, task_id):
+        sides.append((graph, task_id))
+        return task_side(self, graph, task_id)
+
+    monkeypatch.setattr(GraphRouterLite, "_compile", counted_compile)
+    monkeypatch.setattr(GraphRouterLite, "_task_side", counted_side)
+    task_ids = sorted(set(tasks.values()))
+    for qid in sorted(tasks):  # every task, several times
+        router.route(query_vecs[qid], pool, query_id=qid, task_id=tasks[qid])
+    assert compiled == [len(pool)]
+    assert sorted(task for _, task in sides) == task_ids
+
+    rows: dict[str, list[int]] = {name: [] for name, _ in router.named_layers()}
+    names = {id(layer): name for name, layer in router.named_layers()}
+    call = type(router.prop1).__call__
+
+    def counted_call(layer, x):
+        rows[names[id(layer)]].append(x.shape[0])
+        return call(layer, x)
+
+    monkeypatch.setattr(type(router.prop1), "__call__", counted_call)
+    for t in task_ids:
+        router.route(providers.encoder.encode(f"a new question for {t}"), pool, task_id=t)
+    assert rows == {"prop1": [2] * len(task_ids), "prop2": [1] * len(task_ids),
+                    "decoder": [1] * len(task_ids)}
+    assert len(compiled) == 1 and len(sides) == len(task_ids)
+
+    # a grown pool is another pool: compiled again, and each task's side made again
+    grown = integrate_new_model(pool, fixture_graph, _new_card(), ProfileSpec.parse("emb:2"),
+                                providers)
+    for t in task_ids * 2:
+        router.route(query_vecs["q_00_0000"], grown, task_id=t)
+    assert compiled == [len(pool), len(grown)]
+    assert len({(id(graph), task) for graph, task in sides}) == len(sides) == 2 * len(task_ids)
 
 
 def test_graphrouter_rejects_wrong_query_dimension(fixture_world):

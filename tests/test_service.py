@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -350,6 +351,139 @@ def test_failed_directory_sync_is_500_with_the_model_admitted(server, tmp_path, 
     assert requests.post(f"{base}/models", json=NEW_CARD).status_code == 409
     monkeypatch.setattr(os, "fsync", real_fsync)
     assert RoutingService(_config(state_path=state)).pool_info()["models"] == grown
+
+
+def _count_thread_starts(monkeypatch) -> list[threading.Thread]:
+    started: list[threading.Thread] = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return started
+
+
+def _exchange(base: str, raw: bytes) -> bytes:
+    """One request on a connection of its own, read until the server closes it."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as client:
+        client.sendall(raw)
+        return b"".join(iter(lambda: client.recv(1 << 16), b""))
+
+
+def _route_request(text: str, task_id: str) -> bytes:
+    body = json.dumps({"query_text": text, "task_id": task_id}).encode()
+    return b"POST /route HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+def test_sequential_requests_reuse_one_request_thread(server, monkeypatch):
+    base = server(_config(router="graphrouter"))
+    started = _count_thread_starts(monkeypatch)
+    for i in range(10):
+        route = _route_request(f"probe number {i}", "task_01")
+        assert _exchange(base, route).startswith(b"HTTP/1.0 200")
+        assert _exchange(base, b"GET /healthz HTTP/1.0\r\n\r\n").startswith(b"HTTP/1.0 200")
+    assert len(started) <= 1
+
+
+def test_concurrent_clients_share_request_threads_and_task_sides(monkeypatch):
+    expected = RoutingService(_config(router="graphrouter"))
+    httpd = make_server(_config(router="graphrouter"))
+    serving = threading.Thread(target=httpd.serve_forever, daemon=True)
+    serving.start()
+    base = "http://{}:{}".format(*httpd.server_address[:2])
+    started = _count_thread_starts(monkeypatch)
+    probes = [(f"client question {i % 3}", f"task_0{i % 2}") for i in range(6)]
+    replies: list[tuple[int, bytes]] = []
+
+    def client(n: int) -> None:
+        for text, task_id in probes[n:] + probes[:n]:  # first routes of each task race
+            reply = _exchange(base, _route_request(text, task_id))
+            replies.append((probes.index((text, task_id)), reply))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clients = [threading.Thread(target=client, args=(n,)) for n in range(len(probes))]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        httpd.shutdown()
+        httpd.server_close()
+        serving.join(timeout=5)
+    assert not any(thread.is_alive() for thread in clients)
+    assert len(replies) == len(probes) ** 2
+    for at, reply in replies:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 200")
+        assert json.loads(body) == expected.route(*probes[at])
+    request_threads = [t for t in started if t not in clients]
+    assert len(request_threads) <= len(clients)  # each client waits for its reply
+    for thread in request_threads:
+        thread.join(timeout=1)
+    assert not any(thread.is_alive() for thread in request_threads)
+
+
+def test_a_held_registration_leaves_routes_and_health_answering(server, tmp_path, monkeypatch):
+    base = server(_config(state_path=tmp_path / "state.json"))
+    real_write = PoolState.write
+    writing, release = threading.Event(), threading.Event()
+
+    def held_write(self):
+        writing.set()
+        assert release.wait(timeout=30)
+        real_write(self)
+
+    monkeypatch.setattr(PoolState, "write", held_write)
+    replies = []
+    writer = threading.Thread(
+        target=lambda: replies.append(requests.post(f"{base}/models", json=NEW_CARD))
+    )
+    writer.start()
+    try:
+        assert writing.wait(timeout=30)
+        for _ in range(3):  # the thread that served the last request is idle again
+            start = time.monotonic()
+            route = requests.post(f"{base}/route", json={"query_text": "probe"}, timeout=1)
+            health = requests.get(f"{base}/healthz", timeout=1)
+            assert route.status_code == health.status_code == 200
+            assert time.monotonic() - start < 1.0
+            assert CATALOG == sorted(route.json()["scores"])
+    finally:
+        release.set()
+        writer.join(timeout=30)
+    assert [reply.status_code for reply in replies] == [200]
+
+
+def test_closing_the_server_ends_its_request_threads(monkeypatch):
+    httpd = make_server(_config())
+    serving = threading.Thread(target=httpd.serve_forever, daemon=True)
+    serving.start()
+    started = _count_thread_starts(monkeypatch)
+    host, port = httpd.server_address[:2]
+    clients = [socket.create_connection((host, port), timeout=5) for _ in range(3)]
+    try:
+        deadline = time.monotonic() + 5
+        while len(started) < len(clients) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(started) == len(clients)  # a connection in progress holds its thread
+        for client in clients:
+            client.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            assert client.recv(64).startswith(b"HTTP/1.0 200")
+    finally:
+        for client in clients:
+            client.close()
+        httpd.shutdown()
+        httpd.server_close()
+        serving.join(timeout=5)
+    for thread in started:
+        thread.join(timeout=1)
+    assert not any(thread.is_alive() for thread in started)
 
 
 @pytest.mark.parametrize("length", ["twelve", "-1", "-40"])
