@@ -37,13 +37,9 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to stay overflow-free for large |x|.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: overflow-free for large |x|
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 @dataclass

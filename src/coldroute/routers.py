@@ -157,7 +157,7 @@ class RoutingDecision:
         return {
             "query_id": self.query_id,
             "chosen": self.chosen,
-            "scores": {m: float(s) for m, s in sorted(self.scores.items())},
+            "scores": dict(sorted(self.scores.items())),
         }
 
 
@@ -178,7 +178,7 @@ def sim_route(query_vec: np.ndarray, pool: CandidatePool, query_id: str = "query
     dots = (matrix * query_vec).sum(axis=1)
     norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(query_vec)
     cosines = np.divide(dots, norms, out=np.zeros(len(pool)), where=norms != 0.0)
-    return RoutingDecision.from_scores(query_id, dict(zip(pool.ids, map(float, cosines))))
+    return RoutingDecision.from_scores(query_id, dict(zip(pool.ids, cosines.tolist())))
 
 
 @dataclass
@@ -206,7 +206,11 @@ class SimRouter:
 
 @dataclass
 class MlpRouter(nn.Layered):
-    """Two towers, each affine -> ReLU -> affine: ``q1, q2`` on queries, ``p1, p2`` on profiles."""
+    """Two towers, each affine -> ReLU -> affine: ``q1, q2`` on queries, ``p1, p2`` on profiles.
+
+    A route runs the profile tower over a pool once and reuses its output
+    while the same pool object is routed over (a pool never changes).
+    """
 
     dim: int
     hidden: int
@@ -215,6 +219,8 @@ class MlpRouter(nn.Layered):
     p1: nn.AffineLayer
     p2: nn.AffineLayer
     loss_trace: list[float] = field(default_factory=list)
+    # (pool, profile-tower output) of the last pool routed over; never checkpointed
+    _profile_tower: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, dim: int, hidden: int, rng: np.random.Generator) -> "MlpRouter":
@@ -259,8 +265,13 @@ class MlpRouter(nn.Layered):
         query_id: str = "query",
         task_id: str | None = None,
     ) -> RoutingDecision:
-        preds = self.predict(_query(pool, query_vec, self.dim), pool.matrix())
-        return RoutingDecision.from_scores(query_id, dict(zip(pool.ids, map(float, preds))))
+        query_vec = _query(pool, query_vec, self.dim)
+        tower = self._profile_tower  # read once: a concurrent route may replace it
+        if tower is None or tower[0] is not pool:
+            self._profile_tower = tower = (pool, self.p2(nn.relu(self.p1(pool.matrix()))))
+        zq = self.q2(nn.relu(self.q1(query_vec[None, :])))
+        preds = nn.sigmoid((zq * tower[1]).sum(axis=1))  # as in ``predict``
+        return RoutingDecision.from_scores(query_id, dict(zip(pool.ids, preds.tolist())))
 
     def to_checkpoint(self) -> dict:
         params = self.params_payload()
@@ -373,14 +384,15 @@ class _TaskSide:
 
     Attaching the query ``x`` to task ``t`` adds one edge of weight ``w_tx``,
     which changes the degree of ``t`` alone; ``x`` neighbours ``t`` alone.
-    ``p1_t`` and ``p1_x`` are the layer-1 inputs of ``t`` and ``x`` without
-    the query's term.  ``u_m`` are the pool models' final states: models
-    neighbour training queries, never ``t`` or ``x``, so no query reaches them.
+    ``p1`` holds the layer-1 inputs of ``t`` and ``x`` without the query's
+    term, which is the query times ``w_p1``, the column ``(w_tx, w_xx)``.
+    ``u_m`` are the pool models' final states: models neighbour training
+    queries, never ``t`` or ``x``, so no query reaches them.
     """
 
     w_tx: float
-    p1_t: np.ndarray
-    p1_x: np.ndarray
+    w_p1: np.ndarray
+    p1: np.ndarray
     u_m: np.ndarray
 
 
@@ -538,7 +550,8 @@ class GraphRouterLite(nn.Layered):
         h1[rows] = nn.relu(self.prop1(p1_rows))
         u_m = nn.relu(self.decoder(nn.relu(self.prop2(graph.s_models @ h1))))
         w_tx = _INV_X * inv_t
-        return _TaskSide(w_tx, p1_rows[0], w_tx * graph.x[t], u_m)
+        return _TaskSide(w_tx, np.array([[w_tx], [_W_XX]]),
+                         np.stack([p1_rows[0], w_tx * graph.x[t]]), u_m)
 
     def predict(self, graph: _FrozenGraph, q_idx: np.ndarray, m_idx: np.ndarray) -> np.ndarray:
         """Predicted rewards of the node pairs ``(q_idx[i], m_idx[i])`` of ``graph``."""
@@ -595,12 +608,13 @@ class GraphRouterLite(nn.Layered):
             raise UnknownTask(task_id)
         query_vec, graph = _query(pool, query_vec, self.dim), self._frozen(pool)
         side = self._side(graph, task_id)
-        p1 = np.stack([side.p1_t + side.w_tx * query_vec, side.p1_x + _W_XX * query_vec])
+        p1 = side.w_p1 * query_vec  # both rows of layer 1's input in one array
+        p1 += side.p1
         h1_t, h1_x = nn.relu(self.prop1(p1))
         p2_x = _W_XX * h1_x + side.w_tx * h1_t
         u_x = nn.relu(self.decoder(nn.relu(self.prop2(p2_x[None, :]))))[0]
         preds = nn.sigmoid((side.u_m * u_x).sum(axis=1))  # row-wise, as in ``MlpRouter.predict``
-        return RoutingDecision.from_scores(query_id, dict(zip(pool.ids, map(float, preds))))
+        return RoutingDecision.from_scores(query_id, dict(zip(pool.ids, preds.tolist())))
 
     def to_checkpoint(self) -> dict:
         return {

@@ -21,7 +21,16 @@ were.  The router checksum is taken at start and after each registration.
 
 Each connection is served on a request thread, which then waits for the
 next connection; a new thread starts only when none is idle, so no
-request waits behind a busy one.
+request waits behind a busy one.  A connection that sends nothing for
+``READ_TIMEOUT_S`` is closed (408 once its head is read), so a stalled
+client holds no thread for long.  The listen backlog is ``SOMAXCONN``.
+
+The service reads each request head itself (``_Handler.parse_request``),
+with the request-line rules, refusals and limits of the standard
+library's ``BaseHTTPRequestHandler`` but without its ``email`` header
+parser; the two header lines that parser tolerates, one without a
+``name:`` and a folded continuation line, get 400.  It answers in
+HTTP/1.0 and closes each connection after its reply.
 """
 
 from __future__ import annotations
@@ -30,7 +39,10 @@ import itertools
 import json
 import os
 import queue
+import re
+import socket
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -50,6 +62,13 @@ from .routers import router_checksum
 
 # the largest request body read; a longer declared Content-Length gets 413 unread
 MAX_BODY_BYTES = 1 << 20
+# seconds a connection may send nothing before it is closed, as a remote provider's default
+READ_TIMEOUT_S = 30.0
+# as the standard library's http.client: the longest header line, the most lines in a head
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+_NAME = re.compile(r"[!-~]+")  # a header name: visible ASCII, as the email parser reads one
 
 
 class RoutingService:
@@ -76,7 +95,7 @@ class RoutingService:
         decision = self.router.route(
             vec, self.state.pool, query_id=f"srv_{next(self._route_ids):06d}", task_id=task_id
         )
-        return {"model_id": decision.chosen, "scores": decision.to_dict()["scores"]}
+        return {"model_id": decision.chosen, "scores": decision.scores}  # sorted in the reply
 
     def register(self, entry: dict) -> dict:
         card = parse_card(entry)
@@ -100,9 +119,15 @@ class _BodyTooLarge(ConfigError):
     pass
 
 
+class _BodyTimeout(ConfigError):
+    pass
+
+
 def _status_for(exc: Exception) -> int:
     if isinstance(exc, _BodyTooLarge):
         return 413
+    if isinstance(exc, _BodyTimeout):
+        return 408
     seen: Exception | None = exc
     while seen is not None:
         if isinstance(seen, (TransportError, ProviderTimeout)):
@@ -115,11 +140,83 @@ def _status_for(exc: Exception) -> int:
     return 500
 
 
+class _Headers(dict):
+    """Request headers by lower-cased name; of a repeated name the first value
+    is kept, as ``email.message.Message.get`` returns it."""
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"coldroute/{__version__}"
 
     def log_message(self, fmt, *args):  # quiet by default
         pass
+
+    def setup(self) -> None:
+        self.timeout = READ_TIMEOUT_S  # read per connection
+        super().setup()
+
+    def parse_request(self) -> bool:
+        """``BaseHTTPRequestHandler.parse_request`` without the ``email`` parser.
+
+        The request line follows the standard library's rules and messages.
+        Header lines end in CRLF or LF and are read as ISO-8859-1; one that
+        does not start with a name of visible ASCII and a colon (a folded
+        line among them) gets 400.  ``Connection`` and ``Expect`` are not read: the service
+        answers in HTTP/1.0 and closes every connection.
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = _VERSION.fullmatch(words[-1])
+            if version is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({words[-1]!r})")
+                return False
+            if (int(version[1]), int(version[2])) >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                f"Invalid HTTP version ({words[-1][5:]})")
+                return False
+            self.request_version = words[-1]
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
+            return False
+        self.command, self.path = words[:2]
+        if len(words) == 2 and self.command != "GET":
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({self.command!r})")
+            return False
+        if self.path.startswith("//"):  # not read as a host, as by the standard library
+            self.path = "/" + self.path.lstrip("/")
+
+        self.headers, bad, lines = _Headers(), None, 0
+        while True:  # the whole head is read before a bad line is refused, as the stdlib does
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long",
+                                f"got more than {_MAX_LINE} bytes when reading header line")
+                return False
+            lines += 1
+            if lines > _MAX_HEADERS:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers",
+                                f"got more than {_MAX_HEADERS} headers")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if not colon or not _NAME.fullmatch(name):
+                bad = bad or line
+            else:
+                self.headers.setdefault(name.lower(), value.lstrip(" \t").rstrip("\r\n"))
+        if bad is not None:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad header line ({bad!r})")
+            return False
+        return True
 
     @property
     def service(self) -> RoutingService:
@@ -143,7 +240,10 @@ class _Handler(BaseHTTPRequestHandler):
             raise ConfigError(f"Content-Length must be a byte count, got {declared!r}")
         if length > MAX_BODY_BYTES:
             raise _BodyTooLarge(f"request body of {length} bytes is over {MAX_BODY_BYTES}")
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError as exc:
+            raise _BodyTimeout(f"the request body stalled for {READ_TIMEOUT_S} s") from exc
         try:
             payload = json.loads(raw.decode("utf-8") or "null")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -212,8 +312,11 @@ class _Server(HTTPServer):
     once, not per connection, and ``Thread.start`` waits for the thread it
     starts.  After its connection a thread waits for the next one.
     ``server_close`` ends the idle threads; a busy one ends after its
-    connection.
+    connection.  The listen backlog is the system's largest, so a burst
+    of connections is not dropped while the threads accept it.
     """
+
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address, handler):
         super().__init__(address, handler)

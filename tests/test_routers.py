@@ -261,6 +261,40 @@ def test_mlp_twins_score_exactly_equal(fixture_world):
         assert decision.chosen == "m_twin_00"  # equal scores resolve to the smallest id
 
 
+def test_mlp_route_runs_the_profile_tower_once_per_pool(fixture_world, monkeypatch):
+    pool, query_vecs, _, interactions = fixture_world
+    router = mlp_fit(interactions, query_vecs, pool, hidden=16, epochs=3, seed=0)
+    rows: dict[str, list[int]] = {name: [] for name, _ in router.named_layers()}
+    names = {id(layer): name for name, layer in router.named_layers()}
+    call = type(router.p1).__call__
+
+    def counted_call(layer, x):
+        rows[names[id(layer)]].append(x.shape[0])
+        return call(layer, x)
+
+    monkeypatch.setattr(type(router.p1), "__call__", counted_call)
+    qids = sorted(query_vecs)[:5]
+    for qid in qids:
+        decision = router.route(query_vecs[qid], pool, query_id=qid)
+        expected = router.predict(query_vecs[qid], pool.matrix())
+        assert np.array_equal([decision.scores[m] for m in pool.ids], expected)  # bit for bit
+    routed = [1] * len(qids)
+    # the first route runs the tower on the pool; predict runs it on every call
+    assert rows["p1"] == rows["p2"] == [len(pool)] * (len(qids) + 1)
+    assert rows["q1"] == rows["q2"] == [1, 1] * len(qids)
+
+    for name in rows:
+        rows[name].clear()
+    for qid in qids:
+        router.route(query_vecs[qid], pool, query_id=qid)
+    assert rows == {"q1": routed, "q2": routed, "p1": [], "p2": []}
+
+    another = CandidatePool(pool.profiles())  # an equal pool, but another object
+    again = router.route(query_vecs[qids[0]], another, query_id=qids[0])
+    assert rows["p1"] == rows["p2"] == [len(pool)]
+    assert again.scores == router.route(query_vecs[qids[0]], pool, query_id=qids[0]).scores
+
+
 def test_inference_leaves_only_parameters_on_the_layers(fixture_world, fixture_graph):
     pool, query_vecs, _, interactions = fixture_world
     router = mlp_fit(interactions, query_vecs, pool, hidden=8, epochs=2, seed=0)

@@ -1,8 +1,13 @@
 """HTTP routing service: endpoints, status codes, frozen-pool registration,
 and crash recovery from the persisted state file."""
 
+import contextlib
+import http.client
+import io
 import json
 import os
+import re
+import select
 import socket
 import stat
 import subprocess
@@ -10,6 +15,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +28,9 @@ from coldroute.errors import (ConfigError, DuplicateId, EncoderFailure, Summariz
                               TransportError)
 from coldroute.providers import RemoteEmbedder, RemoteSummarizer, Summarizer, TextEncoder
 from coldroute.routers import router_checksum
-from coldroute.service import MAX_BODY_BYTES, RoutingService, _status_for, make_server
+from coldroute import service as service_module
+from coldroute.service import (MAX_BODY_BYTES, RoutingService, _Handler, _Server, _status_for,
+                               make_server)
 
 from conftest import FIXTURE_DIR, stub_url
 
@@ -736,3 +744,179 @@ def test_oversized_body_is_413_before_any_read(server):
         sock.sendall(request)  # and keep the connection open: no body follows
         reply = b"".join(iter(lambda: sock.recv(4096), b"")).decode()
     assert reply.startswith("HTTP/1.0 413")
+
+
+# --- the request head, read by the service itself ----------------------------------
+
+
+class _StdlibHead(_Handler):
+    """The service's handler with the standard library's head parser restored."""
+
+    parse_request = BaseHTTPRequestHandler.parse_request
+
+
+@pytest.fixture(scope="module")
+def head_servers():
+    """Addresses of two servers over one service: the service's handler, and the stdlib's."""
+    service = RoutingService(_config())
+    servers = [_Server(("127.0.0.1", 0), handler) for handler in (_Handler, _StdlibHead)]
+    threads = []
+    for httpd in servers:
+        httpd.service = service
+        threads.append(threading.Thread(target=httpd.serve_forever, daemon=True))
+        threads[-1].start()
+    yield [httpd.server_address[:2] for httpd in servers]
+    for httpd, thread in zip(servers, threads):
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+
+
+def _ask(address, raw: bytes) -> bytes:
+    """The reply to ``raw`` without its ``Date`` header; a server that refuses a
+    request before reading all of it may reset the connection after its reply."""
+    with socket.create_connection(address, timeout=5) as client:
+        client.sendall(raw)
+        client.shutdown(socket.SHUT_WR)  # the request ends here
+        reply = b""
+        with contextlib.suppress(ConnectionResetError):
+            while chunk := client.recv(1 << 16):
+                reply += chunk
+    return re.sub(rb"\r\nDate: [^\r]*", b"", reply)
+
+
+_ROUTE = json.dumps({"query_text": "Trace the segfault in the parser."}).encode()
+_LONG = b"X-Long: " + b"a" * (65536 - 10) + b"\r\n"  # 65536 bytes, the longest line read
+
+
+def _post(head: bytes, body: bytes = _ROUTE) -> bytes:
+    return b"POST /route HTTP/1.0\r\n" + head.replace(b"%d", b"%d" % len(body)) + body
+
+
+def _get(head: bytes = b"\r\n", request_line: bytes = b"GET /healthz HTTP/1.0") -> bytes:
+    return request_line + b"\r\n" + head
+
+
+HEAD_ROWS = {  # name -> (raw request, a fragment of the reply)
+    "name case": (_post(b"content-LENGTH: %d\r\n\r\n"), b"HTTP/1.0 200 OK"),
+    "repeated length, first right": (
+        _post(b"Content-Length: %d\r\nContent-Length: 2\r\n\r\n"), b"HTTP/1.0 200 OK"),
+    "repeated length, first wrong": (
+        _post(b"Content-Length: 2\r\nContent-Length: %d\r\n\r\n"), b"HTTP/1.0 400"),
+    "bare LF": (b"POST /route HTTP/1.0\n" + b"Content-Length: %d\n\n" % len(_ROUTE) + _ROUTE,
+                b"HTTP/1.0 200 OK"),
+    "mixed line ends": (_post(b"X-A: 1\nContent-Length: %d\r\n\n"), b"HTTP/1.0 200 OK"),
+    "ISO-8859-1 length": (_post(b"Content-Length: 1\xb2\r\n\r\n"), b"got '1\\u00b2'"),
+    "ISO-8859-1 value": (_get(b"X-Note: caf\xe9\r\n\r\n"), b"HTTP/1.0 200 OK"),
+    "value spacing": (_post(b"Content-Length:\t  %d  \r\n\r\n"), b"HTTP/1.0 200 OK"),
+    "empty value": (_post(b"Content-Length:\r\n\r\n", b""), b"must be a JSON object"),
+    "colon in value": (_get(b"Host: localhost:8080\r\n\r\n"), b"HTTP/1.0 200 OK"),
+    "blank request line": (b"\r\n", b""),
+    "nothing sent": (b"", b""),
+    "1-word request line": (b"GET\r\n\r\n", b"Bad request syntax"),
+    "4 words, good version": (_get(request_line=b"GET /healthz x HTTP/1.0"),
+                              b"HTTP/1.0 400 Bad request syntax"),
+    "4 words, bad version": (_get(request_line=b"GET /healthz x y"), b"Bad request version"),
+    **{f"version {version!r}": (_get(request_line=b"GET /healthz " + version),
+                                b"Bad request version")
+       for version in (b"HTTP/1", b"HTTP/1.x", b"HTTP/1.0.1", b"http/1.0", b"HTTP/+1.0",
+                       b"HTTP/1.", b"HTTP/\xb2.0", b"HTTP/00000000001.0", b"HTTPS/1.0")},
+    **{f"version {version!r}": (_get(request_line=b"GET /healthz " + version),
+                                b"Invalid HTTP version")
+       for version in (b"HTTP/2.0", b"HTTP/10.3", b"HTTP/0000000002.0")},
+    "version 1.1": (_get(request_line=b"GET /healthz HTTP/1.1"), b"HTTP/1.0 200 OK"),
+    "version 0001.0000000000": (_get(request_line=b"GET /healthz HTTP/0001.0000000000"),
+                                b"HTTP/1.0 200 OK"),
+    "HTTP/0.9 GET": (_get(request_line=b"GET /healthz"), b'{"status": "ok"'),
+    "HTTP/0.9 POST": (b"POST /route\r\n\r\n", b"Bad HTTP/0.9 request type"),
+    "// path": (_get(request_line=b"GET //healthz HTTP/1.0"), b"HTTP/1.0 200 OK"),
+    "/// path": (_get(request_line=b"GET ///pool HTTP/1.0"), b"HTTP/1.0 200 OK"),
+    "65536-byte header line": (_get(_LONG + b"\r\n"), b"HTTP/1.0 200 OK"),
+    "65537-byte header line": (_get(_LONG[:-2] + b"a\r\n\r\n"), b"HTTP/1.0 431 Line too long"),
+    "99 headers": (_get(b"X-A: 1\r\n" * 99 + b"\r\n"), b"HTTP/1.0 200 OK"),
+    "100 headers": (_get(b"X-A: 1\r\n" * 100 + b"\r\n"), b"HTTP/1.0 431 Too many headers"),
+    "101 headers": (_get(b"X-A: 1\r\n" * 101 + b"\r\n"), b"HTTP/1.0 431 Too many headers"),
+    "PUT": (_get(request_line=b"PUT /route HTTP/1.0"), b"HTTP/1.0 501"),
+    "65537-byte request line": (_get(request_line=b"GET /" + b"a" * 65537 + b" HTTP/1.0"),
+                                b"HTTP/1.0 414"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(HEAD_ROWS))
+def test_request_head_is_answered_as_by_the_stdlib(head_servers, row):
+    raw, fragment = HEAD_ROWS[row]
+    ours, stdlib = (_ask(address, raw) for address in head_servers)
+    assert ours == stdlib
+    assert fragment in ours
+
+
+@pytest.mark.parametrize("line", [b"X-Broken", b"X-A: 1\r\n continued", b"X-A: 1\r\n\tcontinued",
+                                  b"X A: 1", b": 1", b"Caf\xe9: 1"])
+def test_header_line_without_a_name_and_colon_is_400(head_servers, line):
+    """A line the ``email`` parser took as the end of the head, or folded into
+    the header above it."""
+    reply = _ask(head_servers[0], _get(line + b"\r\n\r\n"))
+    assert reply.startswith(b"HTTP/1.0 400 Bad header line")
+
+
+@pytest.mark.parametrize("block", [
+    b"Content-Length: 12\r\nX-Bench-Id: b-7\r\n\r\n",
+    b"content-length: 3\r\nCONTENT-LENGTH: 4\r\nContent-Length: 5\r\n\r\n",
+    b"X-A:\r\nX-B:   spaced out  \r\nX-C:\t\ttabbed\r\nHost: a:80\r\n\r\n",
+    b"X-Note: caf\xe9 cr\xe8me\nX-Bench-Id: 12\n\n",
+    b"\r\n",
+])
+def test_header_map_gets_as_the_email_parser_does(block):
+    handler = _Handler.__new__(_Handler)  # a head parsed off a byte stream, with no socket
+    handler.raw_requestline, handler.rfile = b"GET / HTTP/1.0\r\n", io.BytesIO(block)
+    assert handler.parse_request()
+    reference = http.client.parse_headers(io.BytesIO(block))
+    names = {line.partition(b":")[0].decode("iso-8859-1") for line in block.splitlines()}
+    for name in names | {n.upper() for n in names} | {n.lower() for n in names} | {"X-None"}:
+        assert handler.headers.get(name) == reference.get(name)
+        assert handler.headers.get(name, "-") == reference.get(name, "-")
+
+
+def test_a_stalled_request_is_closed_and_frees_its_thread(monkeypatch):
+    monkeypatch.setattr(service_module, "READ_TIMEOUT_S", 0.2)
+    httpd = make_server(_config())
+    serving = threading.Thread(target=httpd.serve_forever, daemon=True)
+    serving.start()
+    started = _count_thread_starts(monkeypatch)
+    address = httpd.server_address[:2]
+    try:
+        with socket.create_connection(address, timeout=5) as head, \
+                socket.create_connection(address, timeout=5) as body:
+            head.sendall(b"GET /healthz HTTP/1.0\r\nHost: x\r\n")  # no blank line follows
+            body.sendall(b"POST /route HTTP/1.0\r\nContent-Length: 40\r\n\r\n{\"qu")
+            assert head.recv(64) == b""  # closed without a reply
+            assert body.recv(64).startswith(b"HTTP/1.0 408")
+        assert _exchange("http://{}:{}".format(*address), _get()).startswith(b"HTTP/1.0 200")
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        serving.join(timeout=5)
+    assert 2 <= len(started)
+    for thread in started:
+        thread.join(timeout=1)
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_a_burst_of_connections_is_queued_before_any_is_accepted():
+    httpd = make_server(_config())  # bound and listening; serve_forever never runs
+    clients = [socket.socket() for _ in range(32)]
+    try:
+        for client in clients:
+            client.setblocking(False)
+            client.connect_ex(httpd.server_address[:2])
+        pending, deadline = set(clients), time.monotonic() + 0.5
+        while pending and (left := deadline - time.monotonic()) > 0:
+            _, writable, _ = select.select([], list(pending), [], left)
+            pending.difference_update(writable)
+        connected = [c for c in clients
+                     if c not in pending and not c.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)]
+        assert len(connected) == len(clients)
+    finally:
+        for client in clients:
+            client.close()
+        httpd.server_close()

@@ -6,6 +6,10 @@ inputs are written to a temporary directory) and records:
 
 * ``serve/graphrouter``: the graph router of the ``serve_graph`` service
   (``emb:2``), with its scores for the serve world's eval queries;
+* ``serve/replies``: the SHA-256 of each reply body of an in-process
+  ``RoutingService`` on the serve world: ``json.dumps(route(text, task),
+  sort_keys=True)`` for each eval query in load order, and ``pool_info()``
+  as ``pool``, so a change to how replies are built names the replies it moved;
 * ``integrate/graphrouter``: the graph router of ``eval integrate``
   (``emb:2``, old pool), with its scores for the integration world's eval
   queries after the new model is admitted;
@@ -37,9 +41,9 @@ vector of scores or profile entries, as JSON on stdout::
 With ``--against FILE`` (an earlier output) it prints one line per part
 instead: whether the checkpoint is byte-identical and the max |Δ| of its
 vector, the provider calls of an admission before and after, and which
-reports and report fields differ.  The exit status is 1 if a vector
-moved by more than 1e-12, a vector changed its length, or a report
-differs; a changed call count is printed, not failed.
+reports, report fields and service replies differ.  The exit status is 1 if a vector
+moved by more than 1e-12, a vector changed its length, or a report or a
+reply differs; a changed call count is printed, not failed.
 """
 
 from __future__ import annotations
@@ -68,10 +72,12 @@ from coldroute.cli import main as cli  # noqa: E402
 from coldroute.config import Pipeline, load_config  # noqa: E402
 from coldroute.providers import Providers, Summarizer, TextEncoder  # noqa: E402
 from coldroute.routers import integrate_new_model, query_vectors  # noqa: E402
+from coldroute.service import RoutingService  # noqa: E402
 from worlds import eval_inputs, serve_inputs  # noqa: E402
 
 TOLERANCE = 1e-12
 ADMIT_SPECS = ("flat", "text:2", "emb:2", "train:2")
+HASHED_PARTS = ("reports", "report fields", "serve/replies")  # name -> SHA-256 tables
 
 
 def _sha(payload: dict) -> str:
@@ -98,6 +104,16 @@ def _router(config: Path, kind: str, queries: list[str] | None = None) -> dict:
         decision = router.route(vecs[qid], pool, qid, pipe.tasks[qid])
         scores.extend(decision.scores[m] for m in pool.ids)
     return {"sha256": sha, "vector": scores}
+
+
+def _replies(config: Path, queries: list[tuple[str, str, str]]) -> dict:
+    """The SHA-256 of the service's reply body to each ``(query id, text, task)``,
+    routed in order, and of its ``pool_info()`` as ``pool``."""
+    service = RoutingService(load_config(config))
+    bodies = {qid: service.route(text, task) for qid, text, task in queries}
+    bodies["pool"] = service.pool_info()
+    return {key: hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+            for key, body in bodies.items()}
 
 
 def _profiles(config: Path, spec: str) -> dict:
@@ -190,6 +206,7 @@ def fingerprint(seed: int) -> dict:
         return {
             "serve/graphrouter": _router(serve.config, "graphrouter",
                                          [q for q, _, _ in serve.queries]),
+            "serve/replies": _replies(serve.config, serve.queries),
             "integrate/graphrouter": _router(evals.integrate_config, "graphrouter"),
             "integrate/mlp": _router(evals.integrate_config, "mlp"),
             "coldstart/train:2": _profiles(evals.coldstart_config, "train:2"),
@@ -209,7 +226,7 @@ def compare(now: dict, before: dict) -> bool:
             if b is None:
                 print(f"seed {seed} {part}: not in the earlier output")
                 ok = False
-            elif part in ("reports", "report fields"):
+            elif part in HASHED_PARTS:
                 moved = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
                 ok = ok and not moved
                 print(f"seed {seed} {part}: {'DIFFER: ' + ', '.join(moved) if moved else 'identical'}")
