@@ -82,7 +82,7 @@ def main() -> None:
     pool = ["model_00_00", "model_00_01", "model_01_00", "model_01_01"]
     for short in ("flat", "text:1", "emb:2", "train:2"):
         spec = ProfileSpec.parse(short)
-        profiles = make_profiles(graph, spec, pool, providers, seed=0, trained=trained)
+        profiles = make_profiles(graph, spec, pool, providers, trained=trained)
         sims = cosine(profiles["model_00_00"].vector, profiles["model_00_01"].vector)
         cross = cosine(profiles["model_00_00"].vector, profiles["model_01_00"].vector)
         print(f"  {short:7s} cos(same-specialty pair) = {sims:+.3f}   "

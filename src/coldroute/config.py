@@ -108,7 +108,8 @@ def load_config(path: str | Path) -> AppConfig:
                 raise ConfigError(f"unknown {role} option {min(unknown)!r}")
         if not cfg.random_seeds:
             raise ConfigError("random_seeds must not be empty")
-        for name, value, least in [("hidden", cfg.hidden, 1), ("seed", cfg.seed, 0),
+        for name, value, least in [("dim", cfg.dim, 1), ("hidden", cfg.hidden, 1),
+                                   ("seed", cfg.seed, 0),
                                    ("encoder seed", cfg.encoder.get("seed", 0), 0),
                                    *(("random_seeds", s, 0) for s in cfg.random_seeds)]:
             records.at_least(name, value, least)
@@ -295,7 +296,7 @@ class PoolState:
         models = {n.id for n in pipe.graph.nodes_of_kind(NodeKind.MODEL)}
         if stray := [m for m in pool.ids if m not in models]:
             raise ConfigError(f"state file {path} holds {stray[0]!r}, not a model of the graph")
-        encode_all(pipe.graph, pipe.providers.encoder, only_missing=True)
+        encode_all(pipe.graph, pipe.providers.encoder)
         return cls(pipe, pool, path, cards)
 
     def admit(self, card: ModelCard) -> None:

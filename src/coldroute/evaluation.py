@@ -43,6 +43,7 @@ from .routers import (
     InteractionRecord,
     RoutingDecision,
     integrate_new_model,
+    load_interactions,
     query_vectors,
     router_checksum,
     save_interactions,
@@ -105,7 +106,7 @@ class RewardTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "RewardTable":
-        return cls.from_records(records.read(path, "jsonl", InteractionRecord))
+        return cls.from_records(load_interactions(path))
 
 
 # --- metrics ---------------------------------------------------------------

@@ -18,6 +18,9 @@ K, and whether aggregation is learned.  The four shipped instantiations:
                   and edge scores.
 
 All four return a vector per model; text forms keep the text alongside.
+``make_profiles`` is the one way from graph rows to profiles, for a pool
+and for a newly admitted model alike: it encodes the graph's unset rows
+too, and takes the ``train:K`` aggregator fitted elsewhere.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 from . import nn, records
 from .errors import (
     DimensionMismatch,
+    EmptyText,
     InvalidSpec,
     NonFiniteLoss,
     QueryNodeUpdateAttempt,
@@ -39,7 +43,7 @@ from .errors import (
     UnknownNode,
 )
 from .graph import EdgeKind, EvidenceGraph, NodeKind, Propagation
-from .providers import Providers, Summarizer
+from .providers import Providers, Summarizer, encode_all
 
 
 MAX_DEPTH = 4
@@ -505,40 +509,38 @@ def traingnn_states(model: TrainGnnModel, graph: EvidenceGraph) -> np.ndarray:
 def make_profiles(
     graph: EvidenceGraph,
     spec: ProfileSpec,
-    pool: list[str],
+    ids: list[str],
     providers: Providers,
     *,
-    seed: int = 0,
     trained: TrainGnnModel | None = None,
 ) -> dict[str, Profile]:
-    """Dispatch to the four instantiations; output keyed by model id.
+    """The profile of each model of ``ids`` under ``spec``, keyed by model id.
 
-    For trainable specs a pre-fit aggregator can be passed in (the frozen
-    path used when profiling a newly added model); otherwise one is fit
-    here with the given seed.  Text forms make one ``encode_batch`` call.
+    The graph's unset rows (a newly added model's) are encoded first, in
+    one ``encode_all`` call that, under a text spec, also carries the
+    profile texts after the text rounds: one embedding request at most.
+    Under a text spec a blank model text raises ``EmptyText`` before any
+    provider request.  A trainable spec needs ``trained``, the fitted
+    aggregator; none is fitted here.
     """
-    for model_id in pool:
+    for model_id in ids:
         if model_id not in graph or graph.node(model_id).kind is not NodeKind.MODEL:
             raise UnknownNode(model_id)
+    if spec.learning == "trainable" and trained is None:
+        raise InvalidSpec(f"spec {spec.short()!r} needs the fitted aggregator")
+    ids = sorted(ids)
 
-    if spec.representation == "text":
-        ids = sorted(pool)
-        texts = profile_texts(graph, spec, ids, providers.summarizer)
-        vectors = providers.encoder.encode_batch([texts[m] for m in ids])
-        return {m: Profile(m, spec, vec, texts[m]) for m, vec in zip(ids, vectors)}
+    if spec.representation == "embedding":
+        encode_all(graph, providers.encoder)
+        states = (traingnn_states(trained, graph) if spec.learning == "trainable"
+                  else embgnn_propagate(graph, spec.depth))
+        return {m: Profile(m, spec, states[graph.index[m]]) for m in ids}
 
-    if spec.learning == "training_free":
-        states = embgnn_propagate(graph, spec.depth)
-    else:
-        model = trained if trained is not None else traingnn_fit(graph, spec, seed)
-        states = traingnn_states(model, graph)
-    return {m: Profile(m, spec, states[graph.index[m]]) for m in sorted(pool)}
-
-
-def profile_texts(
-    graph: EvidenceGraph, spec: ProfileSpec, ids: list[str], summarizer: Summarizer
-) -> dict[str, str]:
-    """The profile text of each model of ``ids`` under a text spec (``flat`` or ``text:K``)."""
+    if blank := [m for m in ids if not graph.texts[graph.index[m]].strip()]:
+        raise EmptyText(blank[0])
     if spec.form == "flat":
-        return {m: flat_text(graph, m) for m in ids}
-    return textgnn_run(graph, spec.depth, summarizer, targets=ids)
+        texts = [flat_text(graph, m) for m in ids]
+    else:
+        texts = list(textgnn_run(graph, spec.depth, providers.summarizer, targets=ids).values())
+    vectors = encode_all(graph, providers.encoder, texts)
+    return {m: Profile(m, spec, vec, text) for m, vec, text in zip(ids, vectors, texts)}

@@ -416,22 +416,19 @@ class Providers:
 
 
 def encode_all(
-    graph: EvidenceGraph,
-    encoder: TextEncoder,
-    only_missing: bool = False,
-    texts: Sequence[str] = (),
+    graph: EvidenceGraph, encoder: TextEncoder, texts: Sequence[str] = ()
 ) -> list[np.ndarray]:
-    """Set every row of ``graph.features`` to its node text's ``encoder`` vector.
+    """Set each unset (NaN) row of ``graph.features`` to its node text's ``encoder``
+    vector, and return the vectors of ``texts``.
 
     Non-query nodes must carry text; query nodes use their raw query text
-    as-is.  Every node is checked before the first request, then all texts,
-    ``texts`` last, go through one ``encoder.encode_batch`` call, and rows
-    are set only once every vector has the graph's dimension and finite
-    entries.  With ``only_missing`` only the unset (NaN) rows are encoded
-    (a node added to an encoded graph).  Returns the vectors of ``texts``.
+    as-is.  Every unset node is checked before the first request, then
+    their texts, ``texts`` last, go through one ``encoder.encode_batch``
+    call; with nothing to encode there is no call.  Rows are set only once
+    every vector has the graph's dimension and finite entries; rows
+    already set are never re-encoded.
     """
-    unset = np.isnan(graph.features).any(axis=1)
-    rows = np.flatnonzero(unset) if only_missing else np.arange(len(graph))
+    rows = np.flatnonzero(np.isnan(graph.features).any(axis=1))
     nodes = [graph.node(graph.ids[row]) for row in rows]
     for node in nodes:
         if node.kind is not NodeKind.QUERY and not node.text.strip():
@@ -451,5 +448,6 @@ def encode_all(
             raise EncoderFailure(name, DimensionMismatch(graph.dim, int(vec.shape[0]), "encode_all"))
         if not np.isfinite(vec).all():
             raise EncoderFailure(name, "non-finite entries")
-    graph.features[rows] = vectors[: len(nodes)]
+    if nodes:
+        graph.features[rows] = vectors[: len(nodes)]
     return vectors[len(nodes) :]

@@ -34,8 +34,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateId,
     EmptyPool,
-    EmptyText,
-    InvalidSpec,
     LeakedInteraction,
     NonFiniteLoss,
     UnassignedQuery,
@@ -43,8 +41,8 @@ from .errors import (
     UnknownTask,
 )
 from .graph import EvidenceGraph, ModelCard, Propagation, add_model_node, remove_node
-from .profiles import Profile, ProfileSpec, TrainGnnModel, make_profiles, profile_texts
-from .providers import Providers, encode_all
+from .profiles import Profile, ProfileSpec, TrainGnnModel, make_profiles
+from .providers import Providers
 
 
 @dataclass(frozen=True)
@@ -635,14 +633,14 @@ class GraphRouterLite(nn.Layered):
         kinds = {"dim": int, "hidden": int, "tasks": dict[str, list[str]],
                  "query_vecs": dict[str, dict], "interactions": list, "params": dict}
         payload = records.check(payload, kinds)
-        router = cls.create(
-            payload["dim"],
-            payload["hidden"],
-            np.random.default_rng(0),
-            payload["tasks"],
-            {q: nn.payload_to_array(v) for q, v in payload["query_vecs"].items()},
-            [records.check(e, InteractionRecord) for e in payload["interactions"]],
-        )
+        query_vecs = {q: nn.payload_to_array(v) for q, v in payload["query_vecs"].items()}
+        interactions = [records.check(e, InteractionRecord) for e in payload["interactions"]]
+        members = [(q, "task member") for qs in payload["tasks"].values() for q in qs]
+        for qid, role in [*members, *((r.query_id, "interaction query") for r in interactions)]:
+            if qid not in query_vecs:  # else the first route fails on it
+                raise DanglingReference(qid, role)
+        router = cls.create(payload["dim"], payload["hidden"], np.random.default_rng(0),
+                            payload["tasks"], query_vecs, interactions)
         router.load_params(payload["params"])
         return router
 
@@ -769,27 +767,16 @@ def integrate_new_model(
 
     ``pool`` is left as it was: the caller publishes the returned pool when
     ready (``grown.get(card.id)`` is the new profile).  The new profile is
-    computed on the expanded graph; existing pool profiles are never
-    recomputed.  Trainable specs must pass the frozen aggregator that
-    produced the existing profiles.  The new row is encoded before
-    propagation, or with the profile text under a text spec: one encoder
-    call.  If encoding or profiling fails, the new node leaves the graph.
+    ``make_profiles`` on the grown graph, which encodes the new row too:
+    one embedding request.  Existing pool profiles are never recomputed,
+    and a trainable spec must pass the frozen aggregator that produced
+    them.  If profiling fails, the new node leaves the graph.
     """
     if card.id in pool:
         raise DuplicateId(card.id)
-    if spec.learning == "trainable" and trained is None:
-        raise InvalidSpec("integration under a trainable spec requires the frozen aggregator")
     add_model_node(graph, card)
     try:
-        if spec.representation == "embedding":
-            encode_all(graph, providers.encoder, only_missing=True)
-            profile = make_profiles(graph, spec, [card.id], providers, trained=trained)[card.id]
-        else:
-            if not card.description.strip():  # refused before the text rounds' requests
-                raise EmptyText(card.id)
-            text = profile_texts(graph, spec, [card.id], providers.summarizer)[card.id]
-            [vector] = encode_all(graph, providers.encoder, only_missing=True, texts=[text])
-            profile = Profile(card.id, spec, vector, text)
+        profile = make_profiles(graph, spec, [card.id], providers, trained=trained)[card.id]
         return CandidatePool([*pool.profiles(), profile])
     except BaseException:
         remove_node(graph, card.id)

@@ -231,13 +231,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _body(self) -> dict:
-        declared = self.headers.get("Content-Length") or "0"
-        try:
-            length = int(declared)
-        except ValueError:
-            length = -1
-        if length < 0:  # before any read: read(-1) would wait until the client hangs up
+        declared = (self.headers.get("Content-Length") or "0").strip(" \t")
+        if not (declared.isascii() and declared.isdigit()):  # 1*DIGIT (RFC 9110 §8.6), unread
             raise ConfigError(f"Content-Length must be a byte count, got {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise _BodyTooLarge(f"request body of {length} bytes is over {MAX_BODY_BYTES}")
         try:

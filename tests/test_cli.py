@@ -14,7 +14,7 @@ from coldroute.config import ENV_CONFIG, PoolState, build_world_graph, load_conf
 from coldroute.errors import ConfigError
 from coldroute.graph import load_cards
 from coldroute.profiles import load_profiles
-from coldroute.routers import load_router
+from coldroute.routers import GraphRouterLite, InteractionRecord, load_router
 from coldroute.service import RoutingService
 
 from conftest import FIXTURE_DIR
@@ -390,6 +390,8 @@ _CONFIG_EDITS = [
     _config_edit("random_seeds_empty", lambda cfg: cfg.update(random_seeds=[])),
     _config_edit("random_seed_negative", lambda cfg: cfg.update(random_seeds=[-1])),
     _config_edit("seed_negative", lambda cfg: cfg.update(seed=-1)),
+    _config_edit("dim_zero", lambda cfg: cfg.update(dim=0)),
+    _config_edit("dim_negative", lambda cfg: cfg.update(dim=-2)),
     _config_edit("hidden_zero", lambda cfg: cfg.update(hidden=0)),
     _config_edit("hidden_negative", lambda cfg: cfg.update(hidden=-1)),
     *(_config_edit(f"deterministic_{name}", lambda cfg, options=options: cfg.update(
@@ -428,6 +430,14 @@ def _reward_is_a_word(fx):
     _edit_row(fx / "rewards.jsonl", 4, lambda row: row.update(reward="x"))
     argv = ["eval", "coldstart", "--config", str(fx / "coldstart.json"), "--out", str(fx / "rep")]
     return argv, "rewards.jsonl:5"
+
+
+def _reward_row_repeated(fx):
+    path = fx / "rewards.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([*lines, lines[2]]))
+    argv = ["eval", "coldstart", "--config", str(fx / "coldstart.json"), "--out", str(fx / "rep")]
+    return argv, "rewards.jsonl"
 
 
 def _profile_without_vector(fx):
@@ -469,6 +479,25 @@ def _checkpoint_without_hidden(fx):
     return argv, "r.json"
 
 
+def _graph_router_edit(name: str, change):
+    """A malformed-input case: ``coldroute route`` with a graph-router checkpoint edited by
+    ``change``."""
+    def make(fx):
+        router = GraphRouterLite.create(64, 2, np.random.default_rng(0), {"task_00": ["q"]},
+                                        {"q": np.full(64, 0.125)},
+                                        [InteractionRecord("q", "model_00_00", 0.5)])
+        checkpoint = router.to_checkpoint()
+        change(checkpoint)
+        (fx / "r.json").write_text(json.dumps(checkpoint))
+        (fx / "p.jsonl").write_text(json.dumps(_profile_row("model_00_00")) + "\n")
+        argv = ["route", "--config", str(fx / "coldstart.json"), "--router", str(fx / "r.json"),
+                "--profiles", str(fx / "p.jsonl"), "--query", "Sum the first ten squares.",
+                "--task", "task_00"]
+        return argv, "r.json"
+    make.__name__ = f"_{name}"
+    return make
+
+
 def _pool_is_a_string(fx):
     _edit_json(fx / "coldstart.json", lambda cfg: cfg.update(pool="model_00_00"))
     argv = ["profile", "--config", str(fx / "coldstart.json"), "--out", str(fx / "p.jsonl")]
@@ -484,11 +513,16 @@ MALFORMED = [
     _interactions_cut_short,
     _task_without_id,
     _reward_is_a_word,
+    _reward_row_repeated,
     _profile_without_vector,
     _pool_state_without_spec,
     _bare_pool_state,
     _missing_profiles_file,
     _checkpoint_without_hidden,
+    _graph_router_edit("task_member_without_vector",
+                       lambda cp: cp["tasks"]["task_00"].append("q_ghost")),
+    _graph_router_edit("interaction_query_without_vector",
+                       lambda cp: cp["interactions"][0].update(query_id="q_ghost")),
     _pool_is_a_string,
     *_CONFIG_EDITS,
 ]

@@ -454,7 +454,8 @@ def test_traingnn_create_guards():
 def test_make_profiles_all_instantiations(fixture_graph, providers, short):
     spec = ProfileSpec.parse(short)
     pool = ["model_00_00", "model_01_01"]
-    profiles = make_profiles(fixture_graph, spec, pool, providers, seed=0)
+    trained = traingnn_fit(fixture_graph, spec, seed=0) if short == "train:1" else None
+    profiles = make_profiles(fixture_graph, spec, pool, providers, trained=trained)
     assert sorted(profiles) == sorted(pool)
     for mid, profile in profiles.items():
         assert profile.model_id == mid

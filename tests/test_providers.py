@@ -119,20 +119,34 @@ def test_encode_all_rejects_blank_non_query_text():
 def test_encode_all_only_missing_preserves_existing(tiny_graph):
     before = tiny_graph.embedding("model_00")
     tiny_graph.texts[tiny_graph.index["model_00"]] = "A very different description now."
-    encode_all(tiny_graph, DeterministicEmbedder(dim=4, seed=0), only_missing=True)
+    encode_all(tiny_graph, DeterministicEmbedder(dim=4, seed=0))
     assert np.array_equal(tiny_graph.embedding("model_00"), before)
 
 
-def test_encode_all_rejects_a_non_finite_vector_and_sets_nothing(tiny_graph):
+def test_encode_all_rejects_a_non_finite_vector_and_sets_nothing():
     class NanFor(DeterministicEmbedder):
         def encode(self, text):
             vec = super().encode(text)
             return np.full(self.dim, np.nan) if text.startswith("A quiet") else vec
 
-    before = tiny_graph.features.copy()
+    cards = tiny_cards()
+    graph = build_graph(
+        cards.families, cards.models, cards.benchmarks, cards.domains, cards.queries, 4
+    )
+    before = graph.features.copy()
     with pytest.raises(EncoderFailure, match="model_01"):
-        encode_all(tiny_graph, NanFor(dim=4, seed=1))
-    assert np.array_equal(tiny_graph.features, before, equal_nan=True)
+        encode_all(graph, NanFor(dim=4, seed=1))
+    assert np.array_equal(graph.features, before, equal_nan=True)
+
+
+def test_encode_all_with_no_unset_row_encodes_only_the_texts(tiny_graph):
+    before = tiny_graph.features.copy()
+    enc = DeterministicEmbedder(dim=4, seed=9)  # not the graph's encoder: a re-encoding would show
+    texts = ["What is three plus four?", "A careful first model."]
+    vectors = encode_all(tiny_graph, enc, texts)
+    assert len(vectors) == 2
+    assert all(np.array_equal(vec, enc.encode(text)) for vec, text in zip(vectors, texts))
+    assert np.array_equal(tiny_graph.features, before)
 
 
 def test_providers_deterministic_bundle():

@@ -1,6 +1,7 @@
 """Routing layer: candidate pools, decisions, the three routers, and
 frozen-router integration of new models."""
 
+import copy
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from coldroute.errors import (
     UnknownTask,
 )
 from coldroute.evaluation import SynthWorldConfig, synth_world
-from coldroute.graph import EvidenceGraph, ModelCard, NodeKind
+from coldroute.graph import EvidenceGraph, ModelCard, NodeKind, add_model_node
 from coldroute.profiles import (
     Profile,
     ProfileSpec,
@@ -28,7 +29,7 @@ from coldroute.profiles import (
     traingnn_fit,
     traingnn_states,
 )
-from coldroute.providers import Providers, Summarizer, TextEncoder
+from coldroute.providers import Providers, Summarizer, TextEncoder, encode_all
 from coldroute.routers import (
     CandidatePool,
     GraphRouterLite,
@@ -729,3 +730,24 @@ def test_blank_card_is_refused_before_any_provider_request(
                             counting, trained=trained)
     assert counting.encoder.batches == [] and counting.summarizer.prompts == []
     assert fixture_graph.ids == ids and "model_02_00" not in pool
+
+
+def test_make_profiles_refuses_a_trainable_spec_without_its_aggregator(fixture_graph, providers):
+    add_model_node(fixture_graph, _new_card())  # an unset row, so a request would show
+    counting = _counting(providers)
+    with pytest.raises(InvalidSpec):
+        make_profiles(fixture_graph, ProfileSpec.parse("train:2"), ["model_02_00"], counting)
+    assert counting.encoder.batches == [] and counting.summarizer.prompts == []
+
+
+def test_make_profiles_encodes_an_unset_row_with_the_profile_text(fixture_graph, providers):
+    spec, card = ProfileSpec.parse("text:2"), _new_card()
+    add_model_node(fixture_graph, card)
+    first = copy.deepcopy(fixture_graph)  # encoded first, profiled after
+    encode_all(first, providers.encoder)
+    want = make_profiles(first, spec, [card.id], providers)[card.id]
+    counting = _counting(providers)
+    got = make_profiles(fixture_graph, spec, [card.id], counting)[card.id]
+    assert counting.encoder.batches == [[card.description, want.text]]
+    assert np.array_equal(fixture_graph.features, first.features)
+    assert got.text == want.text and np.array_equal(got.vector, want.vector)

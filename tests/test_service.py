@@ -494,7 +494,7 @@ def test_closing_the_server_ends_its_request_threads(monkeypatch):
     assert not any(thread.is_alive() for thread in started)
 
 
-@pytest.mark.parametrize("length", ["twelve", "-1", "-40"])
+@pytest.mark.parametrize("length", ["twelve", "-1", "-40", "3_1", "+31", "-0"])
 def test_bad_content_length_is_400_without_reading_the_body(server, length):
     base = server(_config())
     host, port = base.removeprefix("http://").split(":")
