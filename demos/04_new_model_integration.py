@@ -67,7 +67,7 @@ def main() -> None:
 
     section("Integrate: one profile computation, zero parameter updates")
     blob_before = json.dumps(router.to_checkpoint(), sort_keys=True)
-    pool = integrate_new_model(pool, graph, world.new_card, spec, providers)
+    pool, graph = integrate_new_model(pool, graph, world.new_card, spec, providers)
     blob_after = json.dumps(router.to_checkpoint(), sort_keys=True)
     print(f"pool: {pool.ids}")
     print(f"checkpoint bytes unchanged: {blob_before == blob_after}")

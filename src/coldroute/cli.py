@@ -94,7 +94,7 @@ def _cmd_router_train(args) -> dict:
     out = Path(args.out) if args.out else pipe.cfg.base_dir / f"router_{args.kind}.json"
     save_router(router, out)
     pool_out = Path(args.pool_out) if args.pool_out else out.with_name(out.stem + "_pool.json")
-    PoolState(pipe, pool, pool_out).write()
+    PoolState(pipe, pool, pipe.graph, pool_out).write()
     return {
         "router": args.kind,
         "path": str(out),

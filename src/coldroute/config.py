@@ -10,7 +10,7 @@ config path itself may come from ``RP_CONFIG``.
 ``Pipeline`` turns a config into everything routing needs: providers,
 spec, the encoded graph, the aggregator, the pool and the router.  The
 CLI, the eval protocols and the service all build through it; the CLI
-and the service recover and grow a pool through ``PoolState``.
+and the service recover and grow a pool and its graph through ``PoolState``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 from . import records
 from .errors import ConfigError
 from .graph import (CardSet, EvidenceGraph, ModelCard, NodeKind, add_model_node, build_graph,
-                    load_cards, parse_card, read_card, remove_node)
+                    load_cards, parse_card, read_card)
 from .profiles import ProfileSpec, TrainGnnModel, make_profiles, traingnn_fit
 from .providers import (
     DeterministicEmbedder,
@@ -250,13 +250,16 @@ class Pipeline:
 
 @dataclass
 class PoolState:
-    """A pool, the model cards admitted to it, and the file that keeps both.
+    """A pool, the evidence graph its models are nodes of, the model cards
+    admitted to both, and the file that keeps the pool and the cards.
 
-    The file holds ``pool`` (``{"models": [profile rows]}``) and ``registered_cards``.
+    The file holds ``pool`` (``{"models": [profile rows]}``) and
+    ``registered_cards``; the graph is ``pipe.graph`` grown by the cards.
     """
 
     pipe: Pipeline
     pool: CandidatePool
+    graph: EvidenceGraph
     path: Path | None = None
     cards: list[ModelCard] = field(default_factory=list)
 
@@ -276,43 +279,43 @@ class PoolState:
 
     @classmethod
     def recover(cls, pipe: Pipeline, path: Path | None, fresh: Callable[[], CandidatePool]):
-        """The state in the file at ``path``, else ``fresh()`` with no cards.
+        """The state in the file at ``path``, else ``fresh()`` on ``pipe.graph`` with no cards.
 
-        The profiles must have the configured spec and dim.  A trainable
-        spec's aggregator is made first, on the cards directory's graph;
-        then the cards join the graph, and each pool model must be a model
-        node of it.  Else, or if the file cannot be read, ``ConfigError``.
+        The profiles must have the configured spec and dim.  The cards join
+        ``pipe.graph``, which stays as it was, in a grown copy, and each pool
+        model must be a model node of it.  Else, or if the file cannot be
+        read, ``ConfigError``.
         """
         if path is None or not Path(path).exists():
-            return cls(pipe, fresh(), path)
+            return cls(pipe, fresh(), pipe.graph, path)
         pool, cards = cls.read(path)
         want = f"{pipe.spec.short()} with dim {pipe.cfg.dim}"
         for p in pool.profiles():
             if (got := f"{p.spec.short()} with dim {p.vector.shape[0]}") != want:
                 raise ConfigError(f"state file {path} holds {p.model_id!r} as {got}, not {want}")
-        pipe.aggregator  # noqa: B018 - fitted or loaded before the graph grows
-        for card in (c for c in cards if c.id not in pipe.graph):
-            add_model_node(pipe.graph, card)
-        models = {n.id for n in pipe.graph.nodes_of_kind(NodeKind.MODEL)}
+        graph = pipe.graph
+        for card in cards:
+            if card.id not in graph:
+                graph = add_model_node(graph, card)
+        models = {n.id for n in graph.nodes_of_kind(NodeKind.MODEL)}
         if stray := [m for m in pool.ids if m not in models]:
             raise ConfigError(f"state file {path} holds {stray[0]!r}, not a model of the graph")
-        encode_all(pipe.graph, pipe.providers.encoder)
-        return cls(pipe, pool, path, cards)
+        encode_all(graph, pipe.providers.encoder)
+        return cls(pipe, pool, graph, path, cards)
 
     def admit(self, card: ModelCard) -> None:
-        """Add ``card``'s model and write the file; only then do ``pool`` and ``cards`` hold it.
-        A failure leaves all as it was, but ``records.Unsynced``: the file holds it already."""
+        """Add ``card``'s model and write the file; only then do ``pool``, ``graph`` and
+        ``cards`` hold it.  A failure leaves all as it was, but ``records.Unsynced``:
+        the file holds it already."""
         pipe = self.pipe
-        pool = integrate_new_model(self.pool, pipe.graph, card, pipe.spec, pipe.providers,
-                                   trained=pipe.aggregator)
-        grown = replace(self, pool=pool, cards=[*self.cards, card])
+        pool, graph = integrate_new_model(self.pool, self.graph, card, pipe.spec, pipe.providers,
+                                          trained=pipe.aggregator)
+        grown = replace(self, pool=pool, graph=graph, cards=[*self.cards, card])
         try:
             if self.path is not None:
                 grown.write()
         except records.Unsynced:
-            self.pool, self.cards = grown.pool, grown.cards
+            self.pool, self.graph, self.cards = grown.pool, grown.graph, grown.cards
             raise
-        except BaseException:
-            remove_node(pipe.graph, card.id)
-            raise
-        self.pool, self.cards = grown.pool, grown.cards  # one assignment each: old or grown, whole
+        # one assignment each: old or grown, whole
+        self.pool, self.graph, self.cards = grown.pool, grown.graph, grown.cards

@@ -90,23 +90,14 @@ class RewardTable:
             for q, m in sorted(self._rewards)
         ]
 
-    @classmethod
-    def from_records(cls, records: list[InteractionRecord]) -> "RewardTable":
-        entries: dict[tuple[str, str], float] = {}
-        for rec in records:
-            key = (rec.query_id, rec.model_id)
-            if key in entries:
-                raise ConfigError(f"duplicate reward entry for {key!r}")
-            entries[key] = rec.reward
-        return cls(entries)
-
     def save(self, path: str | Path) -> None:
         rows = sorted(self._rewards.items())
         save_interactions((InteractionRecord(q, m, r) for (q, m), r in rows), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "RewardTable":
-        return cls.from_records(load_interactions(path))
+        """The rewards of an interactions file; ``load_interactions`` refuses a repeated pair."""
+        return cls({(r.query_id, r.model_id): r.reward for r in load_interactions(path)})
 
 
 # --- metrics ---------------------------------------------------------------
@@ -480,7 +471,8 @@ def run_integration(
 
     The old pool is the configured one without the configured new model,
     which joins it through the pipeline's aggregator once the router is
-    frozen.
+    frozen.  ``pipe.graph`` is left as it was, so each run on one pipeline
+    reports the same.
     """
     new_card = pipe.new_card
     if new_card is None:
@@ -490,11 +482,11 @@ def run_integration(
     router = pipe.router(router_kind, pool)
     checksum_before = router_checksum(router)
 
-    pool = integrate_new_model(pool, pipe.graph, new_card, pipe.spec, pipe.providers,
-                               trained=pipe.aggregator)
+    pool, graph = integrate_new_model(pool, pipe.graph, new_card, pipe.spec, pipe.providers,
+                                      trained=pipe.aggregator)
 
     tasks = pipe.tasks
-    vecs = query_vectors(pipe.graph, queries)
+    vecs = query_vectors(graph, queries)
     decisions = [
         router.route(vecs[qid], pool, qid, tasks.get(qid) if tasks else None) for qid in queries
     ]

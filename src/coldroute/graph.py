@@ -17,6 +17,7 @@ the implicit self loop.  Missing scores create no edge; no imputation.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -152,8 +153,9 @@ class EvidenceGraph:
     model->benchmark, benchmark->domain, query->benchmark), ``weights`` (the
     score, else 1) and ``scored``.  These arrays are the only adjacency: an
     edge's kind follows from its endpoints' kinds, and ``incident`` /
-    ``neighbors`` scan ``pairs``.  Adjacency is undirected.  Only
-    :func:`add_model_node` / :func:`remove_node` change the graph.
+    ``neighbors`` scan ``pairs``.  Adjacency is undirected.  A graph is a
+    value: :func:`add_model_node` returns a grown copy, and only
+    ``providers.encode_all`` writes to a graph, setting its unset rows.
     """
 
     def __init__(
@@ -187,7 +189,9 @@ class EvidenceGraph:
         Every edge's ``src`` is one of ``nodes``.  Node ids must be new, each
         endpoint a node of the kind its edge kind names, no two edges may
         join one pair, and only a score edge carries a weight, in [0, 1].  A
-        rejected call writes nothing.
+        rejected call writes nothing.  Each list, dict and array is rebound,
+        never extended in place, so a shallow copy taken before the call
+        keeps the graph as it was.
         """
         new: dict[str, Node] = {}
         for node in nodes:
@@ -218,10 +222,10 @@ class EvidenceGraph:
             weights.append(1.0 if edge.weight is None else edge.weight)
             scored.append(edge.weight is not None)
 
-        self.index.update(rows)
-        self.ids.extend(new)
+        self.index = {**self.index, **rows}
+        self.ids = self.ids + list(new)
         self.kinds = kinds
-        self.texts.extend(node.text for node in new.values())
+        self.texts = self.texts + [node.text for node in new.values()]
         self.features = np.vstack([self.features, np.full((len(new), self.dim), np.nan)])
         self.pairs = np.concatenate([self.pairs, np.asarray(pairs, dtype=np.intp).reshape(-1, 2)])
         self.weights = np.concatenate([self.weights, np.asarray(weights, dtype=np.float64)])
@@ -380,13 +384,17 @@ class Propagation:
         return s
 
 
-def add_model_node(graph: EvidenceGraph, card: ModelCard) -> None:
-    """Insert a new model node, as the next row, plus its family and score edges.
+def add_model_node(graph: EvidenceGraph, card: ModelCard) -> EvidenceGraph:
+    """A copy of ``graph`` grown by a new model node, as the next row, plus its
+    family and score edges.
 
-    Existing nodes and features are untouched; the new row stays unset
-    until encoded.  A card the graph rejects leaves it as it was.
+    ``graph`` is left as it was: the copy shares none of its lists or
+    arrays, so encoding the new row, which stays unset until encoded,
+    writes only to the copy.  A card the graph rejects raises.
     """
-    graph._add([Node(card.id, NodeKind.MODEL, card.description)], _model_edges(card, graph.score_scales))
+    grown = copy.copy(graph)
+    grown._add([Node(card.id, NodeKind.MODEL, card.description)], _model_edges(card, graph.score_scales))
+    return grown
 
 
 def _model_edges(card: ModelCard, scales: dict[str, str]) -> list[Edge]:
@@ -402,20 +410,6 @@ def _model_edges(card: ModelCard, scales: dict[str, str]) -> list[Edge]:
         weight = float(score) if scale is None else normalize_score(score, scale, card.id, bench_id)
         edges.append(Edge(card.id, bench_id, EdgeKind.MODEL_BENCHMARK, weight))
     return edges
-
-
-def remove_node(graph: EvidenceGraph, node_id: str) -> None:
-    """Remove a node and its incident edges; the rows after it move up by one."""
-    if node_id not in graph:
-        raise UnknownNode(node_id)
-    row = graph.index.pop(node_id)
-    keep = (graph.pairs != row).all(axis=1)
-    graph.pairs = graph.pairs[keep] - (graph.pairs[keep] > row)
-    graph.weights, graph.scored = graph.weights[keep], graph.scored[keep]
-    graph.features = np.delete(graph.features, row, axis=0)
-    del graph.ids[row], graph.kinds[row], graph.texts[row]
-    for i, nid in enumerate(graph.ids[row:], row):
-        graph.index[nid] = i
 
 
 # --- card file IO ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Minimal dense numeric core: affine layers, MSE, Adam, gradient checking.
+"""Minimal dense numeric core: affine layers, MSE, Adam, checkpoint payloads.
 
 Everything runs on 64-bit numpy arrays with hand-derived gradients.  There
 is deliberately no autodiff: the model zoo is three small architectures and
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import records
-from .errors import NonFiniteLoss, ShapeMismatch
+from .errors import ShapeMismatch
 
 
 def _as_f64(x) -> np.ndarray:
@@ -175,36 +175,6 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def finite_diff_check(loss_fn, params: list[np.ndarray], h: float = 1e-5) -> float:
-    """Central-difference check of an analytic gradient.
-
-    ``loss_fn(params) -> (loss, grads)`` must be pure in ``params``.  Each
-    component is perturbed by ±h and the two-sided slope is compared with
-    the analytic entry; the return value is the maximum relative error with
-    denominator ``max(|analytic|, |numeric|, 1e-8)``.
-    """
-    loss, grads = loss_fn(params)
-    if not np.isfinite(loss):
-        raise NonFiniteLoss("finite_diff_check base point")
-    worst = 0.0
-    for p, g in zip(params, grads):
-        flat_p = p.reshape(-1)
-        flat_g = np.asarray(g).reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            lp, _ = loss_fn(params)
-            flat_p[i] = orig - h
-            lm, _ = loss_fn(params)
-            flat_p[i] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise NonFiniteLoss("finite_diff_check probe")
-            numeric = (lp - lm) / (2.0 * h)
-            denom = max(abs(numeric), abs(flat_g[i]), 1e-8)
-            worst = max(worst, abs(numeric - flat_g[i]) / denom)
-    return worst
 
 
 # --- checkpoint payloads ---------------------------------------------------

@@ -40,7 +40,7 @@ from .errors import (
     UnknownModelInInteractions,
     UnknownTask,
 )
-from .graph import EvidenceGraph, ModelCard, Propagation, add_model_node, remove_node
+from .graph import EvidenceGraph, ModelCard, Propagation, add_model_node
 from .profiles import Profile, ProfileSpec, TrainGnnModel, make_profiles
 from .providers import Providers
 
@@ -762,22 +762,18 @@ def integrate_new_model(
     providers: Providers,
     *,
     trained: TrainGnnModel | None = None,
-) -> CandidatePool:
-    """Add a model to the evidence graph; the pool grown by its profile; router untouched.
+) -> tuple[CandidatePool, EvidenceGraph]:
+    """The pool and the evidence graph, each grown by a new model; router untouched.
 
-    ``pool`` is left as it was: the caller publishes the returned pool when
-    ready (``grown.get(card.id)`` is the new profile).  The new profile is
-    ``make_profiles`` on the grown graph, which encodes the new row too:
-    one embedding request.  Existing pool profiles are never recomputed,
-    and a trainable spec must pass the frozen aggregator that produced
-    them.  If profiling fails, the new node leaves the graph.
+    ``pool`` and ``graph`` are left as they were: the caller publishes the
+    returned pair when ready (the grown pool's ``get(card.id)`` is the new profile).
+    The new profile is ``make_profiles`` on the grown graph, which encodes
+    the new row too: one embedding request.  Existing pool profiles are
+    never recomputed, and a trainable spec must pass the frozen aggregator
+    that produced them.
     """
     if card.id in pool:
         raise DuplicateId(card.id)
-    add_model_node(graph, card)
-    try:
-        profile = make_profiles(graph, spec, [card.id], providers, trained=trained)[card.id]
-        return CandidatePool([*pool.profiles(), profile])
-    except BaseException:
-        remove_node(graph, card.id)
-        raise
+    grown = add_model_node(graph, card)
+    profile = make_profiles(grown, spec, [card.id], providers, trained=trained)[card.id]
+    return CandidatePool([*pool.profiles(), profile]), grown

@@ -13,11 +13,12 @@ Routing is side-effect free; registration is serialized behind a lock.
 Start-up recovery and registration go through ``config.PoolState``, as
 ``coldroute integrate`` does: the pool and the registered cards persist
 atomically and durably to the state file, and a file it refuses stops
-start-up with ``ConfigError``.  A pool never changes: registration
-publishes the grown pool once the state file names the model, so no
-route or ``/pool`` reply names a model not yet admitted, and a
-registration refused before that leaves the graph and the pool as they
-were.  The router checksum is taken at start and after each registration.
+start-up with ``ConfigError``.  Neither a pool nor a graph ever changes:
+registration (``PoolState.admit``, under the write lock) publishes the
+grown pool and graph once the state file names the model, so no route or
+``/pool`` reply names a model not yet admitted, and a registration
+refused before that publishes nothing.  The router checksum is taken at
+start and after each registration.
 
 Each connection is served on a request thread, which then waits for the
 next connection; a new thread starts only when none is idle, so no
@@ -77,7 +78,7 @@ class RoutingService:
     def __init__(self, cfg: AppConfig):
         self.cfg = cfg
         pipe = Pipeline(cfg)
-        self.providers, self.spec, self.graph = pipe.providers, pipe.spec, pipe.graph
+        self.providers, self.spec = pipe.providers, pipe.spec
         pool = pipe.pool(pipe.pool_ids())
         # fit on the configured pool, as before the restart: recovery adds to the pool
         self.router = pipe.router(cfg.router, pool)

@@ -19,6 +19,7 @@ import pytest
 
 from coldroute import records
 from coldroute.config import AppConfig, Pipeline
+from coldroute.errors import NonFiniteLoss
 from coldroute.graph import (
     BenchmarkCard,
     CardSet,
@@ -270,6 +271,36 @@ def graph_router_oracle(router, pool, query_vec, task_id: str) -> dict[str, floa
         for kind, name in nodes
         if kind == "m"
     }
+
+
+def finite_diff_check(loss_fn, params: list[np.ndarray], h: float = 1e-5) -> float:
+    """Central-difference check of an analytic gradient.
+
+    ``loss_fn(params) -> (loss, grads)`` must be pure in ``params``.  Each
+    component is perturbed by ±h and the two-sided slope is compared with
+    the analytic entry; the return value is the maximum relative error with
+    denominator ``max(|analytic|, |numeric|, 1e-8)``.
+    """
+    loss, grads = loss_fn(params)
+    if not np.isfinite(loss):
+        raise NonFiniteLoss("finite_diff_check base point")
+    worst = 0.0
+    for p, g in zip(params, grads):
+        flat_p = p.reshape(-1)
+        flat_g = np.asarray(g).reshape(-1)
+        for i in range(flat_p.size):
+            orig = flat_p[i]
+            flat_p[i] = orig + h
+            lp, _ = loss_fn(params)
+            flat_p[i] = orig - h
+            lm, _ = loss_fn(params)
+            flat_p[i] = orig
+            if not (np.isfinite(lp) and np.isfinite(lm)):
+                raise NonFiniteLoss("finite_diff_check probe")
+            numeric = (lp - lm) / (2.0 * h)
+            denom = max(abs(numeric), abs(flat_g[i]), 1e-8)
+            worst = max(worst, abs(numeric - flat_g[i]) / denom)
+    return worst
 
 
 # --- full-graph training steps ---------------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 import requests
 
-from coldroute import nn
 from coldroute.cli import main
 from coldroute.config import AppConfig, ENV_CONFIG, build_world_graph
 from coldroute.evaluation import (
@@ -51,6 +50,7 @@ from conftest import (
     FIXTURE_DIR,
     bfs_ball,
     dense_propagation_oracle,
+    finite_diff_check,
     random_graph,
     tiny_cards,
     world_pipeline,
@@ -132,7 +132,7 @@ def test_criterion_02_gradient_correctness():
     def loss_fn(_params):
         return model.loss_and_grads(s, x_masked, x, node_batch, edge_pairs, edge_targets)
 
-    err = nn.finite_diff_check(loss_fn, model.params())
+    err = finite_diff_check(loss_fn, model.params())
     elapsed = time.perf_counter() - start
     _report(
         2,
@@ -162,7 +162,7 @@ def test_graphrouter_gradients_pass_finite_difference(fixture_world):
     assert all(np.any(g != 0.0) for g in grads)
     # h = 1e-4: with h = 1e-5 the loss's rounding error over 2h (~1e-11) is
     # no longer small against prop1's smallest gradient entries (~1e-7)
-    assert nn.finite_diff_check(loss_fn, router.params(), h=1e-4) < 1e-6
+    assert finite_diff_check(loss_fn, router.params(), h=1e-4) < 1e-6
 
 
 def test_mlp_gradients_pass_finite_difference(fixture_world):
@@ -179,7 +179,7 @@ def test_mlp_gradients_pass_finite_difference(fixture_world):
 
     _, grads = loss_fn(router.params())
     assert len(grads) == 8 and all(np.any(g != 0.0) for g in grads)
-    assert nn.finite_diff_check(loss_fn, router.params()) < 1e-6
+    assert finite_diff_check(loss_fn, router.params()) < 1e-6
 
 
 def test_criterion_03_training_sanity():
@@ -318,7 +318,7 @@ def test_criterion_07_integration_directional():
     router = graphrouter_fit(tasks, query_vecs, world.interactions, pool, seed=0)
 
     blob_before = json.dumps(router.to_checkpoint(), sort_keys=True).encode()
-    pool = integrate_new_model(pool, graph, world.new_card, spec, providers)
+    pool, graph = integrate_new_model(pool, graph, world.new_card, spec, providers)
     blob_after = json.dumps(router.to_checkpoint(), sort_keys=True).encode()
 
     def route_all():

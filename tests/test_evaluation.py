@@ -28,7 +28,8 @@ from coldroute.evaluation import (
     single_best,
     synth_world,
 )
-from coldroute.routers import CandidatePool, InteractionRecord, RoutingDecision, integrate_new_model
+from coldroute.routers import (CandidatePool, InteractionRecord, RoutingDecision, integrate_new_model,
+                               save_interactions)
 from conftest import world_pipeline
 
 
@@ -80,18 +81,18 @@ def test_table_restrict_is_complete_subtable():
 def test_table_records_and_file_round_trips(tmp_path):
     rng = np.random.default_rng(1)
     table = _random_table(rng, 5, 3)
-    back = RewardTable.from_records(table.to_records())
-    assert len(back) == len(table)
     path = tmp_path / "rewards.jsonl"
+    save_interactions(table.to_records(), path)
+    back = RewardTable.load(path)
+    assert len(back) == len(table)
     table.save(path)
     loaded = RewardTable.load(path)
     for qid in table.query_ids:
         for mid in table.model_ids:
             assert loaded.reward(qid, mid) == table.reward(qid, mid)
+    save_interactions([InteractionRecord("q", "m", 0.5), InteractionRecord("q", "m", 0.5)], path)
     with pytest.raises(ConfigError):
-        RewardTable.from_records(
-            [InteractionRecord("q", "m", 0.5), InteractionRecord("q", "m", 0.5)]
-        )
+        RewardTable.load(path)
 
 
 # --- metric hand values ----------------------------------------------------
@@ -296,12 +297,28 @@ def test_run_integration_frozen_router_and_ncir(tmp_path):
     assert 0.0 <= report.ncir <= report.average_performance <= report.oracle
 
 
+def test_two_integration_runs_on_one_pipeline_report_the_same(tmp_path):
+    world_cfg = SynthWorldConfig(
+        seed=0, num_domains=2, models_per_specialty=2, queries_per_domain=6, noise=0.0
+    )
+    world = integration_world(world_cfg)
+    pipe = world_pipeline(tmp_path, world, dim=32, spec="emb:2", hidden=16)
+    graph = pipe.graph
+    ids, pairs, features = list(graph.ids), graph.pairs.copy(), graph.features.copy()
+    first = run_integration(pipe, "graphrouter", world.eval_queries, world.rewards)
+    second = run_integration(pipe, "graphrouter", world.eval_queries, world.rewards)
+    assert first == second
+    assert pipe.graph is graph and world.new_card.id not in graph
+    assert graph.ids == ids and np.array_equal(graph.pairs, pairs)
+    assert graph.features.tobytes() == features.tobytes()
+
+
 def test_run_integration_zero_profile_override_never_selects_new(monkeypatch, tmp_path):
     def integrate_zeroed(pool, graph, card, *args, **kwargs):
         # the protocol routes the pool returned here, so the router sees the zero vector
-        grown = integrate_new_model(pool, graph, card, *args, **kwargs)
+        grown, graph = integrate_new_model(pool, graph, card, *args, **kwargs)
         zeroed = replace(grown.get(card.id), vector=np.zeros(grown.dim))
-        return CandidatePool([*pool.profiles(), zeroed])
+        return CandidatePool([*pool.profiles(), zeroed]), graph
 
     monkeypatch.setattr("coldroute.evaluation.integrate_new_model", integrate_zeroed)
     world_cfg = SynthWorldConfig(

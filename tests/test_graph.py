@@ -32,7 +32,6 @@ from coldroute.graph import (
     build_graph,
     normalize_score,
     read_card,
-    remove_node,
 )
 
 from conftest import dense_propagation_matrix, random_graph, tiny_cards
@@ -250,15 +249,16 @@ def test_add_model_node_grows_graph(fixture_cards):
         "A late arriving quantitative assistant.",
         {"bench_00_a": 0.77, "bench_00_b": 91.0},
     )
-    add_model_node(graph, card)
-    assert len(graph) == n_nodes + 1
-    assert len(graph.edges) == n_edges + 3  # family + two scores
+    grown = add_model_node(graph, card)
+    assert len(grown) == n_nodes + 1
+    assert len(grown.edges) == n_edges + 3  # family + two scores
+    assert (len(graph), len(graph.edges)) == (n_nodes, n_edges)
     # percent scale is remembered per benchmark
-    assert _edge(graph, "model_00_02", "bench_00_b").weight == pytest.approx(0.91)
-    assert _edge(graph, "model_00_02", "bench_00_a").weight == pytest.approx(0.77)
+    assert _edge(grown, "model_00_02", "bench_00_b").weight == pytest.approx(0.91)
+    assert _edge(grown, "model_00_02", "bench_00_a").weight == pytest.approx(0.77)
 
 
-def test_add_model_node_rolls_back_on_bad_score(fixture_cards):
+def test_add_model_node_refuses_a_bad_score(fixture_cards):
     graph = _build(fixture_cards, dim=8)
     n_nodes, n_edges = len(graph), len(graph.edges)
     bad = ModelCard("model_00_03", "fam_00", "Too good to be true.", {"bench_00_a": 1.7})
@@ -295,29 +295,40 @@ def test_graph_rejects_multi_edges_and_stray_weights():
     assert graph.ids == ["f", "m"] and len(graph.pairs) == 1
 
 
-def test_remove_node_drops_incident_edges(tiny_graph):
-    remove_node(tiny_graph, "model_00")
-    assert "model_00" not in tiny_graph
-    assert all("model_00" not in (e.src, e.dst) for e in tiny_graph.edges)
-    with pytest.raises(UnknownNode):
-        remove_node(tiny_graph, "model_00")
+def test_add_model_node_leaves_the_graph_as_it_was(tiny_graph):
+    from coldroute.providers import DeterministicEmbedder, encode_all
+
+    lists = {name: getattr(tiny_graph, name) for name in ("ids", "kinds", "texts", "index")}
+    copies = {name: value.copy() for name, value in lists.items()}
+    arrays = {name: getattr(tiny_graph, name).copy()
+              for name in ("features", "pairs", "weights", "scored")}
+    before = tiny_graph.to_snapshot()
+    grown = add_model_node(tiny_graph, ModelCard("model_02", "fam_00", "A late third model.",
+                                                 {"bench_00": 0.4}))
+    encode_all(grown, DeterministicEmbedder(dim=4, seed=0))  # writes the grown copy's new row
+    for name, value in lists.items():
+        assert getattr(tiny_graph, name) is value and value == copies[name], name
+        assert getattr(grown, name) is not value, name
+    for name, value in arrays.items():
+        assert np.array_equal(getattr(tiny_graph, name), value), name
+        assert not np.shares_memory(getattr(grown, name), getattr(tiny_graph, name)), name
+    assert tiny_graph.to_snapshot() == before and "model_02" not in tiny_graph
+    assert grown.ids == tiny_graph.ids + ["model_02"]
 
 
-def test_remove_node_leaves_the_arrays_of_a_graph_built_without_it(fixture_cards):
+def test_add_model_node_equals_a_graph_built_with_the_card(fixture_cards):
     from coldroute.providers import DeterministicEmbedder, encode_all
 
     graph = _build(fixture_cards, dim=8)
     encode_all(graph, DeterministicEmbedder(dim=8, seed=0))
-    add_model_node(graph, ModelCard("model_00_02", "fam_00", "Late.", {"bench_00_a": 0.5}))
-    remove_node(graph, "model_00_02")  # the last row, as a rollback removes it
-    remove_node(graph, "model_00_01")  # a row in the middle
-    models = [m for m in fixture_cards.models if m.id != "model_00_01"]
-    want = _build(replace(fixture_cards, models=models), dim=8)
+    card = ModelCard("model_00_02", "fam_00", "Late.", {"bench_00_a": 0.5, "bench_00_b": 64.0})
+    grown = add_model_node(graph, card)
+    encode_all(grown, DeterministicEmbedder(dim=8, seed=0))
+    want = _build(replace(fixture_cards, models=[*fixture_cards.models, card]), dim=8)
     encode_all(want, DeterministicEmbedder(dim=8, seed=0))
-    assert graph.ids == want.ids and graph.index == want.index
-    assert graph.kinds == want.kinds and graph.texts == want.texts
-    for name in ("features", "pairs", "weights", "scored"):
-        assert np.array_equal(getattr(graph, name), getattr(want, name)), name
+    assert grown.edges == want.edges
+    assert grown.to_snapshot() == want.to_snapshot()
+    assert grown.ids[-1] == card.id and np.array_equal(grown.pairs[: len(graph.pairs)], graph.pairs)
 
 
 # --- queries over the graph ------------------------------------------------
@@ -339,10 +350,9 @@ def test_incident_and_neighbors_match_the_edge_list_on_random_graphs():
         graph = random_graph(rng, dim=4, max_nodes=14)
         _assert_adjacency_matches_the_edge_list(graph)
         card = ModelCard("model_new", "fam_00", "A late arrival.", {"bench_00": 0.4})
-        add_model_node(graph, card)
-        _assert_adjacency_matches_the_edge_list(graph)
-        remove_node(graph, graph.ids[int(rng.integers(len(graph) - 1))])  # any old row
-        _assert_adjacency_matches_the_edge_list(graph)
+        grown = add_model_node(graph, card)
+        _assert_adjacency_matches_the_edge_list(grown)
+        _assert_adjacency_matches_the_edge_list(graph)  # the graph it grew from, as it was
 
 
 def test_neighbors_sorted_and_edge_lookup(fixture_cards):
@@ -356,7 +366,7 @@ def test_neighbors_sorted_and_edge_lookup(fixture_cards):
 
 def test_snapshot_after_admission_is_pinned(fixture_cards, fixture_dir):
     graph = _build(fixture_cards, dim=64)
-    add_model_node(graph, read_card(fixture_dir / "new_model.json"))
+    graph = add_model_node(graph, read_card(fixture_dir / "new_model.json"))
     text = records.dumps(graph.to_snapshot())  # the bytes `save` writes
     want = "fcae0dafa2b1d81375ad7076e16e67c037fd4e8c006f9617e17ed9f88bd53bf0"
     assert hashlib.sha256(text.encode()).hexdigest() == want

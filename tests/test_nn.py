@@ -6,6 +6,8 @@ import pytest
 from coldroute import nn
 from coldroute.errors import NonFiniteLoss
 
+from conftest import finite_diff_check
+
 
 # --- activations -----------------------------------------------------------
 
@@ -62,7 +64,7 @@ def test_affine_backward_matches_finite_difference():
         return loss, [*layer1.grads(x, d_a), *layer2.grads(h, d_out)]
 
     params = [layer1.W, layer1.b, layer2.W, layer2.b]
-    assert nn.finite_diff_check(loss_fn, params) < 1e-6
+    assert finite_diff_check(loss_fn, params) < 1e-6
 
 
 def test_finite_diff_check_catches_wrong_gradients():
@@ -76,7 +78,7 @@ def test_finite_diff_check_catches_wrong_gradients():
         loss, d_pred = nn.mse(pred, target)
         return loss, [0.5 * g for g in layer.grads(x, d_pred)]  # deliberately scaled wrong
 
-    assert nn.finite_diff_check(bad_loss_fn, [layer.W, layer.b]) > 0.1
+    assert finite_diff_check(bad_loss_fn, [layer.W, layer.b]) > 0.1
 
 
 def test_finite_diff_check_rejects_nonfinite_loss():
@@ -86,7 +88,7 @@ def test_finite_diff_check_rejects_nonfinite_loss():
         return float("nan"), [np.array([0.0])]
 
     with pytest.raises(NonFiniteLoss):
-        nn.finite_diff_check(nan_loss, p)
+        finite_diff_check(nan_loss, p)
 
 
 # --- losses ----------------------------------------------------------------

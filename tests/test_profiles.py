@@ -15,7 +15,7 @@ from coldroute.errors import (
     UnknownNode,
 )
 from coldroute.evaluation import SynthWorldConfig, synth_world
-from coldroute.graph import EvidenceGraph, NodeKind, Propagation, build_graph
+from coldroute.graph import EvidenceGraph, Node, NodeKind, Propagation, build_graph
 from coldroute.profiles import (
     Profile,
     ProfileSpec,
@@ -35,6 +35,7 @@ from conftest import (
     bfs_ball,
     dense_propagation_matrix,
     dense_propagation_oracle,
+    finite_diff_check,
     random_graph,
     tiny_cards,
     traingnn_full_step,
@@ -258,13 +259,10 @@ def test_render_prompt_rejects_query_nodes(fixture_graph):
         render_prompt(fixture_graph, "q_00_0000", texts, hop=1)
 
 
-def test_render_prompt_isolated_node_placeholder(tiny_graph):
-    from coldroute.graph import remove_node
-
-    remove_node(tiny_graph, "fam_00")
-    remove_node(tiny_graph, "bench_00")
-    texts = {nid: tiny_graph.node(nid).text for nid in tiny_graph.node_ids}
-    prompt = render_prompt(tiny_graph, "model_00", texts, hop=1)
+def test_render_prompt_isolated_node_placeholder():
+    graph = EvidenceGraph([Node("model_00", NodeKind.MODEL, "A careful first model.")], [], dim=4)
+    texts = {nid: graph.node(nid).text for nid in graph.node_ids}
+    prompt = render_prompt(graph, "model_00", texts, hop=1)
     assert "(no connected neighbors)" in prompt
 
 
@@ -369,7 +367,7 @@ def test_traingnn_gradients_pass_finite_difference(tiny_graph):
     def loss_fn(_params):
         return model.loss_and_grads(s, x_masked, x, node_batch, edge_pairs, edge_targets)
 
-    assert nn.finite_diff_check(loss_fn, model.params()) < 1e-6
+    assert finite_diff_check(loss_fn, model.params()) < 1e-6
 
 
 def test_propagation_matrix_matches_the_dense_oracle(fixture_graph):

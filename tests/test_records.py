@@ -1,5 +1,5 @@
 """The record layer: writer -> reader round trips, score normalization, and
-graph rollback, each checked as a property over generated inputs."""
+graph growth, each checked as a property over generated inputs."""
 
 import json
 import os
@@ -26,7 +26,6 @@ from coldroute.graph import (
     build_graph,
     load_cards,
     normalize_score,
-    remove_node,
     save_cards,
 )
 from coldroute.profiles import Profile, ProfileSpec, load_profiles, save_profiles
@@ -169,17 +168,19 @@ def _fixture_graph():
         st.dictionaries(st.sampled_from(BENCHMARKS), st.floats(-5.0, 105.0), max_size=3),
     )
 )
-def test_add_model_node_then_remove_node_restores_the_snapshot(card):
+def test_add_model_node_keeps_the_snapshot_of_the_graph_it_grows(card):
     graph = _fixture_graph()
     before = graph.to_snapshot()
     try:
-        add_model_node(graph, card)
+        grown = add_model_node(graph, card)
     except ColdRouteError:  # refused cards must leave no trace either
         assert graph.to_snapshot() == before
         return
-    assert graph.to_snapshot() != before
-    remove_node(graph, card.id)
     assert graph.to_snapshot() == before
+    after = grown.to_snapshot()
+    assert after != before
+    assert [n for n in after["nodes"] if n["id"] != card.id] == before["nodes"]
+    assert [e for e in after["edges"] if e["src"] != card.id] == before["edges"]
 
 
 # --- the reader's checks --------------------------------------------------------

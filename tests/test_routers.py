@@ -120,7 +120,7 @@ def test_pool_state_round_trip(tmp_path):
     card = ModelCard("m_01", "fam_00", "A model.", {"bench_00_a": 0.5})
     path = tmp_path / "state.json"
     pipe = Pipeline(load_config(FIXTURE_DIR / "integrate.json"))
-    PoolState(pipe, pool, path, [card]).write()
+    PoolState(pipe, pool, pipe.graph, path, [card]).write()
     back, cards = PoolState.read(path)
     assert back.ids == pool.ids
     assert np.array_equal(back.matrix(), pool.matrix())
@@ -468,7 +468,7 @@ def test_graphrouter_scores_match_full_assembly_oracle(fixture_graph, providers,
     _assert_oracle_scores(router, pool, probes)
 
     spec = ProfileSpec.parse("emb:2")
-    pool = integrate_new_model(pool, fixture_graph, _new_card(), spec, providers)
+    pool, _ = integrate_new_model(pool, fixture_graph, _new_card(), spec, providers)
     _assert_oracle_scores(router, pool, probes)
 
     # same ids, new profiles: a new pool, so the compiled graph must not be reused
@@ -537,8 +537,8 @@ def test_graphrouter_route_runs_the_network_on_two_rows(fixture_graph, providers
     assert len(compiled) == 1 and len(sides) == len(task_ids)
 
     # a grown pool is another pool: compiled again, and each task's side made again
-    grown = integrate_new_model(pool, fixture_graph, _new_card(), ProfileSpec.parse("emb:2"),
-                                providers)
+    grown, _ = integrate_new_model(pool, fixture_graph, _new_card(), ProfileSpec.parse("emb:2"),
+                                   providers)
     for t in task_ids * 2:
         router.route(query_vecs["q_00_0000"], grown, task_id=t)
     assert compiled == [len(pool), len(grown)]
@@ -591,13 +591,14 @@ def test_integrate_grows_pool_and_freezes_everything_else(fixture_graph, provide
     old_vectors = {mid: pool.get(mid).vector.copy() for mid in pool.ids}
     nodes_before = len(fixture_graph.node_ids)
 
-    grown = integrate_new_model(
+    grown, graph = integrate_new_model(
         pool, fixture_graph, _new_card(), ProfileSpec.parse("emb:2"), providers
     )
     assert grown.get("model_02_00").model_id == "model_02_00"
     assert grown.ids[-1] == "model_02_00" and len(grown) == len(old_vectors) + 1
     assert pool.ids == list(old_vectors)  # the pool passed in is left as it was
-    assert len(fixture_graph.node_ids) == nodes_before + 1
+    assert len(graph.node_ids) == nodes_before + 1
+    assert len(fixture_graph.node_ids) == nodes_before  # so is the graph passed in
     assert router_checksum(router) == checksum
     for mid, vec in old_vectors.items():
         assert np.array_equal(grown.get(mid).vector, vec)
@@ -621,7 +622,8 @@ def test_integrate_trainable_requires_frozen_aggregator(fixture_graph, providers
     with pytest.raises(InvalidSpec):
         integrate_new_model(pool, fixture_graph, _new_card(), spec, providers)
     trained = traingnn_fit(fixture_graph, spec, seed=0, epochs=2)
-    grown = integrate_new_model(pool, fixture_graph, _new_card(), spec, providers, trained=trained)
+    grown, _ = integrate_new_model(pool, fixture_graph, _new_card(), spec, providers,
+                                   trained=trained)
     assert grown.get("model_02_00").vector.shape == (pool.dim,)
 
 
@@ -640,7 +642,8 @@ def test_registration_reads_no_whole_graph_view(
 
     monkeypatch.setattr(EvidenceGraph, "node_ids", property(whole_graph_view))
     monkeypatch.setattr(EvidenceGraph, "edges", property(whole_graph_view))
-    grown = integrate_new_model(pool, fixture_graph, _new_card(), spec, providers, trained=trained)
+    grown, _ = integrate_new_model(pool, fixture_graph, _new_card(), spec, providers,
+                                   trained=trained)
     assert grown.ids[-1] == grown.get("model_02_00").model_id == "model_02_00"
 
 
@@ -686,13 +689,13 @@ def test_admission_sends_one_embedding_request(fixture_graph, providers, fixture
     trained = traingnn_fit(fixture_graph, spec, seed=0, epochs=1) if short == "train:2" else None
     counting = _counting(providers)
     card = _new_card()
-    grown = integrate_new_model(pool, fixture_graph, card, spec, counting, trained=trained)
+    grown, graph = integrate_new_model(pool, fixture_graph, card, spec, counting, trained=trained)
     profile = grown.get(card.id)
     assert len(counting.encoder.batches) == 1
     assert counting.encoder.batches[0][0] == card.description
     # the same row and profile as encoding the row first and profiling after
-    assert np.array_equal(fixture_graph.embedding(card.id), providers.encoder.encode(card.description))
-    again = make_profiles(fixture_graph, spec, [card.id], providers, trained=trained)[card.id]
+    assert np.array_equal(graph.embedding(card.id), providers.encoder.encode(card.description))
+    again = make_profiles(graph, spec, [card.id], providers, trained=trained)[card.id]
     assert np.array_equal(profile.vector, again.vector) and profile.text == again.text
 
 
@@ -708,7 +711,7 @@ def test_text_admission_prompts_only_the_ball_it_reads(providers):
     card = ModelCard("model_new_000", "fam_00", "A newly released assistant model.",
                      dict.fromkeys(benches, 0.5))
     counting = _counting(providers)
-    integrate_new_model(pool, graph, card, ProfileSpec.parse("text:2"), counting)
+    _, graph = integrate_new_model(pool, graph, card, ProfileSpec.parse("text:2"), counting)
     ball = [card.id] + [nb for nb in graph.neighbors(card.id)
                         if graph.node(nb).kind is not NodeKind.QUERY]
     assert len(ball) == 7
@@ -733,21 +736,21 @@ def test_blank_card_is_refused_before_any_provider_request(
 
 
 def test_make_profiles_refuses_a_trainable_spec_without_its_aggregator(fixture_graph, providers):
-    add_model_node(fixture_graph, _new_card())  # an unset row, so a request would show
+    graph = add_model_node(fixture_graph, _new_card())  # an unset row, so a request would show
     counting = _counting(providers)
     with pytest.raises(InvalidSpec):
-        make_profiles(fixture_graph, ProfileSpec.parse("train:2"), ["model_02_00"], counting)
+        make_profiles(graph, ProfileSpec.parse("train:2"), ["model_02_00"], counting)
     assert counting.encoder.batches == [] and counting.summarizer.prompts == []
 
 
 def test_make_profiles_encodes_an_unset_row_with_the_profile_text(fixture_graph, providers):
     spec, card = ProfileSpec.parse("text:2"), _new_card()
-    add_model_node(fixture_graph, card)
-    first = copy.deepcopy(fixture_graph)  # encoded first, profiled after
+    graph = add_model_node(fixture_graph, card)
+    first = copy.deepcopy(graph)  # encoded first, profiled after
     encode_all(first, providers.encoder)
     want = make_profiles(first, spec, [card.id], providers)[card.id]
     counting = _counting(providers)
-    got = make_profiles(fixture_graph, spec, [card.id], counting)[card.id]
+    got = make_profiles(graph, spec, [card.id], counting)[card.id]
     assert counting.encoder.batches == [[card.description, want.text]]
-    assert np.array_equal(fixture_graph.features, first.features)
+    assert np.array_equal(graph.features, first.features)
     assert got.text == want.text and np.array_equal(got.vector, want.vector)

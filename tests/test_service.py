@@ -265,13 +265,13 @@ def test_provider_outage_during_register_is_503_and_rolled_back(server, spec, ro
 
     base = server(_config(router=router, spec=spec), patch=break_provider)
     (service,) = services
-    nodes_before = sorted(service.graph.node_ids)
-    edges_before = len(service.graph.edges)
+    nodes_before = sorted(service.state.graph.node_ids)
+    edges_before = len(service.state.graph.edges)
 
     failed = requests.post(f"{base}/models", json=NEW_CARD)
     assert failed.status_code == 503
-    assert sorted(service.graph.node_ids) == nodes_before
-    assert len(service.graph.edges) == edges_before
+    assert sorted(service.state.graph.node_ids) == nodes_before
+    assert len(service.state.graph.edges) == edges_before
     assert requests.get(f"{base}/pool").json()["models"] == CATALOG
 
     retried = requests.post(f"{base}/models", json=NEW_CARD)
@@ -314,11 +314,11 @@ def test_unwritable_state_is_500_and_rolled_back_then_retry_succeeds(server, tmp
     state = tmp_path / "later" / "state.json"  # its directory does not exist yet
     base = server(_config(state_path=state), patch=services.append)
     (service,) = services
-    nodes_before = sorted(service.graph.node_ids)
+    nodes_before = sorted(service.state.graph.node_ids)
 
     failed = requests.post(f"{base}/models", json=NEW_CARD)
     assert failed.status_code == 500
-    assert sorted(service.graph.node_ids) == nodes_before
+    assert sorted(service.state.graph.node_ids) == nodes_before
     assert requests.get(f"{base}/pool").json()["models"] == CATALOG
     assert not state.parent.exists()
 
@@ -353,7 +353,7 @@ def test_failed_directory_sync_is_500_with_the_model_admitted(server, tmp_path, 
     assert [m["model_id"] for m in saved["pool"]["models"]] == grown
     assert requests.get(f"{base}/pool").json()["models"] == grown
     assert [c.id for c in service.state.cards] == ["model_01_02"]
-    assert "model_01_02" in service.graph
+    assert "model_01_02" in service.state.graph
     route = requests.post(f"{base}/route", json={"query_text": "Upgrade the lockfile safely."})
     assert sorted(route.json()["scores"]) == sorted(grown)
     assert requests.post(f"{base}/models", json=NEW_CARD).status_code == 409
@@ -695,15 +695,80 @@ def test_malformed_provider_reply_is_503_and_rolled_back(stub_server, tmp_path, 
             stub_url(stub_server, "/v1/chat/completions"), retries=0
         )
     stub_server.stub["raw"] = json.dumps(reply).encode()
-    ids, pairs = list(service.graph.ids), service.graph.pairs.copy()
+    ids, pairs = list(service.state.graph.ids), service.state.graph.pairs.copy()
     with pytest.raises((EncoderFailure, SummarizerFailure)) as info:
         service.register(NEW_CARD)
     assert _status_for(info.value) == 503
     assert stub_server.stub["calls"] >= 1
-    assert service.graph.ids == ids and np.array_equal(service.graph.pairs, pairs)
-    assert service.graph.features.shape == (len(ids), 64)
+    assert service.state.graph.ids == ids and np.array_equal(service.state.graph.pairs, pairs)
+    assert service.state.graph.features.shape == (len(ids), 64)
     assert service.state.pool.ids == CATALOG
     assert not state.exists()
+
+
+# --- the published graph -----------------------------------------------------
+
+def _break_registration(service, how, tmp_path, stub_server):
+    """Make ``service``'s next registration fail ``how``; the error it raises."""
+    if how == "provider outage":
+        service.providers.encoder = _DownOnceEncoder(service.providers.encoder)
+        return EncoderFailure
+    if how == "malformed reply":
+        service.providers.encoder = RemoteEmbedder(
+            stub_url(stub_server, "/v1/embeddings"), dim=64, retries=0
+        )
+        stub_server.stub["raw"] = json.dumps({"rows": []}).encode()
+        return EncoderFailure
+    service.state.path = tmp_path / "later" / "state.json"  # its directory does not exist
+    return OSError
+
+
+@pytest.mark.parametrize("how", ["provider outage", "malformed reply", "unwritable state"])
+def test_a_refused_registration_leaves_the_published_graph(stub_server, tmp_path, how):
+    service = RoutingService(_config(router="sim", state_path=tmp_path / "state.json"))
+    graph = service.state.graph
+    ids, pairs, features = list(graph.ids), graph.pairs.copy(), graph.features.copy()
+    error = _break_registration(service, how, tmp_path, stub_server)
+    with pytest.raises(error) as info:
+        service.register(NEW_CARD)
+    assert _status_for(info.value) == (500 if how == "unwritable state" else 503)
+    assert service.state.graph is graph and "model_01_02" not in graph
+    assert graph.ids == ids and np.array_equal(graph.pairs, pairs)
+    assert np.array_equal(graph.features, features)
+    assert service.state.pool.ids == CATALOG and service.state.cards == []
+
+
+def test_an_unsynced_admission_publishes_the_grown_graph(tmp_path, monkeypatch):
+    service = RoutingService(_config(router="sim", state_path=tmp_path / "state.json"))
+    graph = service.state.graph
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(5, "Input/output error")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(OSError, match="not synced"):
+        service.register(NEW_CARD)
+    assert "model_01_02" in service.state.graph and "model_01_02" not in graph
+    assert service.state.graph.ids == graph.ids + ["model_01_02"]
+    assert service.state.pool.ids == CATALOG + ["model_01_02"]
+
+
+@pytest.mark.parametrize("spec", ["emb:2", "text:2"])
+def test_the_recovered_graph_is_the_live_graph(tmp_path, spec):
+    state = tmp_path / "state.json"
+    live = RoutingService(_config(router="sim", spec=spec, state_path=state))
+    cards_graph = live.state.graph
+    for card in (NEW_CARD, dict(NEW_CARD, id="model_01_03", scores={"bench_00_b": 71.0})):
+        live.register(card)
+    recovered = RoutingService(_config(router="sim", spec=spec, state_path=state))
+    assert recovered.state.graph.to_snapshot() == live.state.graph.to_snapshot()
+    assert recovered.state.graph.ids == live.state.graph.ids
+    assert recovered.state.pool.ids == live.state.pool.ids == CATALOG + ["model_01_02",
+                                                                         "model_01_03"]
+    assert live.state.pipe.graph is cards_graph and "model_01_02" not in cards_graph
 
 
 def test_service_with_remote_providers_does_not_import_requests(stub_server, tmp_path):

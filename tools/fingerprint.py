@@ -95,10 +95,11 @@ def _router(config: Path, kind: str, queries: list[str] | None = None) -> dict:
     pool = pipe.pool(pipe.pool_ids(without=new.id if new else None))
     router = pipe.router(kind, pool)
     sha = _sha(router.to_checkpoint())
+    graph = pipe.graph
     if new is not None:
-        pool = integrate_new_model(pool, pipe.graph, new, pipe.spec, pipe.providers)
+        pool, graph = integrate_new_model(pool, graph, new, pipe.spec, pipe.providers)
     queries = queries or pipe.cfg.eval_queries
-    vecs = query_vectors(pipe.graph, queries)
+    vecs = query_vectors(graph, queries)
     scores = []
     for qid in queries:
         decision = router.route(vecs[qid], pool, qid, pipe.tasks[qid])
@@ -169,7 +170,7 @@ def _admitted(config: Path, spec: str) -> dict:
     calls = {"encoder batches": 0, "summarizer prompts": 0}
     counted = Providers(_CountedEncoder(pipe.providers.encoder, calls),
                         _CountedSummarizer(pipe.providers.summarizer, calls))
-    grown = integrate_new_model(pool, pipe.graph, new, pipe.spec, counted, trained=trained)
+    grown, _ = integrate_new_model(pool, pipe.graph, new, pipe.spec, counted, trained=trained)
     profile = grown.get(new.id)
     return {"sha256": _sha(profile.to_dict()), "vector": profile.vector.tolist(), "calls": calls}
 
