@@ -23,6 +23,7 @@ propagation picks the keywords up through scored edges.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,12 +43,13 @@ from .graph import (
 from .routers import (
     InteractionRecord,
     RoutingDecision,
+    check_reward,
     integrate_new_model,
-    load_interactions,
     query_vectors,
+    read_rewards,
     router_checksum,
     save_interactions,
-    sim_route,
+    sim_routes,
 )
 
 
@@ -58,14 +60,22 @@ class RewardTable:
     """Complete (query, model) -> reward map for an evaluation."""
 
     def __init__(self, entries: dict[tuple[str, str], float]):
-        self._rewards: dict[tuple[str, str], float] = {}
-        for (qid, mid), value in entries.items():
-            value = float(value)
-            if not (0.0 <= value <= 1.0):  # NaN fails this too
-                raise ConfigError(f"reward {value!r} for ({qid!r}, {mid!r}) outside [0, 1]")
-            self._rewards[(qid, mid)] = value
-        self.query_ids = sorted({q for q, _ in self._rewards})
-        self.model_ids = sorted({m for _, m in self._rewards})
+        self._rewards = {key: check_reward(float(value), key) for key, value in entries.items()}
+
+    @classmethod
+    def _checked(cls, rewards: dict[tuple[str, str], float]) -> "RewardTable":
+        """A table over ``rewards``, whose values are floats already checked."""
+        table = cls.__new__(cls)
+        table._rewards = rewards
+        return table
+
+    @functools.cached_property
+    def query_ids(self) -> list[str]:
+        return sorted({q for q, _ in self._rewards})
+
+    @functools.cached_property
+    def model_ids(self) -> list[str]:
+        return sorted({m for _, m in self._rewards})
 
     def reward(self, query_id: str, model_id: str) -> float:
         try:
@@ -78,11 +88,11 @@ class RewardTable:
 
     def restrict(self, queries: list[str], models: list[str]) -> "RewardTable":
         """The complete sub-table over the given axes; raises if any pair is absent."""
-        out = {}
-        for qid in queries:
-            for mid in models:
-                out[(qid, mid)] = self.reward(qid, mid)
-        return RewardTable(out)
+        rewards = self._rewards
+        try:
+            return RewardTable._checked({(q, m): rewards[q, m] for q in queries for m in models})
+        except KeyError as exc:
+            raise MissingReward(*exc.args[0]) from None
 
     def to_records(self) -> list[InteractionRecord]:
         return [
@@ -96,8 +106,8 @@ class RewardTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "RewardTable":
-        """The rewards of an interactions file; ``load_interactions`` refuses a repeated pair."""
-        return cls({(r.query_id, r.model_id): r.reward for r in load_interactions(path)})
+        """The rewards of an interactions file (``read_rewards``)."""
+        return cls._checked(read_rewards(path))
 
 
 # --- metrics ---------------------------------------------------------------
@@ -460,7 +470,7 @@ def run_coldstart(pipe: Pipeline, queries: list[str], rewards: RewardTable) -> E
     ids = pipe.pool_ids()
     pool = pipe.pool(ids)
     vecs = query_vectors(pipe.graph, queries)
-    decisions = [sim_route(vecs[qid], pool, qid) for qid in queries]
+    decisions = sim_routes([vecs[qid] for qid in queries], pool, queries)
     return _report("coldstart", pipe, "sim", decisions, rewards.restrict(queries, ids))
 
 

@@ -143,7 +143,8 @@ def save_profiles(profiles: dict[str, Profile], path: str | Path) -> None:
 
 
 def load_profiles(path: str | Path) -> dict[str, Profile]:
-    return {p.model_id: p for p in records.read(path, "jsonl", None, Profile.from_dict)}
+    """One profile per line, no model twice."""
+    return records.read_unique(path, "model_id", None, Profile.from_dict)
 
 
 # --- flat ------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """One reader and one writer for every file coldroute reads or writes.
 
-Three forms: ``jsonl`` (one object per line, blank lines skipped),
-``array`` (a JSON array of objects: the card files) and ``doc`` (one
-JSON object).  :func:`read` checks each row against a schema.  A failure,
+Three forms: ``jsonl`` (one object per line, blank lines skipped; a
+line ends at ``\\n`` only, so U+2028 and the other Unicode line breaks
+are text), ``array`` (a JSON array of objects: the card files) and
+``doc`` (one JSON object).  :func:`read` checks each row against a
+schema, decoding and checking each row once; :func:`read_unique` keys
+``jsonl`` rows by one field and refuses a repeated key.  A failure,
 a domain error raised while building a row, and a missing or unreadable
 file are a ``ConfigError`` naming the file, with ``:line`` for JSONL and
 ``[entry N]`` for an array.  So is a ``ValueError`` raised while building
@@ -47,38 +50,79 @@ def read(path: str | Path, form: str = "doc", schema=None, build=None):
         text = path.read_text()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
-    where = ""  # the row being read, for the error message
+    fields = _schema_fields(schema)
+    n = None  # the line or entry being read, for the error message
     try:
         if form == "jsonl":
-            items = [(f":{n}", line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+            items = enumerate(text.split("\n"), 1)
         else:
             doc = json.loads(text)
             if form == "doc":
-                return check(doc, schema) if build is None else build(check(doc, schema))
+                return _check(doc, fields) if build is None else build(_check(doc, fields))
             if not isinstance(doc, list):
                 raise ConfigError("not a JSON array")
-            items = [(f"[entry {i}]", row) for i, row in enumerate(doc)]
+            items = enumerate(doc)
         rows = []
-        for where, item in items:
-            row = check(json.loads(item) if form == "jsonl" else item, schema)
+        for n, item in items:
+            if form == "jsonl":
+                if not item or item.isspace():  # a blank line
+                    continue
+                item = _decode(item)
+            row = _check(item, fields)
             rows.append(row if build is None else build(row))
         return rows
     except (ColdRouteError, ValueError) as exc:  # ValueError: bad JSON, or an unknown enum value
         what = f"not valid JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else exc
+        where = "" if n is None else f":{n}" if form == "jsonl" else f"[entry {n}]"
         raise ConfigError(f"{path}{where}: {what}") from exc
+
+
+def read_unique(path: str | Path, key: str, schema=None, build=None) -> dict:
+    """The ``jsonl`` rows of ``path`` (as ``read`` gives them) by their ``key``, in file
+    order; a key that comes twice is refused at the line of its second row."""
+    rows = {}
+
+    def add(row: dict) -> None:
+        value = row if build is None else build(row)
+        if row[key] in rows:
+            raise ConfigError(f"duplicate {key} {row[key]!r}")
+        rows[row[key]] = value
+
+    read(path, "jsonl", schema, add)
+    return rows
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _decode(line: str):
+    """The value of a JSONL line, as ``json.loads(line)`` gives it (or raises)."""
+    try:
+        value, end = _DECODER.raw_decode(line)
+    except ValueError:  # leading whitespace, or not JSON: json.loads decides
+        end = -1
+    return value if end == len(line) else json.loads(line)
 
 
 def check(entry, schema=None):
     """``entry`` checked against ``schema``: a new dict, or an instance of a dataclass schema."""
+    return _check(entry, _schema_fields(schema))
+
+
+def _check(entry, fields):
+    """``check`` against the ``_schema_fields`` of a schema."""
     if not isinstance(entry, dict):
         raise ConfigError(f"not a JSON object: {reprlib.repr(entry)}")
-    if schema is None:
+    if fields is None:
         return entry
-    cls, fields = _fields(tuple(schema.items()) if isinstance(schema, dict) else schema)
+    cls, fields = fields
     out = {} if cls else dict(entry)
     for key, kind, required in fields:
         if key in entry:
-            out[key] = _convert(entry[key], kind, key)
+            value = entry[key]
+            # a value already of its kind is kept without a call
+            fits = type(value) is kind and (kind is not str or value.strip())
+            out[key] = value if fits else _convert(value, kind, key)
         elif required:
             raise ConfigError(f"missing key {key!r}")
     return cls(**out) if cls else out
@@ -92,6 +136,13 @@ def at_least(name: str, value, least: float, above: bool = False) -> None:
     if not (fits and (value > least if above else value >= least)):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{name} must be {kind} {'>' if above else '>='} {least:g}: {value!r}")
+
+
+def _schema_fields(schema):
+    """The ``_fields`` of a schema, or None for no schema."""
+    if schema is None:
+        return None
+    return _fields(tuple(schema.items()) if isinstance(schema, dict) else schema)
 
 
 @functools.cache

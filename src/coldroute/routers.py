@@ -52,22 +52,45 @@ class InteractionRecord:
     reward: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.reward <= 1.0):
-            raise ConfigError(
-                f"reward {self.reward!r} for ({self.query_id!r}, {self.model_id!r}) outside [0, 1]"
-            )
+        check_reward(self.reward, (self.query_id, self.model_id))
+
+
+def check_reward(reward: float, pair: tuple[str, str]) -> float:
+    """The reward of a (query, model) pair, unless it lies outside [0, 1] (NaN does too)."""
+    if not (0.0 <= reward <= 1.0):
+        raise ConfigError(f"reward {reward!r} for {pair!r} outside [0, 1]")
+    return reward
+
+
+_INTERACTION = {"query_id": str, "model_id": str, "reward": float}
+
+
+def read_rewards(path: str | Path) -> dict[tuple[str, str], float]:
+    """The ``(query_id, model_id) -> reward`` rows of an interactions file, in file order.
+
+    One ``{query_id, model_id, reward}`` object per line; a reward is a
+    number in [0, 1], and no pair comes twice.  A repeated pair is refused
+    once every row has been read, so a bad row later in the file is named
+    first.
+    """
+    rewards: dict[tuple[str, str], float] = {}
+    repeated = []
+
+    def add(row: dict) -> None:
+        pair = row["query_id"], row["model_id"]
+        if pair in rewards:
+            repeated.append(pair)
+        rewards[pair] = check_reward(row["reward"], pair)
+
+    records.read(path, "jsonl", _INTERACTION, add)
+    if repeated:
+        raise ConfigError(f"{path}: duplicate interaction for {repeated[0]!r}")
+    return rewards
 
 
 def load_interactions(path: str | Path) -> list[InteractionRecord]:
-    """Interaction rows, one ``{query_id, model_id, reward}`` object per line; no pair twice."""
-    rows = records.read(path, "jsonl", InteractionRecord)
-    seen: set[tuple[str, str]] = set()
-    for rec in rows:
-        key = (rec.query_id, rec.model_id)
-        if key in seen:
-            raise ConfigError(f"{path}: duplicate interaction for {key!r}")
-        seen.add(key)
-    return rows
+    """The rows of an interactions file (``read_rewards``), in file order."""
+    return [InteractionRecord(q, m, r) for (q, m), r in read_rewards(path).items()]
 
 
 def save_interactions(rows: list[InteractionRecord], path: str | Path) -> None:
@@ -75,9 +98,9 @@ def save_interactions(rows: list[InteractionRecord], path: str | Path) -> None:
 
 
 def load_tasks(path: str | Path) -> dict[str, str]:
-    """Task assignment file: one ``{query_id, task_id}`` object per line."""
-    rows = records.read(path, "jsonl", {"query_id": str, "task_id": str})
-    return {row["query_id"]: row["task_id"] for row in rows}
+    """Task assignment file: one ``{query_id, task_id}`` object per line, no query twice."""
+    schema = {"query_id": str, "task_id": str}
+    return records.read_unique(path, "query_id", schema, lambda row: row["task_id"])
 
 
 def save_tasks(assignment: dict[str, str], path: str | Path) -> None:
@@ -171,12 +194,26 @@ def _query(pool: CandidatePool, query_vec, dim: int) -> np.ndarray:
 
 def sim_route(query_vec: np.ndarray, pool: CandidatePool, query_id: str = "query") -> RoutingDecision:
     """Training-free cosine routing with smallest-id tie-break; a zero vector scores 0."""
-    query_vec, matrix = _query(pool, query_vec, pool.dim), pool.matrix()
+    return sim_routes([query_vec], pool, [query_id])[0]
+
+
+def sim_routes(
+    query_vecs: list, pool: CandidatePool, query_ids: list[str]
+) -> list[RoutingDecision]:
+    """``sim_route`` of each query, all scored in one product."""
+    if not query_vecs:
+        return []
+    query_vecs = [_query(pool, vec, pool.dim) for vec in query_vecs]
+    matrix = pool.matrix()
     # a row-wise sum, not BLAS: equal profiles must score equal wherever they sit
-    dots = (matrix * query_vec).sum(axis=1)
-    norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(query_vec)
-    cosines = np.divide(dots, norms, out=np.zeros(len(pool)), where=norms != 0.0)
-    return RoutingDecision.from_scores(query_id, dict(zip(pool.ids, cosines.tolist())))
+    dots = (np.array(query_vecs)[:, None, :] * matrix).sum(axis=2)
+    # each query's own 1-D norm, as a lone route takes it, so a batch scores bit for bit alike
+    query_norms = np.array([np.linalg.norm(vec) for vec in query_vecs])
+    norms = np.linalg.norm(matrix, axis=1) * query_norms[:, None]
+    cosines = np.divide(dots, norms, out=np.zeros(dots.shape), where=norms != 0.0)
+    ids = pool.ids
+    return [RoutingDecision.from_scores(qid, dict(zip(ids, row)))
+            for qid, row in zip(query_ids, cosines.tolist())]
 
 
 @dataclass

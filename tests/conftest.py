@@ -19,7 +19,7 @@ import pytest
 
 from coldroute import records
 from coldroute.config import AppConfig, Pipeline
-from coldroute.errors import NonFiniteLoss
+from coldroute.errors import ColdRouteError, ConfigError, NonFiniteLoss
 from coldroute.graph import (
     BenchmarkCard,
     CardSet,
@@ -34,8 +34,8 @@ from coldroute.graph import (
 )
 from coldroute.profiles import ProfileSpec, make_profiles
 from coldroute.providers import DeterministicEmbedder, Providers, encode_all
-from coldroute.routers import (CandidatePool, load_interactions, load_tasks, save_interactions,
-                               save_tasks)
+from coldroute.routers import (CandidatePool, InteractionRecord, load_interactions, load_tasks,
+                               save_interactions, save_tasks)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -174,6 +174,29 @@ def random_graph(rng: np.random.Generator, dim: int = 8, max_nodes: int = 10) ->
 
 
 # --- independent oracles ---------------------------------------------------
+
+def reference_read_rewards(path: Path) -> dict[tuple[str, str], float]:
+    """The interactions file read row by row, as the reward reader once did: ``json.loads``
+    on each nonblank line (lines end at ``\\n``), ``records.check`` against
+    ``InteractionRecord``, then a pass refusing a repeated pair."""
+    where = ""
+    try:
+        rows = []
+        for n, line in enumerate(path.read_text().split("\n"), 1):
+            if line.strip():
+                where = f":{n}"
+                rows.append(records.check(json.loads(line), InteractionRecord))
+    except (ColdRouteError, ValueError) as exc:
+        what = f"not valid JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else exc
+        raise ConfigError(f"{path}{where}: {what}") from exc
+    seen: set[tuple[str, str]] = set()
+    for rec in rows:
+        key = (rec.query_id, rec.model_id)
+        if key in seen:
+            raise ConfigError(f"{path}: duplicate interaction for {key!r}")
+        seen.add(key)
+    return {(rec.query_id, rec.model_id): rec.reward for rec in rows}
+
 
 def dense_propagation_matrix(graph: EvidenceGraph) -> np.ndarray:
     """The normalized propagation matrix S, rows and columns in ``graph.node_ids`` order."""

@@ -36,12 +36,13 @@ from coldroute.routers import (
     load_interactions,
     load_router,
     load_tasks,
+    read_rewards,
     save_interactions,
     save_router,
     save_tasks,
 )
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, reference_read_rewards
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -121,6 +122,100 @@ card_sets = st.builds(
 @given(card_sets)
 def test_card_set_round_trip(cards):
     assert _round_trip(save_cards, load_cards, cards) == cards
+
+
+# --- the reward reader against the row-by-row reader ---------------------------
+
+def _json(value) -> st.SearchStrategy[str]:
+    return st.booleans().map(lambda ascii: json.dumps(value, ensure_ascii=ascii))
+
+
+def _mostly(good: st.SearchStrategy, bad: st.SearchStrategy) -> st.SearchStrategy:
+    """``good`` nine times in ten, else ``bad`` (shrinking towards ``good``)."""
+    return st.sampled_from([good] * 9 + [bad]).flatmap(lambda strategy: strategy)
+
+
+# few ids, so pairs repeat; U+2028 and NEL sit raw in a string unless escaped
+_ids = _mostly(st.sampled_from(["q1", "q2", "m1", "m\u2028\x85é"]).flatmap(_json),
+               st.sampled_from(['""', '"  "', "3", "null", "true", '["q1"]']))
+_rewards = _mostly(st.floats(0.0, 1.0).map(repr) | st.sampled_from(["0", "1", "-0.0", "1E-3"]),
+                   st.sampled_from(["true", "false", "2", "-1", "1.0000001", "-1e-300", "1e400",
+                                    "NaN", "Infinity", "-Infinity", "1" + "0" * 400, '"0.5"',
+                                    "null"]))
+_blank = st.sampled_from(["", " ", "\t", "\r", " \r", "\x0c", "\u2028", "\xa0"])
+
+
+@st.composite
+def _row(draw) -> str:
+    fields = {"query_id": draw(_ids), "model_id": draw(_ids), "reward": draw(_rewards)}
+    if draw(st.integers(0, 9)) == 0:
+        del fields[draw(st.sampled_from(sorted(fields)))]
+    if draw(st.booleans()):
+        fields["note"] = draw(_ids)
+    keys = draw(st.permutations(sorted(fields)))
+    sep = draw(st.sampled_from([", ", ",", " ,\t"]))
+    return "{" + sep.join(f'"{k}": {fields[k]}' for k in keys) + "}"
+
+
+@st.composite
+def _line(draw) -> list[str]:
+    """One line of an interactions file, or two where one value spans them."""
+    row = draw(_row())
+    kind = draw(st.sampled_from(["row"] * 12 + ["padded"] * 3 + [
+        "blank", "two values", "split", "not an object", "not JSON"]))
+    if kind == "row":
+        return [row]
+    if kind == "padded":  # JSON whitespace on either side, \r of a \r\n ending included
+        before = draw(st.sampled_from(["", " ", "\t"]))
+        return [before + row + draw(st.sampled_from(["", " ", "\r"]))]
+    if kind == "blank":
+        return [draw(_blank)]
+    if kind == "two values":
+        return [row + draw(st.sampled_from(["", " ", "\x85", "\u2028", "\x0c"])) + draw(_row())]
+    if kind == "split":
+        cut = draw(st.integers(1, len(row) - 1))
+        return [row[:cut], row[cut:]]
+    if kind == "not an object":
+        return [draw(st.sampled_from(["[1]", "3", '"s"', "null", "[]", "true"]))]
+    return [draw(st.sampled_from(["{", "x", "}{", "\ufeff{}", '{"a": 1,}', "'a'"]))]
+
+
+@st.composite
+def interaction_files(draw) -> str:
+    lines = [piece for pieces in draw(st.lists(_line(), max_size=6)) for piece in pieces]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def _outcome(read, path: Path):
+    try:
+        return "rows", repr(list(read(path).items()))  # repr: order, kinds and -0.0 count
+    except ConfigError as exc:
+        return "refused", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(interaction_files())
+def test_reward_reader_matches_the_row_by_row_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rewards.jsonl"
+        path.write_text(text, encoding="utf-8")
+        want = _outcome(reference_read_rewards, path)
+        assert _outcome(read_rewards, path) == want
+        if want[0] == "rows":
+            assert repr(list(RewardTable.load(path)._rewards.items())) == want[1]
+            assert load_interactions(path) == [
+                InteractionRecord(q, m, r) for (q, m), r in reference_read_rewards(path).items()]
+
+
+def test_reward_reader_names_a_bad_row_before_an_earlier_repeat(tmp_path):
+    path = tmp_path / "rewards.jsonl"
+    row = '{"query_id": "q", "model_id": "m", "reward": 0.5}\n'
+    path.write_text(row * 2 + '{"query_id": "q", "model_id": "n", "reward": 1.5}\n')
+    with pytest.raises(ConfigError, match=r"rewards\.jsonl:3: reward 1\.5 for \('q', 'n'\)"):
+        read_rewards(path)
+    path.write_text(row * 2)
+    with pytest.raises(ConfigError, match=r"rewards\.jsonl: duplicate interaction for \('q', 'm'"):
+        read_rewards(path)
 
 
 # --- score normalization ----------------------------------------------------
@@ -241,6 +336,35 @@ def test_config_fields_take_their_defaults_kinds_and_service_keys(tmp_path):
     default = AppConfig(base, base / "cards")
     assert (cfg.dim, cfg.encoder) == (default.dim, default.encoder)
     assert cfg.random_seeds == [0, 1, 2, 3, 4, 5]
+
+
+def test_jsonl_lines_end_at_newline_only(tmp_path):
+    # U+2028, U+2029, NEL, VT, FF and the separators \x1c-\x1e break a line for
+    # str.splitlines, but they are ordinary characters inside a JSON string
+    text = "Line one\u2028line two\u2029\x85\x0b\x0c\x1c\x1d\x1e end"
+    cards = CardSet(queries=[QueryRecord("q_0000", "bench_00", text)])
+    save_cards(cards, tmp_path)
+    (tmp_path / "queries.jsonl").write_text(
+        json.dumps(vars(cards.queries[0]), ensure_ascii=False) + "\r\n", encoding="utf-8"
+    )
+    assert load_cards(tmp_path).queries == cards.queries
+    path = tmp_path / "tasks.jsonl"
+    path.write_text('{"query_id": "q1", "task_id": "t"}\u2028{"query_id": "q2", "task_id": "t"}\n',
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"tasks\.jsonl:1: not valid JSON: Extra data"):
+        load_tasks(path)
+
+
+def test_a_repeated_id_is_refused_at_its_line(tmp_path):
+    path = tmp_path / "tasks.jsonl"
+    path.write_text('{"query_id": "q1", "task_id": "a"}\n\n{"query_id": "q1", "task_id": "b"}\n')
+    with pytest.raises(ConfigError, match=r"tasks\.jsonl:3: duplicate query_id 'q1'"):
+        load_tasks(path)
+    profile = Profile("m1", ProfileSpec.parse("flat"), np.ones(2))
+    path = tmp_path / "profiles.jsonl"
+    path.write_text(json.dumps(profile.to_dict()) + "\n" + json.dumps(profile.to_dict()) + "\n")
+    with pytest.raises(ConfigError, match=r"profiles\.jsonl:2: duplicate model_id 'm1'"):
+        load_profiles(path)
 
 
 def test_jsonl_skips_blank_lines_but_counts_them(tmp_path):

@@ -48,6 +48,7 @@ from coldroute.routers import (
     save_router,
     save_tasks,
     sim_route,
+    sim_routes,
 )
 
 from conftest import FIXTURE_DIR, graph_router_full_step, graph_router_oracle
@@ -177,6 +178,26 @@ def test_sim_route_scores_are_the_per_profile_cosines():
     for q in [rng.normal(size=8) for _ in range(20)]:
         decision = sim_route(q, twins)
         assert len(set(decision.scores.values())) == 1 and decision.chosen == "m_00"
+
+
+@pytest.mark.parametrize("dim", [1, 8, 64, 129])
+def test_sim_routes_score_each_query_as_a_lone_route(dim):
+    rng = np.random.default_rng(dim)
+    vectors = [rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3, size=dim) for _ in range(9)]
+    vectors.append(np.zeros(dim))
+    pool = CandidatePool([_profile(f"m_{i:02d}", v) for i, v in enumerate(vectors)])
+    queries = [rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3, size=dim) for _ in range(30)]
+    queries += [vectors[3], np.zeros(dim), queries[0]]  # a twin profile, a zero, a repeat
+    ids = [f"q_{i:02d}" for i in range(len(queries))]
+    matrix = pool.matrix()
+    for decision, qid, q in zip(sim_routes(queries, pool, ids), ids, queries, strict=True):
+        # one query alone: a row-wise sum and the query's own 1-D norm, bit for bit
+        dots = (matrix * q).sum(axis=1)
+        norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(q)
+        want = np.divide(dots, norms, out=np.zeros(len(pool)), where=norms != 0.0)
+        assert decision == RoutingDecision.from_scores(qid, dict(zip(pool.ids, want.tolist())))
+        assert decision == sim_route(q, pool, qid)
+    assert sim_routes([], pool, []) == []
 
 
 def test_sim_route_scale_invariance():
